@@ -60,7 +60,6 @@ from .matching import (
     max_fitness,
 )
 from .population import (
-    POPULATION_SIZE,
     Population,
     load_population,
     sample_initial,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, Antibody
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, nth_unused_job
 from .matching import AntigenSample, antibody_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, AntigenUniverse
+from .scheduling import AntigenUniverse
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,8 @@ def order_crossover(
     duplicate job, and no randomness is consumed (`rng` is accepted for
     operator-signature symmetry only).
     """
+    if p1.jobs == p2.jobs:
+        return p1, p2
     shared = set(p1.jobs) & set(p2.jobs)
     return _reordered_child(p1, p2, shared), _reordered_child(p2, p1, shared)
 
@@ -64,7 +67,7 @@ def order_crossover(
 def _reordered_child(keeper: Antibody, donor: Antibody, shared: set[int]) -> Antibody:
     order = iter(j for j in donor.jobs if j in shared)
     jobs = tuple(next(order) if j in shared else j for j in keeper.jobs)
-    return keeper if jobs == keeper.jobs else Antibody(jobs)
+    return keeper if jobs == keeper.jobs else Antibody.trusted(jobs)
 
 
 def mutate(ab: Antibody, rate: float, rng: random.Random) -> Antibody:
@@ -72,15 +75,12 @@ def mutate(ab: Antibody, rate: float, rng: random.Random) -> Antibody:
     not currently in the antibody (the exclusion set updates left to right)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("mutation rate must be in [0, 1]")
-    jobs = list(ab.jobs)
-    changed = False
+    jobs = ab.jobs
     for posn in range(ANTIBODY_LENGTH):
         if rng.random() < rate:
-            current = set(jobs)
-            choices = [j for j in range(1, JOB_COUNT + 1) if j not in current]
-            jobs[posn] = choices[rng.randrange(len(choices))]
-            changed = True
-    return Antibody(tuple(jobs)) if changed else ab
+            job = nth_unused_job(jobs, rng.randrange(UNUSED_JOB_COUNT))
+            jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
+    return ab if jobs is ab.jobs else Antibody.trusted(jobs)
 
 
 def evolve(
@@ -100,7 +100,8 @@ def evolve(
     size = pop.size
     cur_abs = list(pop.antibodies)
     cur_fit = list(fitnesses)
-    best_ab, best_fit = pop.best_ever if pop.best_ever else _best_of(cur_abs, cur_fit)
+    # max keeps the first of equal fitnesses, as Population.evaluate does.
+    best_ab, best_fit = pop.best_ever or max(zip(cur_abs, cur_fit), key=itemgetter(1))
 
     if stats_stream is not None:
         stats_stream.write("generation,best,mean,worst\n")
@@ -122,11 +123,12 @@ def evolve(
             c2 = mutate(c2, cfg.mutation_rate, rng)
             fc1 = f1 if c1 is p1 else antibody_fitness(c1, universe, sample)
             fc2 = f2 if c2 is p2 else antibody_fitness(c2, universe, sample)
-            for ab, fit in ((c1, fc1), (c2, fc2)):
-                if fit > best_fit:
-                    best_ab, best_fit = ab, fit
+            if fc1 > best_fit:
+                best_ab, best_fit = c1, fc1
+            if fc2 > best_fit:
+                best_ab, best_fit = c2, fc2
             family = [(p1, f1), (p2, f2), (c1, fc1), (c2, fc2)]
-            family.sort(key=lambda pair: -pair[1])  # stable: parents win ties
+            family.sort(key=itemgetter(1), reverse=True)  # stable: parents win ties
             for ab, fit in family[:2]:
                 new_abs.append(ab)
                 new_fit.append(fit)
@@ -152,14 +154,6 @@ def tournament_select_cached(fitnesses: list[int], k: int, rng: random.Random) -
         if fitnesses[i] > fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
             best = i
     return best
-
-
-def _best_of(antibodies: list[Antibody], fitnesses: list[int]) -> tuple[Antibody, int]:
-    best_i = 0
-    for i, fit in enumerate(fitnesses):
-        if fit > fitnesses[best_i]:
-            best_i = i
-    return antibodies[best_i], fitnesses[best_i]
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

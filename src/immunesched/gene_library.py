@@ -14,14 +14,15 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
-from .scheduling import JOB_COUNT, AntigenUniverse
+from .scheduling import ANTIBODY_LENGTH, JOB_COUNT, AntigenUniverse
 
 COMPONENT_SIZE = 3
 LIBRARY_COUNT = JOB_COUNT // COMPONENT_SIZE
-ANTIBODY_LENGTH = 5
 COMBINED_LENGTH = 2 * COMPONENT_SIZE
 
 POPULATION_TYPES = ("A", "B", "C")
+# Job ids an antibody leaves out, and so the choices a one-job replacement has.
+UNUSED_JOB_COUNT = JOB_COUNT - ANTIBODY_LENGTH
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,33 @@ class Antibody:
             raise ValueError(f"antibody needs {ANTIBODY_LENGTH} distinct jobs, got {self.jobs}")
         if any(not 1 <= j <= JOB_COUNT for j in self.jobs):
             raise ValueError("antibody job id out of range")
+
+    @classmethod
+    def trusted(cls, jobs: tuple[int, ...]) -> "Antibody":
+        """An antibody without provenance whose jobs skip validation.
+
+        For operators that build five distinct in-range jobs by
+        construction (crossover, mutation, neighborhood moves); input from
+        files and callers goes through the validating constructor.
+        """
+        ab = object.__new__(cls)
+        fields = ab.__dict__  # frozen: bypass __setattr__, as __init__ does
+        fields["jobs"] = jobs
+        fields["provenance"] = None
+        return ab
+
+
+def nth_unused_job(jobs: tuple[int, ...], n: int) -> int:
+    """The n-th smallest (from 0) job id in 1..JOB_COUNT that is not in `jobs`.
+
+    `jobs` must hold distinct ids. Each id at or below the running
+    candidate pushes it up by one, in ascending order.
+    """
+    job = n + 1
+    for taken in sorted(jobs):
+        if taken <= job:
+            job += 1
+    return job
 
 
 @dataclass(frozen=True)

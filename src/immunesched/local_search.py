@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, Antibody
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, nth_unused_job
 from .matching import AntigenSample, antibody_fitness, max_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, AntigenUniverse
+from .scheduling import AntigenUniverse
+
+_SLOTS = range(ANTIBODY_LENGTH)
 
 
 class NeighborOperator(str, Enum):
@@ -58,13 +60,11 @@ def neighbor(ab: Antibody, op: NeighborOperator, rng: random.Random) -> Antibody
     jobs = list(ab.jobs)
     if op is NeighborOperator.CHANGE_ONE_JOB:
         posn = rng.randrange(ANTIBODY_LENGTH)
-        current = set(jobs)
-        choices = [j for j in range(1, JOB_COUNT + 1) if j not in current]
-        jobs[posn] = choices[rng.randrange(len(choices))]
+        jobs[posn] = nth_unused_job(ab.jobs, rng.randrange(UNUSED_JOB_COUNT))
     else:
-        i, j = rng.sample(range(ANTIBODY_LENGTH), 2)
+        i, j = rng.sample(_SLOTS, 2)
         jobs[i], jobs[j] = jobs[j], jobs[i]
-    return Antibody(tuple(jobs))
+    return Antibody.trusted(tuple(jobs))
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
@@ -100,15 +100,21 @@ def sa_refine(
     visited if it strictly beats the original, else the original. Trace
     rows are `step,temperature,current_fitness,best_fitness,accepted`
     with the post-cooling temperature.
+
+    Without a trace the chain stops once the best reaches the sample's
+    maximum fitness: only a strict improvement replaces the best, so the
+    remaining steps could not change the result, and the generator is the
+    chain's own. A traced chain always runs the full schedule.
     """
     start_fit = antibody_fitness(ab, universe, sample)
+    ceiling = max_fitness(sample.size) if trace is None else None
     current, current_fit = ab, start_fit
     best, best_fit = ab, start_fit
     temperature = cfg.initial_temperature
     step = 0
     if trace is not None:
         trace.write("step,temperature,current_fitness,best_fitness,accepted\n")
-    while temperature > cfg.final_temperature:
+    while temperature > cfg.final_temperature and best_fit != ceiling:
         candidate = neighbor(current, cfg.operator, rng)
         candidate_fit = antibody_fitness(candidate, universe, sample)
         delta = current_fit - candidate_fit
@@ -144,10 +150,12 @@ def gd_refine(
     `stagnation_limit` consecutive steps without improving the best.
     Trace rows are `step,boundary,current_fitness,best_fitness,accepted`
     with the post-update boundary. Returns the best antibody visited if
-    strictly better than the original, else the original.
+    strictly better than the original, else the original. Without a trace
+    the chain also stops once the best reaches the maximum, as in sa_refine.
     """
     start_fit = antibody_fitness(ab, universe, sample)
     target = max_fitness(sample.size)
+    ceiling = target if trace is None else None
     decay = decay_rate(start_fit, target, cfg.iterations)
     boundary = float(start_fit)
     current, current_fit = ab, start_fit
@@ -156,6 +164,8 @@ def gd_refine(
     if trace is not None:
         trace.write("step,boundary,current_fitness,best_fitness,accepted\n")
     for step in range(1, cfg.iterations + 1):
+        if best_fit == ceiling:
+            break
         candidate = neighbor(current, cfg.operator, rng)
         candidate_fit = antibody_fitness(candidate, universe, sample)
         accepted = candidate_fit >= current_fit or candidate_fit >= boundary

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -12,8 +13,6 @@ from .scheduling import AntigenUniverse
 
 if TYPE_CHECKING:
     from .gene_library import Antibody, AntibodyPool
-
-POPULATION_SIZE = 100
 
 
 @dataclass
@@ -38,11 +37,8 @@ class Population:
         self.fitnesses = [
             antibody_fitness(ab, universe, sample) for ab in self.antibodies
         ]
-        best_i = 0
-        for i, fit in enumerate(self.fitnesses):
-            if fit > self.fitnesses[best_i]:
-                best_i = i
-        self.best_ever = (self.antibodies[best_i], self.fitnesses[best_i])
+        # max keeps the first of equal fitnesses.
+        self.best_ever = max(zip(self.antibodies, self.fitnesses), key=itemgetter(1))
         return self
 
     def require_evaluated(self) -> list[int]:

@@ -15,9 +15,16 @@ from functools import cached_property
 from pathlib import Path
 
 JOB_COUNT = 15
+# Partial schedules (antibodies) hold this many jobs and align with an
+# antigen at any of OFFSET_COUNT offsets.
+ANTIBODY_LENGTH = 5
+OFFSET_COUNT = JOB_COUNT - ANTIBODY_LENGTH + 1
 UNIVERSE_SIZE = 10
 ARRIVAL_DAY_MAX = 300
 DEFAULT_MUTATION_PROBABILITY = 0.2
+# The unit of each offset's 4-bit field in Antigen.match_table. Every table
+# refers to these same int objects instead of allocating its own.
+_OFFSET_FIELDS = tuple(1 << 4 * d for d in range(OFFSET_COUNT))
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,25 @@ class Antigen:
         for i, job_id in enumerate(self.sequence):
             pos[job_id] = i
         return tuple(pos)
+
+    @cached_property
+    def match_table(self) -> tuple[tuple[int, ...], ...]:
+        """Packed alignment counts: one row per antibody slot j, indexed by job id.
+
+        A job at slot j agrees with this antigen at offset d = position - j;
+        its entry is 1 in the 4-bit field of that offset (1 << 4*d), or 0
+        when no offset lines them up. Summing the entries of an antibody's
+        five jobs yields every offset's count at once, one per field, and a
+        count never exceeds ANTIBODY_LENGTH, so fields cannot overflow.
+        """
+        pos = self.positions
+        return tuple(
+            tuple(
+                _OFFSET_FIELDS[pos[job] - j] if 0 <= pos[job] - j < OFFSET_COUNT else 0
+                for job in range(JOB_COUNT + 1)
+            )
+            for j in range(ANTIBODY_LENGTH)
+        )
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+import immunesched.local_search
 from immunesched import (
     Antibody,
+    Antigen,
     AntigenSample,
+    AntigenUniverse,
     GDConfig,
     NeighborOperator,
     Population,
@@ -90,6 +93,61 @@ def test_sa_runs_570_steps_with_defaults(setup):
     rows = trace.getvalue().splitlines()
     assert rows[0] == "step,temperature,current_fitness,best_fitness,accepted"
     assert len(rows) - 1 == 570
+
+
+def count_fitness_calls(monkeypatch):
+    """Count the fitness evaluations local_search makes from here on."""
+    calls = [0]
+
+    def counted(antibody, universe, sample):
+        calls[0] += 1
+        return antibody_fitness(antibody, universe, sample)
+
+    monkeypatch.setattr(immunesched.local_search, "antibody_fitness", counted)
+    return calls
+
+
+def shared_prefix_universe(rng):
+    """Ten antigens that all start with the same five jobs, so an antibody
+    can reach the maximum fitness against any sample."""
+    head = rng.sample(range(1, 16), 5)
+    tail = [job for job in range(1, 16) if job not in head]
+    return AntigenUniverse(
+        tuple(Antigen(tuple(head + rng.sample(tail, len(tail)))) for _ in range(10))
+    )
+
+
+@pytest.mark.parametrize("ag", [1, 8])
+@pytest.mark.parametrize("universe_kind", ["generated", "shared-prefix"])
+def test_ceiling_exit_returns_what_the_full_schedule_returns(
+    setup, monkeypatch, ag, universe_kind
+):
+    """An untraced chain stops at the maximum fitness; a traced one runs the
+    full schedule. Both must return the same antibody."""
+    universe, pool, _ = setup
+    if universe_kind == "shared-prefix":
+        universe = shared_prefix_universe(random.Random(ag))
+        pool = generate_pool(build_libraries(universe), "A")
+    calls = count_fitness_calls(monkeypatch)
+    early_stops = 0
+    for seed in range(30):
+        sample = AntigenSample.draw(ag, random.Random(f"ceiling/{seed}"))
+        starts = (pool.antibodies[seed * 13 % len(pool)], prefix_antibody(universe, sample))
+        for ab in starts:
+            for refine, cfg in ((sa_refine, SAConfig()), (gd_refine, GDConfig())):
+                calls[0] = 0
+                fast = refine(ab, universe, sample, cfg, random.Random(seed))
+                fast_calls, calls[0] = calls[0], 0
+                trace = io.StringIO()
+                full = refine(ab, universe, sample, cfg, random.Random(seed), trace=trace)
+                assert fast.jobs == full.jobs, (seed, ab.jobs, refine.__name__)
+                if refine is sa_refine:
+                    assert len(trace.getvalue().splitlines()) - 1 == 570
+                early_stops += fast_calls < calls[0]
+    # No antibody matches eight generated antigens fully, so there the exit
+    # never fires and only the equality is checked.
+    if (universe_kind, ag) != ("generated", 8):
+        assert early_stops > 0
 
 
 def test_sa_never_returns_worse(setup):
