@@ -33,8 +33,6 @@ from .gene_library import (
     build_libraries,
     combine_components,
     generate_pool,
-    load_pool,
-    save_pool,
 )
 from .local_search import (
     GDConfig,

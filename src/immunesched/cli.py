@@ -1,36 +1,40 @@
 """Command-line harness.
 
-Subcommands cover the pipeline stages (gen-universe, build-pool, evolve,
-refine, evaluate) plus the full `experiment` protocol. Every flag can also
-be supplied through a plain-text key=value config file (`--config`); file
-values take precedence over flags, so a saved config fully pins a run.
+Subcommands cover the pipeline stages (gen-universe, evolve, refine,
+evaluate) plus the full `experiment` protocol. The stage subcommands run
+replicate 0 of `experiment` for the same seed and ag sample size. Every
+flag can also be supplied through a plain-text key=value config file
+(`--config`); file values take precedence over flags, so a saved config
+fully pins a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
-from .evolution import GAConfig, evolve
+from .evolution import GAConfig
 from .experiment import (
     ExperimentConfig,
     coverage,
-    derived_rng,
+    draw_sample,
     emit_reports,
+    evolve_replicate,
+    refine_replicate,
+    resolve_universe,
     run_experiment,
 )
-from .gene_library import build_libraries, generate_pool, save_pool
-from .local_search import GDConfig, NeighborOperator, SAConfig, refine_population
-from .matching import AntigenSample
-from .population import load_population, sample_initial, save_population
-from .scheduling import (
-    default_base_problem,
-    generate_universe,
-    load_base_problem,
-    load_universe,
-    save_universe,
-)
+from .gene_library import build_libraries, generate_pool
+from .local_search import GDConfig, NeighborOperator, SAConfig
+from .population import load_population, save_population
+from .scheduling import save_universe
+
+
+_AG_SAMPLE_HELP = "antigen sample size, 1..10"
+# The stage subcommands run this replicate of `experiment`.
+_REPLICATE = 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -59,17 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flag(p)
     p.set_defaults(func=_cmd_gen_universe)
 
-    p = sub.add_parser("build-pool", help="build a typed antibody pool from a universe")
-    _add_universe_source_flags(p)
-    p.add_argument("--type", default="a", help="population type: a, b or c")
-    p.add_argument("--out", required=True, help="pool dump file to write")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_build_pool)
-
     p = sub.add_parser("evolve", help="run the evolutionary phase on a fresh population")
     p.add_argument("--universe", required=True, help="universe file")
     p.add_argument("--type", default="a")
-    p.add_argument("--ag-sample", type=int, choices=(1, 4, 8), default=1)
+    p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--generations", type=int, default=GAConfig.generations)
     p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
@@ -82,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="refine an evolved population (phase two)")
     p.add_argument("--universe", required=True)
     p.add_argument("--population", required=True, help="population file to refine")
-    p.add_argument("--ag-sample", type=int, choices=(1, 4, 8), default=1)
+    p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--phase2", choices=("sa", "gd"), required=True)
     p.add_argument("--operator", choices=("change", "swap"), default="change")
@@ -98,14 +95,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("experiment", help="full replicate protocol with CSV reports")
-    _add_universe_source_flags(p)
+    p.add_argument("--universe", help="universe file (default: generate from base problem)")
+    p.add_argument("--base-problem", help="base-problem file used when generating")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--type", default="a")
     p.add_argument(
         "--ag-sample",
         type=int,
-        choices=(1, 4, 8),
         action="append",
-        help="antigen sample size; repeatable (default: 1 4 8)",
+        metavar="N",
+        help=_AG_SAMPLE_HELP + "; repeatable (default: 1 4 8)",
     )
     p.add_argument("--generations", type=int, default=GAConfig.generations)
     p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
@@ -118,12 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     return parser
-
-
-def _add_universe_source_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--universe", help="universe file (default: generate from base problem)")
-    p.add_argument("--base-problem", help="base-problem file used when generating")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -174,78 +167,70 @@ def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
     return raw
 
 
-def _resolve_universe_args(args: argparse.Namespace):
-    if args.universe:
-        return load_universe(args.universe)
-    base = load_base_problem(args.base_problem) if args.base_problem else default_base_problem()
-    return generate_universe(base, derived_rng(args.seed, "universe"))
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The experiment configuration that a subcommand's flags describe.
+
+    Flags the subcommand lacks keep their ExperimentConfig defaults; a
+    stage subcommand's single --ag-sample becomes a one-size list.
+    """
+    flags = vars(args)
+    ga = {k: flags[k] for k in ("generations", "crossover_rate", "mutation_rate") if k in flags}
+    operator = NeighborOperator(flags.get("operator", "change"))
+    ag = flags.get("ag_sample") or ExperimentConfig.ag_sample_sizes
+    return ExperimentConfig(
+        universe_path=flags.get("universe"),
+        base_problem_path=flags.get("base_problem"),
+        population_type=flags.get("type", ExperimentConfig.population_type),
+        ag_sample_sizes=(ag,) if isinstance(ag, int) else tuple(ag),
+        replicates=flags.get("replicates", ExperimentConfig.replicates),
+        phase2=flags.get("phase2", ExperimentConfig.phase2),
+        ga=GAConfig(**ga),
+        sa=SAConfig(operator=operator),
+        gd=GDConfig(operator=operator),
+        master_seed=flags.get("seed", ExperimentConfig.master_seed),
+    )
 
 
 def _cmd_gen_universe(args: argparse.Namespace) -> int:
-    base = load_base_problem(args.base_problem) if args.base_problem else default_base_problem()
-    universe = generate_universe(base, derived_rng(args.seed, "universe"))
+    universe = resolve_universe(_config(args))
     save_universe(universe, args.out)
     print(f"wrote {args.out}: {len(universe.antigens)} antigens")
     return 0
 
 
-def _cmd_build_pool(args: argparse.Namespace) -> int:
-    universe = _resolve_universe_args(args)
-    pool = generate_pool(build_libraries(universe), args.type.upper())
-    save_pool(pool, args.out)
-    print(f"wrote {args.out}: type {pool.population_type} pool with {len(pool)} antibodies")
-    return 0
-
-
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    universe = load_universe(args.universe)
-    pool = generate_pool(build_libraries(universe), args.type.upper())
-    cfg = GAConfig(
-        generations=args.generations,
-        crossover_rate=args.crossover_rate,
-        mutation_rate=args.mutation_rate,
-    )
-    sample = AntigenSample.draw(args.ag_sample, derived_rng(args.seed, "sample", args.ag_sample))
-    pop = sample_initial(pool, cfg.population_size, derived_rng(args.seed, "init", args.ag_sample))
-    pop.evaluate(universe, sample)
-    started_best = pop.best_fitness
-    ga_rng = derived_rng(args.seed, "ga", args.ag_sample)
-    if args.stats:
-        with open(args.stats, "w") as stream:
-            final = evolve(pop, universe, sample, cfg, ga_rng, stats_stream=stream)
-    else:
-        final = evolve(pop, universe, sample, cfg, ga_rng)
+    cfg = _config(args)
+    universe = resolve_universe(cfg)
+    pool = generate_pool(build_libraries(universe), cfg.population_type)
+    sample = draw_sample(cfg, args.ag_sample, _REPLICATE)
+    with open(args.stats, "w") if args.stats else nullcontext() as stream:
+        final = evolve_replicate(
+            cfg, universe, pool, sample, args.ag_sample, _REPLICATE, stats_stream=stream
+        )
     save_population(final, args.out)
-    print(
-        f"wrote {args.out}: best fitness {final.best_fitness} "
-        f"(started {started_best}), total {final.total_fitness}"
-    )
+    print(f"wrote {args.out}: best fitness {final.best_fitness}, total {final.total_fitness}")
     return 0
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
-    universe = load_universe(args.universe)
-    pop = load_population(args.population)
-    sample = AntigenSample.draw(args.ag_sample, derived_rng(args.seed, "sample", args.ag_sample))
-    pop.evaluate(universe, sample)
-    before = pop.total_fitness
-    operator = NeighborOperator(args.operator)
-    cfg = SAConfig(operator=operator) if args.phase2 == "sa" else GDConfig(operator=operator)
-    refined = refine_population(
-        pop, universe, sample, cfg, derived_rng(args.seed, "refine", args.ag_sample)
-    )
+    cfg = _config(args)
+    universe = resolve_universe(cfg)
+    sample = draw_sample(cfg, args.ag_sample, _REPLICATE)
+    pop = load_population(args.population).evaluate(universe, sample)
+    refined = refine_replicate(cfg, universe, pop, sample, args.ag_sample, _REPLICATE)
     save_population(refined, args.out)
-    after = refined.total_fitness
+    before, after = pop.total_fitness, refined.total_fitness
     pct = 100.0 * (after - before) / before if before else float("nan")
     print(f"wrote {args.out}: total fitness {before} -> {after} ({pct:+.1f}%)")
     return 0
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    universe = load_universe(args.universe)
+    cfg = _config(args)
+    universe = resolve_universe(cfg)
     pop = load_population(args.population)
     rows = []
-    for threshold in (2, 3, 4, 5):
+    for threshold in cfg.thresholds:
         unmatched = coverage(pop, universe, threshold)
         rows.append((threshold, unmatched))
         print(f"threshold {threshold}: {unmatched} of {len(universe.antigens)} antigens unmatched")
@@ -257,23 +242,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    operator = NeighborOperator(args.operator)
-    cfg = ExperimentConfig(
-        universe_path=args.universe,
-        base_problem_path=args.base_problem,
-        population_type=args.type,
-        ag_sample_sizes=tuple(args.ag_sample) if args.ag_sample else (1, 4, 8),
-        replicates=args.replicates,
-        phase2=args.phase2,
-        ga=GAConfig(
-            generations=args.generations,
-            crossover_rate=args.crossover_rate,
-            mutation_rate=args.mutation_rate,
-        ),
-        sa=SAConfig(operator=operator),
-        gd=GDConfig(operator=operator),
-        master_seed=args.seed,
-    )
+    cfg = _config(args)
     table, report = run_experiment(cfg)
     emit_reports(table, report, cfg, args.out)
     print(f"wrote reports to {args.out}")

@@ -39,24 +39,27 @@ class GAConfig:
             raise ValueError("tournament and population sizes must be positive")
 
 
-def tournament_select(pop: Population, k: int, rng: random.Random) -> int:
+def tournament_select(fitnesses: list[int], k: int, rng: random.Random) -> int:
     """Index of the fittest among k uniform draws (with replacement).
 
     Ties break toward the lowest index.
     """
-    return tournament_select_cached(pop.require_evaluated(), k, rng)
+    n = len(fitnesses)
+    best = rng.randrange(n)
+    for _ in range(k - 1):
+        i = rng.randrange(n)
+        if fitnesses[i] > fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
+            best = i
+    return best
 
 
-def order_crossover(
-    p1: Antibody, p2: Antibody, rng: random.Random
-) -> tuple[Antibody, Antibody]:
+def order_crossover(p1: Antibody, p2: Antibody) -> tuple[Antibody, Antibody]:
     """Reorder each parent's shared jobs to follow the other parent.
 
     Child one keeps parent one's job set and positions; only the jobs both
     parents share are rewritten, in the relative order they appear in
     parent two. Child two mirrors this. Neither child can contain a
-    duplicate job, and no randomness is consumed (`rng` is accepted for
-    operator-signature symmetry only).
+    duplicate job, and no randomness is consumed.
     """
     if p1.jobs == p2.jobs:
         return p1, p2
@@ -111,12 +114,12 @@ def evolve(
         new_abs: list[Antibody] = []
         new_fit: list[int] = []
         while len(new_abs) < size:
-            i1 = tournament_select_cached(cur_fit, cfg.tournament_size, rng)
-            i2 = tournament_select_cached(cur_fit, cfg.tournament_size, rng)
+            i1 = tournament_select(cur_fit, cfg.tournament_size, rng)
+            i2 = tournament_select(cur_fit, cfg.tournament_size, rng)
             p1, f1 = cur_abs[i1], cur_fit[i1]
             p2, f2 = cur_abs[i2], cur_fit[i2]
             if rng.random() < cfg.crossover_rate:
-                c1, c2 = order_crossover(p1, p2, rng)
+                c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
             c1 = mutate(c1, cfg.mutation_rate, rng)
@@ -143,17 +146,6 @@ def evolve(
             _write_stats(stats_stream, gen, cur_fit)
 
     return Population(cur_abs, cur_fit, (best_ab, best_fit))
-
-
-def tournament_select_cached(fitnesses: list[int], k: int, rng: random.Random) -> int:
-    """tournament_select over a raw fitness list (the evolve hot path)."""
-    n = len(fitnesses)
-    best = rng.randrange(n)
-    for _ in range(k - 1):
-        i = rng.randrange(n)
-        if fitnesses[i] > fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
-            best = i
-    return best
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

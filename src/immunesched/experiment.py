@@ -6,7 +6,9 @@ protocol: draw a fresh antigen sample, sample an initial population,
 evolve it, optionally refine it, and score the resulting population's
 coverage of all ten antigens at every matching threshold. Replicate seeds
 derive deterministically from the master seed, so the whole pipeline is a
-pure function of its configuration.
+pure function of its configuration. The per-stage functions (draw_sample,
+evolve_replicate, refine_replicate) hold the only seed paths; the CLI's
+stage subcommands call them as replicate 0.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 from .evolution import GAConfig, evolve
-from .gene_library import build_libraries, generate_pool
+from .gene_library import AntibodyPool, build_libraries, generate_pool
 from .local_search import GDConfig, NeighborOperator, SAConfig, refine_population
 from .matching import AntigenSample, is_matched
 from .population import Population, sample_initial
@@ -72,59 +75,6 @@ class ExperimentConfig:
         self.ag_sample_sizes = sizes
         self.thresholds = tuple(sorted(self.thresholds))
 
-    def to_dict(self) -> dict:
-        return {
-            "universe_path": self.universe_path,
-            "base_problem_path": self.base_problem_path,
-            "population_type": self.population_type,
-            "ag_sample_sizes": list(self.ag_sample_sizes),
-            "thresholds": list(self.thresholds),
-            "replicates": self.replicates,
-            "phase2": self.phase2,
-            "ga": {
-                "generations": self.ga.generations,
-                "crossover_rate": self.ga.crossover_rate,
-                "mutation_rate": self.ga.mutation_rate,
-                "tournament_size": self.ga.tournament_size,
-                "population_size": self.ga.population_size,
-            },
-            "sa": {
-                "initial_temperature": self.sa.initial_temperature,
-                "final_temperature": self.sa.final_temperature,
-                "cooling_factor": self.sa.cooling_factor,
-                "operator": self.sa.operator.value,
-            },
-            "gd": {
-                "iterations": self.gd.iterations,
-                "stagnation_limit": self.gd.stagnation_limit,
-                "operator": self.gd.operator.value,
-            },
-            "master_seed": self.master_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        ga = GAConfig(**data.get("ga", {}))
-        sa_data = dict(data.get("sa", {}))
-        gd_data = dict(data.get("gd", {}))
-        if "operator" in sa_data:
-            sa_data["operator"] = NeighborOperator(sa_data["operator"])
-        if "operator" in gd_data:
-            gd_data["operator"] = NeighborOperator(gd_data["operator"])
-        return cls(
-            universe_path=data.get("universe_path"),
-            base_problem_path=data.get("base_problem_path"),
-            population_type=data.get("population_type", "A"),
-            ag_sample_sizes=tuple(data.get("ag_sample_sizes", (1, 4, 8))),
-            thresholds=tuple(data.get("thresholds", (2, 3, 4, 5))),
-            replicates=data.get("replicates", 10),
-            phase2=data.get("phase2", "none"),
-            ga=ga,
-            sa=SAConfig(**sa_data),
-            gd=GDConfig(**gd_data),
-            master_seed=data.get("master_seed", 0),
-        )
-
 
 @dataclass(frozen=True)
 class CoverageTable:
@@ -175,9 +125,11 @@ def coverage(pop: Population, universe: AntigenUniverse, threshold: int) -> int:
     Always evaluated against all ten antigens, whatever sample the
     population was trained on.
     """
+    # Evolved populations hold few distinct antibodies; score each once.
+    distinct = {ab.jobs: ab for ab in pop.antibodies}.values()
     unmatched = 0
     for antigen in universe.antigens:
-        if not any(is_matched(antigen, ab, threshold) for ab in pop.antibodies):
+        if not any(is_matched(antigen, ab, threshold) for ab in distinct):
             unmatched += 1
     return unmatched
 
@@ -206,6 +158,45 @@ def resolve_universe(cfg: ExperimentConfig) -> AntigenUniverse:
     return generate_universe(base, derived_rng(cfg.master_seed, "universe"))
 
 
+def draw_sample(cfg: ExperimentConfig, ag: int, rep: int) -> AntigenSample:
+    """The antigen sample that replicate `rep` of ag sample size `ag` trains on."""
+    return AntigenSample.draw(ag, derived_rng(cfg.master_seed, "sample", ag, rep))
+
+
+def evolve_replicate(
+    cfg: ExperimentConfig,
+    universe: AntigenUniverse,
+    pool: AntibodyPool,
+    sample: AntigenSample,
+    ag: int,
+    rep: int,
+    stats_stream: TextIO | None = None,
+) -> Population:
+    """Phase one of a replicate: sample an initial population and evolve it."""
+    pop = sample_initial(
+        pool, cfg.ga.population_size, derived_rng(cfg.master_seed, "init", ag, rep)
+    )
+    pop.evaluate(universe, sample)
+    rng = derived_rng(cfg.master_seed, "ga", ag, rep)
+    return evolve(pop, universe, sample, cfg.ga, rng, stats_stream=stats_stream)
+
+
+def refine_replicate(
+    cfg: ExperimentConfig,
+    universe: AntigenUniverse,
+    pop: Population,
+    sample: AntigenSample,
+    ag: int,
+    rep: int,
+) -> Population:
+    """Phase two of a replicate: refine an evaluated population with cfg.phase2."""
+    if cfg.phase2 == "none":
+        raise ValueError("phase2 is 'none'; there is no refinement to run")
+    method = cfg.sa if cfg.phase2 == "sa" else cfg.gd
+    rng = derived_rng(cfg.master_seed, "refine", ag, rep)
+    return refine_population(pop, universe, sample, method, rng)
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
     """Run the full replicate protocol and aggregate coverage and fitness."""
     run_start = time.perf_counter()
@@ -230,30 +221,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
         per_replicate_after: list[int] = []
         for rep in range(cfg.replicates):
             try:
-                sample = AntigenSample.draw(
-                    ag, derived_rng(cfg.master_seed, "sample", ag, rep)
-                )
-                pop = sample_initial(
-                    pool, cfg.ga.population_size, derived_rng(cfg.master_seed, "init", ag, rep)
-                )
+                sample = draw_sample(cfg, ag, rep)
                 t0 = time.perf_counter()
-                pop.evaluate(universe, sample)
-                final = evolve(
-                    pop, universe, sample, cfg.ga, derived_rng(cfg.master_seed, "ga", ag, rep)
-                )
+                result = evolve_replicate(cfg, universe, pool, sample, ag, rep)
                 phase1_seconds[ag] += time.perf_counter() - t0
-                before_totals[ag].append(final.total_fitness)
-                result = final
+                before_totals[ag].append(result.total_fitness)
                 if cfg.phase2 != "none":
-                    phase2_cfg = cfg.sa if cfg.phase2 == "sa" else cfg.gd
                     t0 = time.perf_counter()
-                    result = refine_population(
-                        final,
-                        universe,
-                        sample,
-                        phase2_cfg,
-                        derived_rng(cfg.master_seed, "refine", ag, rep),
-                    )
+                    result = refine_replicate(cfg, universe, result, sample, ag, rep)
                     phase2_seconds[ag] += time.perf_counter() - t0
                     per_replicate_after.append(result.total_fitness)
                 t0 = time.perf_counter()
@@ -313,19 +288,20 @@ def emit_reports(
     (out / FITNESS_CSV).write_text("\n".join(lines) + "\n")
 
     manifest = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "master_seed": cfg.master_seed,
-        "report": {
-            "before_totals": report.before_totals,
-            "after_totals": report.after_totals,
-            "improvements": report.improvements,
-            "timings": report.timings,
-        },
+        "report": asdict(report),
     }
     (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def config_from_manifest(path: str | Path) -> ExperimentConfig:
     """Rebuild the configuration recorded in a run.json manifest."""
-    data = json.loads(Path(path).read_text())
-    return ExperimentConfig.from_dict(data["config"])
+    data = json.loads(Path(path).read_text())["config"]
+    for key, kind in (("ga", GAConfig), ("sa", SAConfig), ("gd", GDConfig)):
+        if key in data:
+            fields = data[key]
+            if "operator" in fields:
+                fields["operator"] = NeighborOperator(fields["operator"])
+            data[key] = kind(**fields)
+    return ExperimentConfig(**data)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from pathlib import Path
 
 from .scheduling import ANTIBODY_LENGTH, JOB_COUNT, AntigenUniverse
 
@@ -210,41 +209,4 @@ def generate_pool(libset: LibrarySet, population_type: str) -> AntibodyPool:
                     antibodies.append(ab)
     if not antibodies:
         raise ValueError("antibody pool is empty; universe is degenerate")
-    return AntibodyPool(population_type, tuple(antibodies))
-
-
-def save_pool(pool: AntibodyPool, path: str | Path) -> None:
-    """One antibody per line: five job ids, `|`, then `i j ci cj mask`."""
-    lines = []
-    for ab in pool.antibodies:
-        if ab.provenance is None:
-            raise ValueError("cannot dump an antibody without provenance")
-        p = ab.provenance
-        lines.append(
-            " ".join(str(j) for j in ab.jobs)
-            + f" | {p.libraries[0]} {p.libraries[1]} {p.components[0]} {p.components[1]} {p.mask}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_pool(path: str | Path, population_type: str) -> AntibodyPool:
-    """Read a pool dump written by save_pool."""
-    if population_type not in POPULATION_TYPES:
-        raise ValueError(f"population type must be one of {POPULATION_TYPES}")
-    path = Path(path)
-    antibodies = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            jobs_part, prov_part = line.split("|")
-            jobs = tuple(int(t) for t in jobs_part.split())
-            i, j, ci, cj, mask = prov_part.split()
-            ab = Antibody(jobs, Provenance((int(i), int(j)), (int(ci), int(cj)), mask))
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: {err}") from None
-        antibodies.append(ab)
-    if not antibodies:
-        raise ValueError(f"{path}: empty pool file")
     return AntibodyPool(population_type, tuple(antibodies))

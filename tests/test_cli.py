@@ -1,7 +1,14 @@
 import csv
 import json
+import re
 
-from immunesched import load_pool, load_population, load_universe
+from immunesched import (
+    ExperimentConfig,
+    GAConfig,
+    load_population,
+    load_universe,
+    run_experiment,
+)
 from immunesched.cli import main, parse_config_file
 
 
@@ -22,15 +29,6 @@ def test_gen_universe_deterministic(tmp_path):
     run("gen-universe", "--seed", 3, "--out", a)
     run("gen-universe", "--seed", 3, "--out", b)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_build_pool_from_universe(tmp_path):
-    universe_path = tmp_path / "u.txt"
-    pool_path = tmp_path / "pool.txt"
-    run("gen-universe", "--seed", 1, "--out", universe_path)
-    assert run("build-pool", "--universe", universe_path, "--type", "b", "--out", pool_path) == 0
-    pool = load_pool(pool_path, "B")
-    assert len(pool) > 100
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -111,6 +109,37 @@ def test_experiment_emits_reports(tmp_path):
     assert manifest["config"]["ag_sample_sizes"] == [1, 4]
 
 
+def test_stage_subcommands_reproduce_experiment_replicate_zero(tmp_path, capsys):
+    seed, ag, generations = 7, 4, 5
+    universe_path = tmp_path / "u.txt"
+    evolved = tmp_path / "evolved.txt"
+    run("gen-universe", "--seed", seed, "--out", universe_path)
+    assert run("evolve", "--universe", universe_path, "--ag-sample", ag, "--seed", seed,
+               "--generations", generations, "--out", evolved) == 0
+    assert run("refine", "--universe", universe_path, "--population", evolved,
+               "--ag-sample", ag, "--seed", seed, "--phase2", "gd",
+               "--out", tmp_path / "refined.txt") == 0
+    out = capsys.readouterr().out
+    evolved_total = int(re.search(r"total (\d+)", out).group(1))
+    before, after = map(int, re.search(r"total fitness (\d+) -> (\d+)", out).groups())
+
+    cfg = ExperimentConfig(ag_sample_sizes=(ag,), replicates=1, phase2="gd",
+                           ga=GAConfig(generations=generations), master_seed=seed)
+    _, report = run_experiment(cfg)
+    assert evolved_total == before == report.before_totals[ag][0]
+    assert after == report.after_totals[ag][0]
+
+
+def test_experiment_accepts_every_ag_sample_size_up_to_ten(tmp_path):
+    assert run("experiment", "--ag-sample", 10, "--replicates", 1, "--generations", 1,
+               "--out", tmp_path / "results") == 0
+
+
+def test_out_of_range_ag_sample_fails_with_error(tmp_path, capsys):
+    assert run("experiment", "--ag-sample", 11, "--out", tmp_path / "results") == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_file_gives_nonzero_exit(tmp_path, capsys):
     assert run("evaluate", "--universe", tmp_path / "absent.txt",
                "--population", tmp_path / "absent2.txt") == 2
@@ -120,8 +149,7 @@ def test_missing_file_gives_nonzero_exit(tmp_path, capsys):
 def test_invalid_universe_gives_nonzero_exit(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3\n")
-    assert run("build-pool", "--universe", bad, "--type", "a",
-               "--out", tmp_path / "pool.txt") == 2
+    assert run("evolve", "--universe", bad, "--out", tmp_path / "pop.txt") == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -11,7 +11,9 @@ from immunesched import (
     ExperimentConfig,
     GAConfig,
     GDConfig,
+    NeighborOperator,
     Population,
+    RunReport,
     SAConfig,
     build_libraries,
     config_from_manifest,
@@ -176,6 +178,74 @@ def test_emit_reports_roundtrip(tmp_path):
     assert manifest["master_seed"] == cfg.master_seed
     assert manifest["config"]["phase2"] == "gd"
     assert config_from_manifest(tmp_path / "run.json") == cfg
+
+
+DEFAULT_CONFIG_BLOCK = """{
+  "config": {
+    "universe_path": null,
+    "base_problem_path": null,
+    "population_type": "A",
+    "ag_sample_sizes": [
+      1,
+      4,
+      8
+    ],
+    "thresholds": [
+      2,
+      3,
+      4,
+      5
+    ],
+    "replicates": 10,
+    "phase2": "none",
+    "ga": {
+      "generations": 250,
+      "crossover_rate": 0.7,
+      "mutation_rate": 0.2,
+      "tournament_size": 2,
+      "population_size": 100
+    },
+    "sa": {
+      "initial_temperature": 5000.0,
+      "final_temperature": 0.05,
+      "cooling_factor": 0.98,
+      "operator": "change"
+    },
+    "gd": {
+      "iterations": 120,
+      "stagnation_limit": 30,
+      "operator": "change"
+    },
+    "master_seed": 0
+  },
+  "master_seed": 0,
+"""
+
+
+def emit_config_only(cfg, out_dir):
+    cells = {(t, ag): 0.0 for t in cfg.thresholds for ag in cfg.ag_sample_sizes}
+    table = CoverageTable(cfg.thresholds, cfg.ag_sample_sizes, cells)
+    emit_reports(table, RunReport({}, {}, {}, {}), cfg, out_dir)
+    return out_dir / "run.json"
+
+
+def test_manifest_config_block_format_is_pinned(tmp_path):
+    path = emit_config_only(ExperimentConfig(), tmp_path)
+    assert path.read_text().startswith(DEFAULT_CONFIG_BLOCK)
+    assert config_from_manifest(path) == ExperimentConfig()
+
+
+def test_manifest_roundtrips_non_default_config(tmp_path):
+    swap = NeighborOperator.SWAP_TWO_JOBS
+    cfg = ExperimentConfig(
+        universe_path="u.txt",
+        ag_sample_sizes=(8, 1, 4),
+        phase2="sa",
+        sa=SAConfig(operator=swap),
+        gd=GDConfig(stagnation_limit=None, operator=swap),
+        master_seed=3,
+    )
+    assert config_from_manifest(emit_config_only(cfg, tmp_path)) == cfg
 
 
 def test_emit_reports_empty_phase2_columns(tmp_path):

@@ -16,8 +16,6 @@ from immunesched import (
     default_base_problem,
     generate_pool,
     generate_universe,
-    load_pool,
-    save_pool,
 )
 
 
@@ -162,21 +160,6 @@ def test_pool_enumeration_is_ordered(libset):
         for ab in pool.antibodies
     ]
     assert keys == sorted(keys, key=lambda k: (k[0], k[1]))
-
-
-def test_pool_dump_roundtrip(tmp_path, libset):
-    pool = generate_pool(libset, "C")
-    path = tmp_path / "pool.txt"
-    save_pool(pool, path)
-    loaded = load_pool(path, "C")
-    assert loaded == pool
-
-
-def test_pool_dump_rejects_bad_line(tmp_path):
-    path = tmp_path / "pool.txt"
-    path.write_text("1 2 3 4 5 | 0 1 0 0 11111\n")  # five-char mask
-    with pytest.raises(ValueError, match="line 1"):
-        load_pool(path, "A")
 
 
 def test_antibody_and_provenance_validation():
