@@ -40,10 +40,9 @@ from .local_search import (
     SAConfig,
     acceptance_probability,
     decay_rate,
-    gd_refine,
     neighbor,
+    refine,
     refine_population,
-    sa_refine,
 )
 from .matching import (
     MAX_SCORE_PER_ANTIGEN,

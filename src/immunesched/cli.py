@@ -125,7 +125,11 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a plain-text key=value config file ('#' comments allowed)."""
-    pairs: dict[str, str] = {}
+    return {key: value for _, key, value in _config_entries(path)}
+
+
+def _config_entries(path: str | Path):
+    """(line number, key, value) for every key=value line of a config file."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,8 +137,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
-    return pairs
+        yield lineno, key.strip(), value.strip()
 
 
 _INT_KEYS = {"seed", "generations", "replicates"}
@@ -145,11 +148,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     path = getattr(args, "config", None)
     if not path:
         return
-    for key, raw in parse_config_file(path).items():
+    for lineno, key, raw in _config_entries(path):
         attr = key.replace("-", "_")
-        if attr in ("config", "func", "command") or not hasattr(args, attr):
-            raise ValueError(f"{path}: unknown config key {key!r} for '{args.command}'")
-        setattr(args, attr, _coerce_config_value(attr, raw, args))
+        try:
+            if attr in ("config", "func", "command") or not hasattr(args, attr):
+                raise ValueError(f"unknown config key {key!r} for '{args.command}'")
+            setattr(args, attr, _coerce_config_value(attr, raw, args))
+        except ValueError as err:
+            raise ValueError(f"{path}: line {lineno}: {err}") from None
 
 
 def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):

@@ -250,8 +250,9 @@ def load_base_problem(path: str | Path) -> BaseProblem:
         for lineno, raw in enumerate(path.read_text().splitlines(), start=1)
         if raw.strip() and not raw.strip().startswith("#")
     ]
-    if not lines or lines[0][1] != f"jobs {JOB_COUNT}":
-        raise ValueError(f"{path}: expected header 'jobs {JOB_COUNT}'")
+    lineno, header = lines[0] if lines else (1, "")
+    if header != f"jobs {JOB_COUNT}":
+        raise ValueError(f"{path}: line {lineno}: expected header 'jobs {JOB_COUNT}'")
     body = lines[1:]
     if len(body) != JOB_COUNT:
         raise ValueError(f"{path}: expected {JOB_COUNT} job lines, found {len(body)}")

@@ -34,14 +34,13 @@ from immunesched import (
     derived_rng,
     emit_reports,
     evolve,
-    gd_refine,
     generate_pool,
     generate_universe,
     max_fitness,
     order_crossover,
+    refine,
     refine_population,
     run_experiment,
-    sa_refine,
     sample_initial,
 )
 
@@ -244,7 +243,7 @@ def test_criterion_07_gd_level_identity():
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(1, random.Random("acc7"))
     trace = io.StringIO()
-    gd_refine(
+    refine(
         pool.antibodies[0],
         universe,
         sample,
@@ -264,7 +263,7 @@ def test_criterion_08_sa_schedule():
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(1, random.Random("acc8"))
     trace = io.StringIO()
-    sa_refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(8), trace=trace)
+    refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(8), trace=trace)
     steps = len(trace.getvalue().splitlines()) - 1
     ok = steps == 570
     ok = ok and all(acceptance_probability(0, t) == 1.0 for t in (5000.0, 1.0, 0.05))

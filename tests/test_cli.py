@@ -82,7 +82,8 @@ def test_evaluate_writes_csv(tmp_path):
         "--generations", 2, "--out", pop_path)
     assert run("evaluate", "--universe", universe_path, "--population", pop_path,
                "--out", report) == 0
-    rows = list(csv.reader(report.open()))
+    with report.open() as stream:
+        rows = list(csv.reader(stream))
     assert rows[0] == ["threshold", "unmatched"]
     assert [int(r[0]) for r in rows[1:]] == [2, 3, 4, 5]
 
@@ -163,6 +164,19 @@ def test_config_file_rejects_bad_line(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed 42\n")
     assert run("gen-universe", "--out", tmp_path / "u.txt", "--config", cfg) == 2
+
+
+def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("seed=abc\n")
+    assert run("gen-universe", "--config", cfg, "--out", tmp_path / "u.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 1: invalid literal for int()"), err
+    cfg.write_text("# stage subcommands take one size\nag_sample=1,4\n")
+    argv = ("--universe", tmp_path / "u.txt", "--out", tmp_path / "p.txt", "--config", cfg)
+    assert run("evolve", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: line 2: ag_sample must be a single value"), err
 
 
 def test_config_file_overrides_flags(tmp_path):

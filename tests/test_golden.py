@@ -28,11 +28,10 @@ from immunesched import (
     build_libraries,
     default_base_problem,
     emit_reports,
-    gd_refine,
     generate_pool,
     generate_universe,
+    refine,
     run_experiment,
-    sa_refine,
 )
 from immunesched.experiment import COVERAGE_CSV, FITNESS_CSV
 
@@ -47,11 +46,8 @@ CASES = {
     "sa-swap": ("sa", {"sa": SAConfig(operator=SWAP)}),
     "gd-swap-nostag": ("gd", {"gd": GDConfig(operator=SWAP, stagnation_limit=None)}),
 }
-# Trace cases: method -> (refine function, config).
-TRACES = {
-    "sa": (sa_refine, SAConfig()),
-    "gd": (gd_refine, GDConfig()),
-}
+# Trace cases: method -> refinement config.
+TRACES = {"sa": SAConfig(), "gd": GDConfig()}
 
 
 def golden_config(case: str) -> ExperimentConfig:
@@ -80,7 +76,7 @@ def trace_bytes(method: str) -> bytes:
     """The trace of one chain against four antigens from a start well below
     the ceiling: both chains accept worse candidates and improve the best
     several times, and GD stops at its stagnation limit after 84 steps."""
-    refine, cfg = TRACES[method]
+    cfg = TRACES[method]
     universe = generate_universe(default_base_problem(), random.Random(11))
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(4, random.Random("golden-trace"))

@@ -19,13 +19,12 @@ from immunesched import (
     build_libraries,
     decay_rate,
     default_base_problem,
-    gd_refine,
     generate_pool,
     generate_universe,
     max_fitness,
     neighbor,
+    refine,
     refine_population,
-    sa_refine,
     sample_initial,
 )
 
@@ -89,7 +88,7 @@ def test_decay_rate_exact_values():
 def test_sa_runs_570_steps_with_defaults(setup):
     universe, pool, sample = setup
     trace = io.StringIO()
-    sa_refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(1), trace=trace)
+    refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(1), trace=trace)
     rows = trace.getvalue().splitlines()
     assert rows[0] == "step,temperature,current_fitness,best_fitness,accepted"
     assert len(rows) - 1 == 570
@@ -134,14 +133,14 @@ def test_ceiling_exit_returns_what_the_full_schedule_returns(
         sample = AntigenSample.draw(ag, random.Random(f"ceiling/{seed}"))
         starts = (pool.antibodies[seed * 13 % len(pool)], prefix_antibody(universe, sample))
         for ab in starts:
-            for refine, cfg in ((sa_refine, SAConfig()), (gd_refine, GDConfig())):
+            for cfg in (SAConfig(), GDConfig()):
                 calls[0] = 0
                 fast = refine(ab, universe, sample, cfg, random.Random(seed))
                 fast_calls, calls[0] = calls[0], 0
                 trace = io.StringIO()
                 full = refine(ab, universe, sample, cfg, random.Random(seed), trace=trace)
-                assert fast.jobs == full.jobs, (seed, ab.jobs, refine.__name__)
-                if refine is sa_refine:
+                assert fast.jobs == full.jobs, (seed, ab.jobs, cfg)
+                if isinstance(cfg, SAConfig):
                     assert len(trace.getvalue().splitlines()) - 1 == 570
                 early_stops += fast_calls < calls[0]
     # No antibody matches eight generated antigens fully, so there the exit
@@ -156,14 +155,14 @@ def test_sa_never_returns_worse(setup):
     for seed in range(30):
         ab = pool.antibodies[seed * 7 % len(pool)]
         before = antibody_fitness(ab, universe, sample)
-        after = antibody_fitness(sa_refine(ab, universe, sample, cfg, random.Random(seed)), universe, sample)
+        after = antibody_fitness(refine(ab, universe, sample, cfg, random.Random(seed)), universe, sample)
         assert after >= before
 
 
 def test_sa_keeps_optimum(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)
-    out = sa_refine(ab, universe, sample, SAConfig(), random.Random(3))
+    out = refine(ab, universe, sample, SAConfig(), random.Random(3))
     assert antibody_fitness(out, universe, sample) == max_fitness(sample.size)
     assert out is ab  # nothing strictly better exists, so the original returns
 
@@ -175,7 +174,7 @@ def test_gd_boundary_reaches_target_without_stagnation(setup):
     target = max_fitness(sample.size)
     trace = io.StringIO()
     cfg = GDConfig(iterations=120, stagnation_limit=None)
-    gd_refine(ab, universe, sample, cfg, random.Random(2), trace=trace)
+    refine(ab, universe, sample, cfg, random.Random(2), trace=trace)
     rows = trace.getvalue().splitlines()
     assert len(rows) - 1 == 120
     boundaries = [float(r.split(",")[1]) for r in rows[1:]]
@@ -188,7 +187,7 @@ def test_gd_with_zero_decay_stays_at_optimum(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)
     trace = io.StringIO()
-    out = gd_refine(
+    out = refine(
         ab, universe, sample, GDConfig(stagnation_limit=None), random.Random(4), trace=trace
     )
     assert antibody_fitness(out, universe, sample) == max_fitness(sample.size)
@@ -200,7 +199,7 @@ def test_gd_stagnation_stops_after_limit(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)  # already optimal: no step improves
     trace = io.StringIO()
-    gd_refine(ab, universe, sample, GDConfig(stagnation_limit=7), random.Random(5), trace=trace)
+    refine(ab, universe, sample, GDConfig(stagnation_limit=7), random.Random(5), trace=trace)
     assert len(trace.getvalue().splitlines()) - 1 == 7
 
 
@@ -210,7 +209,7 @@ def test_gd_never_returns_worse(setup):
         ab = pool.antibodies[seed * 11 % len(pool)]
         before = antibody_fitness(ab, universe, sample)
         after = antibody_fitness(
-            gd_refine(ab, universe, sample, GDConfig(), random.Random(seed)), universe, sample
+            refine(ab, universe, sample, GDConfig(), random.Random(seed)), universe, sample
         )
         assert after >= before
 

@@ -213,6 +213,14 @@ def test_base_problem_bad_header(tmp_path):
         load_base_problem(path)
 
 
+def test_base_problem_bad_header_names_its_line(tmp_path):
+    path = tmp_path / "bp.txt"
+    path.write_text("# base problem\n\njobs 14\n")
+    with pytest.raises(ValueError) as err:
+        load_base_problem(path)
+    assert str(err.value) == f"{path}: line 3: expected header 'jobs 15'"
+
+
 def test_base_problem_invalid_job_line(tmp_path):
     base = default_base_problem()
     path = tmp_path / "base.txt"
