@@ -1,13 +1,11 @@
 """Phase-two refinement: simulated annealing and the great deluge.
 
 Both methods are one chain (`refine`) over the neighborhood of a single
-antibody (change one job, or swap two) that returns the refined antibody
-only when it strictly beats the original. The config supplies what
-differs: the level schedule (SA temperatures, GD boundaries), the rule for
-accepting a worse candidate, the trace's level column and GD's stagnation
-stop. refine_population applies the chain to every member of a population
-independently, each with its own derived generator, so serial and
-parallel execution would give identical results.
+antibody (change one job, or swap two); the config supplies what differs:
+the level schedule (SA temperatures, GD boundaries), the rule for a worse
+candidate, the trace's level column and GD's stagnation stop.
+refine_population refines every member independently, each with its own
+derived generator, so serial and parallel execution would agree.
 """
 
 from __future__ import annotations
@@ -132,31 +130,30 @@ def refine(
     trace: TextIO | None = None,
 ) -> Antibody:
     """Refine `ab` by simulated annealing (SAConfig) or the great deluge
-    (GDConfig) and return the best antibody visited if it strictly beats
-    the original, else the original.
+    (GDConfig); return the best antibody visited if it strictly beats the
+    original, else the original.
 
-    Each step draws one neighbor of the current antibody and accepts it
-    when it is no worse, or when `cfg.accepts_worse` passes it at the
-    current level; then the level moves on. SA cools its temperature
-    geometrically from initial to final (570 steps with the defaults) and
-    passes a worse candidate with probability exp(-delta/T). GD raises a
-    boundary linearly from the start fitness to the sample's maximum
+    Each step draws one neighbor and accepts it when it is no worse, or when
+    `cfg.accepts_worse` passes it at the current level; then the level moves
+    on. SA cools geometrically from initial to final temperature (570 steps
+    by default) and passes a worse candidate with probability exp(-delta/T).
+    GD raises a boundary linearly from the start fitness to the maximum
     fitness over `iterations` steps, passes a worse candidate at or above
-    the boundary, and stops after `stagnation_limit` consecutive steps
-    without improving the best.
+    it, and stops after `stagnation_limit` steps without a new best.
 
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
-    where <level> is `temperature` or `boundary` and holds the level after
-    the step. Without a trace the chain stops once the best reaches the
-    maximum fitness: only a strict improvement replaces the best, so the
-    remaining steps could not change the result, and the generator is the
-    chain's own. A traced chain runs until its schedule or stagnation ends.
+    <level> being `temperature` or `boundary` after the step. Untraced, the
+    chain stops once the best reaches the maximum fitness: only a strict
+    improvement replaces the best and the generator is the chain's own, so
+    the result is the same. A traced chain runs until its schedule ends or
+    it stagnates.
     """
     start_fit = antibody_fitness(ab, universe, sample)
     target = max_fitness(sample.size)
     ceiling = target if trace is None else None
     current, current_fit = ab, start_fit
     best, best_fit = ab, start_fit
+    accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
     if trace is not None:
         trace.write(f"step,{cfg.level_name},current_fitness,best_fitness,accepted\n")
@@ -165,7 +162,7 @@ def refine(
             break
         candidate = neighbor(current, cfg.operator, rng)
         candidate_fit = antibody_fitness(candidate, universe, sample)
-        accepted = candidate_fit >= current_fit or cfg.accepts_worse(
+        accepted = candidate_fit >= current_fit or accepts_worse(
             candidate_fit, current_fit, level, rng
         )
         if accepted:
@@ -177,7 +174,7 @@ def refine(
             stagnation += 1
         if trace is not None:
             trace.write(f"{step},{next_level!r},{current_fit},{best_fit},{int(accepted)}\n")
-        if stagnation == cfg.stagnation_limit:
+        if stagnation == stagnation_limit:
             break
     return best if best_fit > start_fit else ab
 
