@@ -45,6 +45,9 @@ CASES = {
     "gd": ("gd", {}),
     "sa-swap": ("sa", {"sa": SAConfig(operator=SWAP)}),
     "gd-swap-nostag": ("gd", {"gd": GDConfig(operator=SWAP, stagnation_limit=None)}),
+    # The swap neighbourhood is exhausted within ~30 steps, so only the
+    # change operator shows whether chains without a limit run to the end.
+    "gd-nostag": ("gd", {"gd": GDConfig(stagnation_limit=None)}),
 }
 # Trace cases: method -> refinement config.
 TRACES = {"sa": SAConfig(), "gd": GDConfig()}
