@@ -31,24 +31,6 @@ class NeighborOperator(str, Enum):
     SWAP_TWO_JOBS = "swap"
 
 
-def acceptance_probability(delta: float, temperature: float) -> float:
-    """Probability of accepting a candidate whose fitness is `delta` below
-    the current one; non-positive delta is always accepted."""
-    if delta <= 0:
-        return 1.0
-    return math.exp(-delta / temperature)
-
-
-def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -> float:
-    """Per-iteration change of the great-deluge boundary.
-
-    Negative while the start is below the target, so subtracting it raises
-    the boundary from the initial fitness up to the target across the
-    full iteration budget.
-    """
-    return (initial_fitness - target_fitness) / iterations
-
-
 @dataclass(frozen=True)
 class SAConfig:
     initial_temperature: float = 5000.0
@@ -119,6 +101,24 @@ def neighbor(ab: Antibody, op: NeighborOperator, rng: random.Random) -> Antibody
         i, j = rng.sample(_SLOTS, 2)
         jobs[i], jobs[j] = jobs[j], jobs[i]
     return Antibody.trusted(tuple(jobs))
+
+
+def acceptance_probability(delta: float, temperature: float) -> float:
+    """Probability of accepting a candidate whose fitness is `delta` below
+    the current one; non-positive delta is always accepted."""
+    if delta <= 0:
+        return 1.0
+    return math.exp(-delta / temperature)
+
+
+def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -> float:
+    """Per-iteration change of the great-deluge boundary.
+
+    Negative while the start is below the target, so subtracting it raises
+    the boundary from the initial fitness up to the target across the
+    full iteration budget.
+    """
+    return (initial_fitness - target_fitness) / iterations
 
 
 def refine(
