@@ -48,6 +48,8 @@ CASES = {
     # The swap neighbourhood is exhausted within ~30 steps, so only the
     # change operator shows whether chains without a limit run to the end.
     "gd-nostag": ("gd", {"gd": GDConfig(stagnation_limit=None)}),
+    "type-b": ("none", {"population_type": "B"}),
+    "type-c": ("none", {"population_type": "C"}),
 }
 # Trace cases: method -> refinement config.
 TRACES = {"sa": SAConfig(), "gd": GDConfig()}
