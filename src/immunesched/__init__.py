@@ -29,7 +29,6 @@ from .gene_library import (
     Component,
     GeneLibrary,
     LibrarySet,
-    Provenance,
     build_libraries,
     combine_components,
     generate_pool,
@@ -50,7 +49,6 @@ from .matching import (
     POSITION_SCORE,
     AntigenSample,
     MatchResult,
-    alignment_count,
     antibody_fitness,
     best_match,
     is_matched,
@@ -75,7 +73,6 @@ from .scheduling import (
     load_base_problem,
     load_universe,
     mutate_scenario,
-    save_base_problem,
     save_universe,
     schedule_scenario,
 )

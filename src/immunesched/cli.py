@@ -123,13 +123,9 @@ def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; values override flags")
 
 
-def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read a plain-text key=value config file ('#' comments allowed)."""
-    return {key: value for _, key, value in _config_entries(path)}
-
-
 def _config_entries(path: str | Path):
-    """(line number, key, value) for every key=value line of a config file."""
+    """(line number, key, value) for every key=value line of a config file
+    ('#' comment lines and blank lines are skipped)."""
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -145,17 +141,36 @@ _FLOAT_KEYS = {"crossover_rate", "mutation_rate"}
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
+    """Apply the --config entries in order over the flags.
+
+    An entry is blamed (file and line) when it cannot be read, or when the
+    configuration was valid before it and invalid after it; an error the
+    flags alone cause is left for the subcommand to report.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
+    error = _config_error(args)
     for lineno, key, raw in _config_entries(path):
         attr = key.replace("-", "_")
         try:
             if attr in ("config", "func", "command") or not hasattr(args, attr):
                 raise ValueError(f"unknown config key {key!r} for '{args.command}'")
             setattr(args, attr, _coerce_config_value(attr, raw, args))
+            valid_before, error = error is None, _config_error(args)
+            if valid_before and error is not None:
+                raise error
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
+
+
+def _config_error(args: argparse.Namespace) -> ValueError | None:
+    """Why the subcommand's configuration is invalid, or None."""
+    try:
+        _config(args)
+    except ValueError as err:
+        return err
+    return None
 
 
 def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):

@@ -103,8 +103,8 @@ def evolve(
     size = pop.size
     cur_abs = list(pop.antibodies)
     cur_fit = list(fitnesses)
-    # max keeps the first of equal fitnesses, as Population.evaluate does.
-    best_ab, best_fit = pop.best_ever or max(zip(cur_abs, cur_fit), key=itemgetter(1))
+    # The elite starts as the first of the fittest members (max keeps the first).
+    best_ab, best_fit = max(zip(cur_abs, cur_fit), key=itemgetter(1))
 
     if stats_stream is not None:
         stats_stream.write("generation,best,mean,worst\n")
@@ -145,7 +145,7 @@ def evolve(
         if stats_stream is not None:
             _write_stats(stats_stream, gen, cur_fit)
 
-    return Population(cur_abs, cur_fit, (best_ab, best_fit))
+    return Population(cur_abs, cur_fit)
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

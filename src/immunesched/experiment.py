@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .evolution import GAConfig, evolve
-from .gene_library import AntibodyPool, build_libraries, generate_pool
+from .gene_library import POPULATION_TYPES, AntibodyPool, build_libraries, generate_pool
 from .local_search import GDConfig, NeighborOperator, SAConfig, refine_population
 from .matching import AntigenSample, is_matched
 from .population import Population, sample_initial
@@ -63,6 +63,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         self.population_type = self.population_type.upper()
+        if self.population_type not in POPULATION_TYPES:
+            raise ValueError(f"population type must be one of {POPULATION_TYPES}")
         if self.phase2 not in PHASE2_CHOICES:
             raise ValueError(f"phase2 must be one of {PHASE2_CHOICES}")
         if self.replicates < 1:

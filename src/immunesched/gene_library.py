@@ -5,7 +5,8 @@ of slot s across all ten antigens forms library s. Antibodies (partial
 schedules of five distinct jobs) are produced by concatenating a component
 from a lower-indexed library with one from a higher-indexed library and
 keeping every order-preserving five-job subsequence that contains no
-duplicate job.
+duplicate job. An antibody is only its jobs: which components produced it
+is not kept, since neither phase reads it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .scheduling import ANTIBODY_LENGTH, JOB_COUNT, AntigenUniverse
 
 COMPONENT_SIZE = 3
 LIBRARY_COUNT = JOB_COUNT // COMPONENT_SIZE
-COMBINED_LENGTH = 2 * COMPONENT_SIZE
 
 POPULATION_TYPES = ("A", "B", "C")
 # Job ids an antibody leaves out, and so the choices a one-job replacement has.
@@ -67,35 +67,14 @@ class LibrarySet:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """How an antibody was assembled from two library components.
-
-    `mask` has one character per position of the six-job concatenation,
-    '1' for kept positions ('0' marks the single dropped one).
-    """
-
-    libraries: tuple[int, int]
-    components: tuple[int, int]
-    mask: str
-
-    def __post_init__(self) -> None:
-        if self.libraries[0] >= self.libraries[1]:
-            raise ValueError("provenance library pair must be ordered low < high")
-        if len(self.mask) != COMBINED_LENGTH or self.mask.count("1") != ANTIBODY_LENGTH:
-            raise ValueError(f"mask must be {COMBINED_LENGTH} chars with {ANTIBODY_LENGTH} ones")
-
-
-@dataclass(frozen=True)
 class Antibody:
     """A partial schedule: five distinct job ids in order.
 
-    Antibodies built by combining components carry their provenance;
-    antibodies produced by crossover, mutation or local-search moves
-    carry none.
+    The jobs are the whole antibody: equal jobs make equal antibodies,
+    whether they came from the pool or from an operator.
     """
 
     jobs: tuple[int, ...]
-    provenance: Provenance | None = None
 
     def __post_init__(self) -> None:
         if len(self.jobs) != ANTIBODY_LENGTH or len(set(self.jobs)) != ANTIBODY_LENGTH:
@@ -105,16 +84,14 @@ class Antibody:
 
     @classmethod
     def trusted(cls, jobs: tuple[int, ...]) -> "Antibody":
-        """An antibody without provenance whose jobs skip validation.
+        """An antibody whose jobs skip validation.
 
         For operators that build five distinct in-range jobs by
         construction (crossover, mutation, neighborhood moves); input from
         files and callers goes through the validating constructor.
         """
         ab = object.__new__(cls)
-        fields = ab.__dict__  # frozen: bypass __setattr__, as __init__ does
-        fields["jobs"] = jobs
-        fields["provenance"] = None
+        ab.__dict__["jobs"] = jobs  # frozen: bypass __setattr__, as __init__ does
         return ab
 
 
@@ -158,35 +135,30 @@ def combine_components(c1: Component, c2: Component) -> list[Antibody]:
     """Enumerate the duplicate-free five-job subsequences of c1 + c2.
 
     The six concatenated jobs admit C(6,5) = 6 order-preserving
-    subsequences; candidates containing a repeated job are discarded.
-    c1 must come from a lower-indexed library than c2.
+    subsequences, listed from the one that drops the last job to the one
+    that drops the first; candidates containing a repeated job are
+    discarded. c1 must come from a lower-indexed library than c2.
     """
     if c1.source[1] >= c2.source[1]:
         raise ValueError(
             f"first component must come from a lower library (got slots "
             f"{c1.source[1]} and {c2.source[1]})"
         )
-    combined = c1.jobs + c2.jobs
-    libraries = (c1.source[1], c2.source[1])
-    components = (c1.source[0], c2.source[0])
-    survivors = []
-    for kept in itertools.combinations(range(COMBINED_LENGTH), ANTIBODY_LENGTH):
-        jobs = tuple(combined[k] for k in kept)
-        if len(set(jobs)) != ANTIBODY_LENGTH:
-            continue
-        mask = "".join("1" if k in kept else "0" for k in range(COMBINED_LENGTH))
-        survivors.append(Antibody(jobs, Provenance(libraries, components, mask)))
-    return survivors
+    return [
+        Antibody(jobs)
+        for jobs in itertools.combinations(c1.jobs + c2.jobs, ANTIBODY_LENGTH)
+        if len(set(jobs)) == ANTIBODY_LENGTH
+    ]
 
 
 def generate_pool(libset: LibrarySet, population_type: str) -> AntibodyPool:
     """Combine every component pair across every library pair into a typed pool.
 
     Enumeration order is deterministic: library pair (i, j) with i < j,
-    then component indices, then subsequence mask. The duplicate policy is
-    A: keep everything; B: keep the first occurrence of each distinct job
-    sequence globally; C: keep the first occurrence per library pair, so
-    equal sequences arising from different pairs survive.
+    then component indices, then combine_components' order. The duplicate
+    policy is A: keep everything; B: keep the first occurrence of each
+    distinct job sequence globally; C: keep the first occurrence per
+    library pair, so equal sequences arising from different pairs survive.
     """
     if population_type not in POPULATION_TYPES:
         raise ValueError(f"population type must be one of {POPULATION_TYPES}")

@@ -78,21 +78,11 @@ class AntigenSample:
         return len(self.indices)
 
     @classmethod
-    def draw(
-        cls, size: int, rng: random.Random, universe_size: int = UNIVERSE_SIZE
-    ) -> "AntigenSample":
+    def draw(cls, size: int, rng: random.Random) -> "AntigenSample":
         """Sample `size` distinct antigen indices uniformly without replacement."""
-        if not 1 <= size <= universe_size:
-            raise ValueError(f"sample size {size} not in 1..{universe_size}")
-        return cls(tuple(rng.sample(range(universe_size), size)))
-
-
-def alignment_count(antigen: Antigen, antibody: Antibody, offset: int) -> int:
-    """Number of positions where the antibody agrees with the antigen at `offset`."""
-    if not 0 <= offset < OFFSET_COUNT:
-        raise ValueError(f"offset {offset} out of range 0..{OFFSET_COUNT - 1}")
-    seq = antigen.sequence
-    return sum(1 for j, job in enumerate(antibody.jobs) if job == seq[offset + j])
+        if not 1 <= size <= UNIVERSE_SIZE:
+            raise ValueError(f"sample size {size} not in 1..{UNIVERSE_SIZE}")
+        return cls(tuple(rng.sample(range(UNIVERSE_SIZE), size)))
 
 
 def _packed_counts(antigen: Antigen, jobs: tuple[int, ...]) -> int:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from operator import itemgetter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -19,14 +18,13 @@ if TYPE_CHECKING:
 class Population:
     """A fixed-size collection of antibodies with cached fitness values.
 
-    `fitnesses` and `best_ever` are filled by evaluate(); operations that
-    need them raise if the population has not been evaluated against a
-    sample yet.
+    `fitnesses` is filled by evaluate(), one value per antibody in order;
+    operations that need it raise if the population has not been
+    evaluated against a sample yet.
     """
 
     antibodies: list["Antibody"]
-    fitnesses: list[int] | None = field(default=None)
-    best_ever: tuple["Antibody", int] | None = field(default=None)
+    fitnesses: list[int] | None = None
 
     @property
     def size(self) -> int:
@@ -37,8 +35,6 @@ class Population:
         self.fitnesses = [
             antibody_fitness(ab, universe, sample) for ab in self.antibodies
         ]
-        # max keeps the first of equal fitnesses.
-        self.best_ever = max(zip(self.antibodies, self.fitnesses), key=itemgetter(1))
         return self
 
     def require_evaluated(self) -> list[int]:

@@ -21,7 +21,8 @@ ANTIBODY_LENGTH = 5
 OFFSET_COUNT = JOB_COUNT - ANTIBODY_LENGTH + 1
 UNIVERSE_SIZE = 10
 ARRIVAL_DAY_MAX = 300
-DEFAULT_MUTATION_PROBABILITY = 0.2
+# Chance that generate_universe re-draws a job's arrival date.
+MUTATION_PROBABILITY = 0.2
 # The unit of each offset's 4-bit field in Antigen.match_table. Every table
 # refers to these same int objects instead of allocating its own.
 _OFFSET_FIELDS = tuple(1 << 4 * d for d in range(OFFSET_COUNT))
@@ -73,14 +74,6 @@ class Antigen:
             raise ValueError(f"antigen must be a permutation of 1..{JOB_COUNT}")
 
     @cached_property
-    def positions(self) -> tuple[int, ...]:
-        """Position of each job id in the sequence; index 0 is unused."""
-        pos = [-1] * (JOB_COUNT + 1)
-        for i, job_id in enumerate(self.sequence):
-            pos[job_id] = i
-        return tuple(pos)
-
-    @cached_property
     def match_table(self) -> tuple[tuple[int, ...], ...]:
         """Packed alignment counts: one row per antibody slot j, indexed by job id.
 
@@ -90,7 +83,9 @@ class Antigen:
         five jobs yields every offset's count at once, one per field, and a
         count never exceeds ANTIBODY_LENGTH, so fields cannot overflow.
         """
-        pos = self.positions
+        pos = [-1] * (JOB_COUNT + 1)  # index 0 is no job id
+        for i, job_id in enumerate(self.sequence):
+            pos[job_id] = i
         return tuple(
             tuple(
                 _OFFSET_FIELDS[pos[job] - j] if 0 <= pos[job] - j < OFFSET_COUNT else 0
@@ -158,27 +153,23 @@ def schedule_scenario(scenario: BaseProblem) -> Antigen:
     return Antigen(tuple(sequence))
 
 
-def generate_universe(
-    base: BaseProblem,
-    rng: random.Random,
-    probability: float = DEFAULT_MUTATION_PROBABILITY,
-) -> AntigenUniverse:
-    """Build the ten-antigen universe: mutate the base ten times and schedule each."""
+def generate_universe(base: BaseProblem, rng: random.Random) -> AntigenUniverse:
+    """Build the ten-antigen universe: mutate the base ten times (each job
+    with MUTATION_PROBABILITY) and schedule each."""
     antigens = []
     for _ in range(UNIVERSE_SIZE):
-        scenario = mutate_scenario(base, probability, rng)
+        scenario = mutate_scenario(base, MUTATION_PROBABILITY, rng)
         antigens.append(schedule_scenario(scenario))
     return AntigenUniverse(tuple(antigens))
 
 
-def default_base_problem(seed: int = 28) -> BaseProblem:
-    """A synthetic instance shipped with the package.
+def default_base_problem() -> BaseProblem:
+    """A synthetic instance shipped with the package, the same on every call.
 
     Processing times fall in 1..20, due dates spread over 30..300, and
-    arrivals are drawn to satisfy arrival <= due - processing. The same
-    seed always yields the same instance.
+    arrivals are drawn to satisfy arrival <= due - processing.
     """
-    rng = random.Random(seed)
+    rng = random.Random(28)
     jobs = []
     for job_id in range(1, JOB_COUNT + 1):
         processing = rng.randint(1, 20)
@@ -234,20 +225,15 @@ def _parse_antigen_line(line: str, lineno: int, path: Path) -> Antigen:
     return Antigen(tuple(ids))
 
 
-def save_base_problem(base: BaseProblem, path: str | Path) -> None:
-    """Write a base problem: header `jobs 15`, then one `id p due arrival` line per job."""
-    lines = [f"jobs {JOB_COUNT}"]
-    for job in base.jobs:
-        lines.append(f"{job.id} {job.processing_time} {job.due_date} {job.arrival_date}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def load_base_problem(path: str | Path) -> BaseProblem:
-    """Read a base-problem file, validating the header and every job line."""
+    """Read a base-problem file: header `jobs 15`, then one
+    `id processing_time due_date arrival_date` line per job; `#`-prefixed
+    comment lines and blank lines are ignored."""
     path = Path(path)
+    file_lines = path.read_text().splitlines()
     lines = [
         (lineno, raw.strip())
-        for lineno, raw in enumerate(path.read_text().splitlines(), start=1)
+        for lineno, raw in enumerate(file_lines, start=1)
         if raw.strip() and not raw.strip().startswith("#")
     ]
     lineno, header = lines[0] if lines else (1, "")
@@ -255,7 +241,11 @@ def load_base_problem(path: str | Path) -> BaseProblem:
         raise ValueError(f"{path}: line {lineno}: expected header 'jobs {JOB_COUNT}'")
     body = lines[1:]
     if len(body) != JOB_COUNT:
-        raise ValueError(f"{path}: expected {JOB_COUNT} job lines, found {len(body)}")
+        # The first surplus line, or the line after the end of the file.
+        lineno = body[JOB_COUNT][0] if len(body) > JOB_COUNT else len(file_lines) + 1
+        raise ValueError(
+            f"{path}: line {lineno}: expected {JOB_COUNT} job lines, found {len(body)}"
+        )
     jobs = []
     for lineno, line in body:
         tokens = line.split()

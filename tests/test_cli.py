@@ -2,6 +2,8 @@ import csv
 import json
 import re
 
+import pytest
+
 from immunesched import (
     ExperimentConfig,
     GAConfig,
@@ -9,7 +11,7 @@ from immunesched import (
     load_universe,
     run_experiment,
 )
-from immunesched.cli import main, parse_config_file
+from immunesched.cli import main
 
 
 def run(*argv):
@@ -154,10 +156,15 @@ def test_invalid_universe_gives_nonzero_exit(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_parse_config_file(tmp_path):
+def test_config_file_with_comments_and_spaces_matches_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nseed = 42\ntype=b\n\nag_sample=1,4\n")
-    assert parse_config_file(cfg) == {"seed": "42", "type": "b", "ag_sample": "1,4"}
+    cfg.write_text("# comment\n\n  seed = 42  \n\n")
+    paths = [tmp_path / name for name in ("file.txt", "flags.txt", "default.txt")]
+    assert run("gen-universe", "--out", paths[0], "--config", cfg) == 0
+    assert run("gen-universe", "--out", paths[1], "--seed", 42) == 0
+    assert run("gen-universe", "--out", paths[2]) == 0
+    from_file, from_flags, default = (path.read_bytes() for path in paths)
+    assert from_file == from_flags != default
 
 
 def test_config_file_rejects_bad_line(tmp_path):
@@ -177,6 +184,31 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
     assert run("evolve", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: line 2: ag_sample must be a single value"), err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("replicates=0", "replicates must be at least 1"),
+        ("ag_sample=1,11", "ag sample sizes must lie in 1..10"),
+        ("operator=bogus", "'bogus' is not a valid NeighborOperator"),
+        ("phase2=xx", "phase2 must be one of ('none', 'sa', 'gd')"),
+        ("type=z", "population type must be one of ('A', 'B', 'C')"),
+        ("generations=-1", "generations must be non-negative"),
+    ],
+)
+def test_config_file_rejected_value_names_file_and_line(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"# a comment\nseed=3\n{entry}\n")
+    assert run("experiment", "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 3: {message}\n"
+
+
+def test_invalid_flags_are_not_blamed_on_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("seed=3\n")
+    assert run("experiment", "--replicates", 0, "--config", cfg, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == "error: replicates must be at least 1\n"
 
 
 def test_config_file_overrides_flags(tmp_path):

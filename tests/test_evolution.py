@@ -48,7 +48,6 @@ def evaluated_population(fitnesses):
     rng = random.Random(0)
     pop = Population([Antibody(tuple(rng.sample(range(1, 16), 5))) for _ in fitnesses])
     pop.fitnesses = list(fitnesses)
-    pop.best_ever = None
     return pop
 
 
@@ -57,9 +56,6 @@ def test_population_evaluate_caches_fitness(setup):
     pop = sample_initial(pool, 20, random.Random(1)).evaluate(universe, sample)
     for ab, fit in zip(pop.antibodies, pop.fitnesses):
         assert fit == antibody_fitness(ab, universe, sample)
-    best_ab, best_fit = pop.best_ever
-    assert best_fit == max(pop.fitnesses)
-    assert pop.fitnesses.index(best_fit) == pop.antibodies.index(best_ab)
 
 
 def test_sample_initial_whole_pool_is_permutation(setup):
@@ -215,7 +211,6 @@ def test_evolve_reaches_prefix_optimum(setup):
     assert any(ab.jobs == prefix for ab in pool.antibodies)
     pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
     final = evolve(pop, universe, sample, GAConfig(generations=250), random.Random(0))
-    assert final.best_ever[1] == 25
     assert final.best_fitness == 25
 
 
@@ -225,7 +220,7 @@ def test_evolve_deterministic_for_equal_seeds(setup):
     for _ in range(2):
         pop = sample_initial(pool, 20, random.Random(5)).evaluate(universe, sample)
         final = evolve(pop, universe, sample, GAConfig(generations=25), random.Random(7))
-        results.append((final.antibodies, final.fitnesses, final.best_ever))
+        results.append((final.antibodies, final.fitnesses))
     assert results[0] == results[1]
 
 

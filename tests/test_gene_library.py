@@ -10,7 +10,6 @@ from immunesched import (
     Antigen,
     AntigenUniverse,
     Component,
-    Provenance,
     build_libraries,
     combine_components,
     default_base_problem,
@@ -27,6 +26,35 @@ def universe():
 @pytest.fixture(scope="module")
 def libset(universe):
     return build_libraries(universe)
+
+
+def reference_candidates(c1, c2):
+    """The concatenation with one job dropped, from the last position to the
+    first, keeping duplicate-free candidates; built without combine_components."""
+    concat = c1.jobs + c2.jobs
+    dropped_one = (concat[:k] + concat[k + 1 :] for k in reversed(range(len(concat))))
+    return [jobs for jobs in dropped_one if len(set(jobs)) == len(jobs)]
+
+
+def reference_pool(libset):
+    """(library pair, jobs) for every candidate in enumeration order: each
+    library pair in order, then each component pair, then its candidates."""
+    return [
+        ((i, j), jobs)
+        for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
+        for c1 in libset.libraries[i].components
+        for c2 in libset.libraries[j].components
+        for jobs in reference_candidates(c1, c2)
+    ]
+
+
+def first_occurrences(candidates, key):
+    seen, kept = set(), []
+    for candidate in candidates:
+        if key(candidate) not in seen:
+            seen.add(key(candidate))
+            kept.append(candidate)
+    return kept
 
 
 def rotated_universe():
@@ -100,12 +128,8 @@ def test_combine_requires_lower_library_first():
 def test_combined_candidates_are_masked_subsequences(libset):
     lib0, lib1 = libset.libraries[0], libset.libraries[1]
     for c1, c2 in itertools.product(lib0.components, lib1.components):
-        concat = c1.jobs + c2.jobs
-        for ab in combine_components(c1, c2):
-            kept = tuple(concat[k] for k, bit in enumerate(ab.provenance.mask) if bit == "1")
-            assert ab.jobs == kept
-            assert ab.provenance.libraries == (0, 1)
-            assert ab.provenance.components == (c1.source[0], c2.source[0])
+        jobs = [ab.jobs for ab in combine_components(c1, c2)]
+        assert jobs == reference_candidates(c1, c2)
 
 
 def test_pool_size_laws(libset):
@@ -119,22 +143,15 @@ def test_pool_size_laws(libset):
 
 
 def test_pool_dedup_semantics(libset):
-    all_abs = generate_pool(libset, "A").antibodies
-    seen_global = set()
-    expected_b = []
-    for ab in all_abs:
-        if ab.jobs not in seen_global:
-            seen_global.add(ab.jobs)
-            expected_b.append(ab)
-    seen_per_pair = set()
-    expected_c = []
-    for ab in all_abs:
-        key = (ab.provenance.libraries, ab.jobs)
-        if key not in seen_per_pair:
-            seen_per_pair.add(key)
-            expected_c.append(ab)
-    assert list(generate_pool(libset, "B").antibodies) == expected_b
-    assert list(generate_pool(libset, "C").antibodies) == expected_c
+    reference = reference_pool(libset)
+    expected_b = first_occurrences(reference, key=lambda c: c[1])
+    expected_c = first_occurrences(reference, key=lambda c: c)
+    assert [ab.jobs for ab in generate_pool(libset, "B").antibodies] == [
+        jobs for _, jobs in expected_b
+    ]
+    assert [ab.jobs for ab in generate_pool(libset, "C").antibodies] == [
+        jobs for _, jobs in expected_c
+    ]
 
 
 def test_type_c_keeps_duplicates_across_library_pairs():
@@ -142,9 +159,11 @@ def test_type_c_keeps_duplicates_across_library_pairs():
     pool_b = generate_pool(libs, "B")
     pool_c = generate_pool(libs, "C")
     assert len(pool_c) > len(pool_b)
+    expected_c = first_occurrences(reference_pool(libs), key=lambda c: c)
+    assert [ab.jobs for ab in pool_c.antibodies] == [jobs for _, jobs in expected_c]
     by_sequence = {}
-    for ab in pool_c.antibodies:
-        by_sequence.setdefault(ab.jobs, set()).add(ab.provenance.libraries)
+    for pair, jobs in expected_c:
+        by_sequence.setdefault(jobs, set()).add(pair)
     assert any(len(pairs) > 1 for pairs in by_sequence.values())
 
 
@@ -155,19 +174,18 @@ def test_pool_rejects_unknown_type(libset):
 
 def test_pool_enumeration_is_ordered(libset):
     pool = generate_pool(libset, "A")
-    keys = [
-        (ab.provenance.libraries, ab.provenance.components, ab.provenance.mask)
-        for ab in pool.antibodies
-    ]
-    assert keys == sorted(keys, key=lambda k: (k[0], k[1]))
+    assert [ab.jobs for ab in pool.antibodies] == [jobs for _, jobs in reference_pool(libset)]
 
 
-def test_antibody_and_provenance_validation():
+def test_antibody_validation():
     with pytest.raises(ValueError):
         Antibody((1, 2, 3, 4, 4))
     with pytest.raises(ValueError):
         Antibody((1, 2, 3, 4, 16))
-    with pytest.raises(ValueError):
-        Provenance((1, 1), (0, 0), "111110")
-    with pytest.raises(ValueError):
-        Provenance((0, 1), (0, 0), "111100")
+
+
+def test_antibody_is_its_jobs(libset):
+    ab = generate_pool(libset, "A").antibodies[0]
+    assert ab == Antibody(ab.jobs) == Antibody.trusted(ab.jobs)
+    assert hash(ab) == hash(Antibody.trusted(ab.jobs))
+    assert ab != Antibody(ab.jobs[::-1])

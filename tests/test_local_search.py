@@ -195,6 +195,14 @@ def test_gd_with_zero_decay_stays_at_optimum(setup):
     assert boundaries == {float(max_fitness(sample.size))}
 
 
+def test_gd_accepts_a_worse_candidate_at_the_boundary_without_drawing():
+    rng = random.Random(8)
+    state = rng.getstate()
+    assert GDConfig().accepts_worse(20, 25, 20.0, rng)
+    assert not GDConfig().accepts_worse(19, 25, 20.0, rng)
+    assert rng.getstate() == state
+
+
 def test_gd_stagnation_stops_after_limit(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)  # already optimal: no step improves

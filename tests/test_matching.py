@@ -10,7 +10,6 @@ from immunesched import (
     Antigen,
     AntigenSample,
     AntigenUniverse,
-    alignment_count,
     antibody_fitness,
     best_match,
     default_base_problem,
@@ -47,19 +46,6 @@ def random_antigen(rng):
 
 def random_antibody(rng):
     return Antibody(tuple(rng.sample(range(1, JOB_COUNT + 1), 5)))
-
-
-def test_alignment_count_golden_offsets():
-    expected = {0: 0, 1: 0, 2: 0, 3: 3, 4: 0, 5: 0, 6: 1, 7: 1, 8: 0, 9: 0, 10: 0}
-    for offset, count in expected.items():
-        assert alignment_count(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, offset) == count
-
-
-def test_alignment_count_rejects_bad_offset():
-    with pytest.raises(ValueError):
-        alignment_count(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, -1)
-    with pytest.raises(ValueError):
-        alignment_count(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, OFFSET_COUNT)
 
 
 def test_best_match_golden_case():

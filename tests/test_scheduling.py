@@ -14,7 +14,6 @@ from immunesched import (
     load_base_problem,
     load_universe,
     mutate_scenario,
-    save_base_problem,
     save_universe,
     schedule_scenario,
 )
@@ -29,6 +28,21 @@ def uniform_problem(due_for_id, arrival=0, processing=1):
     return make_problem(
         [(i, processing, due_for_id(i), arrival) for i in range(1, JOB_COUNT + 1)]
     )
+
+
+def write_base_problem(base, path):
+    """The base-problem file format: header `jobs 15`, then `id p due arrival` lines."""
+    lines = [f"jobs {JOB_COUNT}"] + [
+        f"{job.id} {job.processing_time} {job.due_date} {job.arrival_date}" for job in base.jobs
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class NeverMutateRng:
+    """Stub generator whose draws never fall below a mutation probability."""
+
+    def random(self):
+        return 0.999
 
 
 class FixedDrawRng:
@@ -141,7 +155,7 @@ def test_generate_universe_valid_and_deterministic():
 
 def test_generate_universe_zero_probability_repeats_base_schedule():
     base = default_base_problem()
-    universe = generate_universe(base, random.Random(0), probability=0.0)
+    universe = generate_universe(base, NeverMutateRng())
     expected = schedule_scenario(base)
     assert all(antigen == expected for antigen in universe.antigens)
 
@@ -202,7 +216,7 @@ def test_universe_non_integer_token(tmp_path):
 def test_base_problem_roundtrip(tmp_path):
     base = default_base_problem()
     path = tmp_path / "base.txt"
-    save_base_problem(base, path)
+    write_base_problem(base, path)
     assert load_base_problem(path) == base
 
 
@@ -221,10 +235,31 @@ def test_base_problem_bad_header_names_its_line(tmp_path):
     assert str(err.value) == f"{path}: line 3: expected header 'jobs 15'"
 
 
+@pytest.mark.parametrize(
+    "found, before, after, lineno",
+    [
+        (1, "", "", 3),  # too few: the line after the file's last line
+        (14, "", "# end\n\n", 18),
+        (16, "", "", 17),  # too many: the first surplus line
+        (16, "# jobs follow\n", "", 18),
+    ],
+    ids=("one-line", "too-few-then-comment", "one-surplus", "surplus-after-comment"),
+)
+def test_base_problem_wrong_job_count_names_a_line(tmp_path, found, before, after, lineno):
+    path = tmp_path / "bp.txt"
+    write_base_problem(default_base_problem(), path)
+    header, *jobs = path.read_text().splitlines()
+    body = "".join(f"{line}\n" for line in (jobs + jobs)[:found])
+    path.write_text(f"{header}\n{before}{body}{after}")
+    with pytest.raises(ValueError) as err:
+        load_base_problem(path)
+    assert str(err.value) == f"{path}: line {lineno}: expected 15 job lines, found {found}"
+
+
 def test_base_problem_invalid_job_line(tmp_path):
     base = default_base_problem()
     path = tmp_path / "base.txt"
-    save_base_problem(base, path)
+    write_base_problem(base, path)
     lines = path.read_text().splitlines()
     lines[3] = "3 10 100 95"  # arrival above due - processing
     path.write_text("\n".join(lines) + "\n")
