@@ -25,10 +25,6 @@ from .gene_library import (
     COMPONENT_SIZE,
     LIBRARY_COUNT,
     Antibody,
-    AntibodyPool,
-    Component,
-    GeneLibrary,
-    LibrarySet,
     build_libraries,
     combine_components,
     generate_pool,

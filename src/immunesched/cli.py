@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .evolution import GAConfig
 from .experiment import (
+    PHASE2_CHOICES,
     ExperimentConfig,
     coverage,
     draw_sample,
@@ -33,6 +34,9 @@ from .scheduling import save_universe
 
 
 _AG_SAMPLE_HELP = "antigen sample size, 1..10"
+_OPERATOR_CHOICES = tuple(op.value for op in NeighborOperator)
+# `refine` needs a phase-two method; `experiment` may skip phase two.
+_REFINE_CHOICES = tuple(m for m in PHASE2_CHOICES if m != "none")
 # The stage subcommands run this replicate of `experiment`.
 _REPLICATE = 0
 
@@ -81,8 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", required=True, help="population file to refine")
     p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--phase2", choices=("sa", "gd"), required=True)
-    p.add_argument("--operator", choices=("change", "swap"), default="change")
+    p.add_argument("--phase2", choices=_REFINE_CHOICES, required=True)
+    p.add_argument(
+        "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
+    )
     p.add_argument("--out", required=True)
     _add_config_flag(p)
     p.set_defaults(func=_cmd_refine)
@@ -109,8 +115,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, default=GAConfig.generations)
     p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
     p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
-    p.add_argument("--phase2", choices=("none", "sa", "gd"), default="none")
-    p.add_argument("--operator", choices=("change", "swap"), default="change")
+    p.add_argument("--phase2", choices=PHASE2_CHOICES, default=ExperimentConfig.phase2)
+    p.add_argument(
+        "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
+    )
     p.add_argument("--replicates", type=int, default=10)
     p.add_argument("--out", required=True, help="output directory for the reports")
     _add_config_flag(p)
@@ -176,6 +184,8 @@ def _config_error(args: argparse.Namespace) -> ValueError | None:
 def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
     if attr == "ag_sample":
         values = [int(tok) for tok in raw.replace(",", " ").split()]
+        if not values:
+            raise ValueError("ag_sample needs a value")
         if args.command == "experiment":
             return values
         if len(values) != 1:
@@ -196,8 +206,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     """
     flags = vars(args)
     ga = {k: flags[k] for k in ("generations", "crossover_rate", "mutation_rate") if k in flags}
-    operator = NeighborOperator(flags.get("operator", "change"))
+    operator = flags.get("operator", NeighborOperator.CHANGE_ONE_JOB)
     ag = flags.get("ag_sample") or ExperimentConfig.ag_sample_sizes
+    if args.command == "refine" and flags["phase2"] not in _REFINE_CHOICES:
+        raise ValueError(f"phase2 must be one of {_REFINE_CHOICES} for 'refine'")
     return ExperimentConfig(
         universe_path=flags.get("universe"),
         base_problem_path=flags.get("base_problem"),

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import TextIO
 
 from .evolution import GAConfig, evolve
-from .gene_library import POPULATION_TYPES, AntibodyPool, build_libraries, generate_pool
-from .local_search import GDConfig, NeighborOperator, SAConfig, refine_population
+from .gene_library import POPULATION_TYPES, Antibody, build_libraries, generate_pool
+from .local_search import GDConfig, SAConfig, refine_population
 from .matching import AntigenSample, is_matched
 from .population import Population, sample_initial
 from .scheduling import (
@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError(f"ag sample sizes must lie in 1..{UNIVERSE_SIZE}")
         self.ag_sample_sizes = sizes
         self.thresholds = tuple(sorted(self.thresholds))
+        if len(set(self.thresholds)) != len(self.thresholds):
+            raise ValueError("thresholds must be distinct")
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ def draw_sample(cfg: ExperimentConfig, ag: int, rep: int) -> AntigenSample:
 def evolve_replicate(
     cfg: ExperimentConfig,
     universe: AntigenUniverse,
-    pool: AntibodyPool,
+    pool: tuple[Antibody, ...],
     sample: AntigenSample,
     ag: int,
     rep: int,
@@ -204,8 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
     run_start = time.perf_counter()
     universe = resolve_universe(cfg)
     t0 = time.perf_counter()
-    libset = build_libraries(universe)
-    pool = generate_pool(libset, cfg.population_type)
+    pool = generate_pool(build_libraries(universe), cfg.population_type)
     pool_seconds = time.perf_counter() - t0
 
     unmatched_sums: dict[tuple[int, int], int] = {
@@ -302,8 +303,5 @@ def config_from_manifest(path: str | Path) -> ExperimentConfig:
     data = json.loads(Path(path).read_text())["config"]
     for key, kind in (("ga", GAConfig), ("sa", SAConfig), ("gd", GDConfig)):
         if key in data:
-            fields = data[key]
-            if "operator" in fields:
-                fields["operator"] = NeighborOperator(fields["operator"])
-            data[key] = kind(**fields)
+            data[key] = kind(**data[key])
     return ExperimentConfig(**data)

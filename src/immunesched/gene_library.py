@@ -5,8 +5,9 @@ of slot s across all ten antigens forms library s. Antibodies (partial
 schedules of five distinct jobs) are produced by concatenating a component
 from a lower-indexed library with one from a higher-indexed library and
 keeping every order-preserving five-job subsequence that contains no
-duplicate job. An antibody is only its jobs: which components produced it
-is not kept, since neither phase reads it.
+duplicate job. Components, libraries and pools are plain tuples, and an
+antibody is only its jobs: which components produced it is not kept,
+since neither phase reads it.
 """
 
 from __future__ import annotations
@@ -22,48 +23,6 @@ LIBRARY_COUNT = JOB_COUNT // COMPONENT_SIZE
 POPULATION_TYPES = ("A", "B", "C")
 # Job ids an antibody leaves out, and so the choices a one-job replacement has.
 UNUSED_JOB_COUNT = JOB_COUNT - ANTIBODY_LENGTH
-
-
-@dataclass(frozen=True)
-class Component:
-    """A three-job slice of one antigen; source is (antigen index, library slot)."""
-
-    jobs: tuple[int, int, int]
-    source: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        if len(set(self.jobs)) != COMPONENT_SIZE:
-            raise ValueError(f"component jobs must be {COMPONENT_SIZE} distinct ids")
-        if any(not 1 <= j <= JOB_COUNT for j in self.jobs):
-            raise ValueError("component job id out of range")
-
-
-@dataclass(frozen=True)
-class GeneLibrary:
-    """All ten components cut from one slot of the universe."""
-
-    index: int
-    components: tuple[Component, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != 10:
-            raise ValueError(f"library {self.index} must hold 10 components")
-        for k, comp in enumerate(self.components):
-            if comp.source != (k, self.index):
-                raise ValueError(
-                    f"library {self.index}: component {k} has source {comp.source}"
-                )
-
-
-@dataclass(frozen=True)
-class LibrarySet:
-    """The five libraries that together partition every antigen."""
-
-    libraries: tuple[GeneLibrary, ...]
-
-    def __post_init__(self) -> None:
-        if [lib.index for lib in self.libraries] != list(range(LIBRARY_COUNT)):
-            raise ValueError(f"expected libraries indexed 0..{LIBRARY_COUNT - 1} in order")
 
 
 @dataclass(frozen=True)
@@ -108,50 +67,38 @@ def nth_unused_job(jobs: tuple[int, ...], n: int) -> int:
     return job
 
 
-@dataclass(frozen=True)
-class AntibodyPool:
-    """All antibodies generated under one duplicate policy (type A, B or C)."""
+def build_libraries(universe: AntigenUniverse) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Slice every antigen into five slots of three jobs each.
 
-    population_type: str
-    antibodies: tuple[Antibody, ...]
-
-    def __len__(self) -> int:
-        return len(self.antibodies)
-
-
-def build_libraries(universe: AntigenUniverse) -> LibrarySet:
-    """Slice every antigen into five slots of three jobs each."""
-    libraries = []
-    for slot in range(LIBRARY_COUNT):
-        components = []
-        for k, antigen in enumerate(universe.antigens):
-            jobs = antigen.sequence[COMPONENT_SIZE * slot : COMPONENT_SIZE * (slot + 1)]
-            components.append(Component(jobs, (k, slot)))
-        libraries.append(GeneLibrary(slot, tuple(components)))
-    return LibrarySet(tuple(libraries))
+    Library s holds slot s's three-job slice of each antigen, in antigen order.
+    """
+    return tuple(
+        tuple(
+            antigen.sequence[COMPONENT_SIZE * slot : COMPONENT_SIZE * (slot + 1)]
+            for antigen in universe.antigens
+        )
+        for slot in range(LIBRARY_COUNT)
+    )
 
 
-def combine_components(c1: Component, c2: Component) -> list[Antibody]:
+def combine_components(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[Antibody]:
     """Enumerate the duplicate-free five-job subsequences of c1 + c2.
 
     The six concatenated jobs admit C(6,5) = 6 order-preserving
     subsequences, listed from the one that drops the last job to the one
     that drops the first; candidates containing a repeated job are
-    discarded. c1 must come from a lower-indexed library than c2.
+    discarded.
     """
-    if c1.source[1] >= c2.source[1]:
-        raise ValueError(
-            f"first component must come from a lower library (got slots "
-            f"{c1.source[1]} and {c2.source[1]})"
-        )
     return [
         Antibody(jobs)
-        for jobs in itertools.combinations(c1.jobs + c2.jobs, ANTIBODY_LENGTH)
+        for jobs in itertools.combinations(c1 + c2, ANTIBODY_LENGTH)
         if len(set(jobs)) == ANTIBODY_LENGTH
     ]
 
 
-def generate_pool(libset: LibrarySet, population_type: str) -> AntibodyPool:
+def generate_pool(
+    libraries: tuple[tuple[tuple[int, ...], ...], ...], population_type: str
+) -> tuple[Antibody, ...]:
     """Combine every component pair across every library pair into a typed pool.
 
     Enumeration order is deterministic: library pair (i, j) with i < j,
@@ -165,9 +112,8 @@ def generate_pool(libset: LibrarySet, population_type: str) -> AntibodyPool:
     antibodies: list[Antibody] = []
     seen: set = set()
     for i, j in itertools.combinations(range(LIBRARY_COUNT), 2):
-        lib_i, lib_j = libset.libraries[i], libset.libraries[j]
-        for ci in lib_i.components:
-            for cj in lib_j.components:
+        for ci in libraries[i]:
+            for cj in libraries[j]:
                 for ab in combine_components(ci, cj):
                     if population_type == "B":
                         if ab.jobs in seen:
@@ -179,6 +125,4 @@ def generate_pool(libset: LibrarySet, population_type: str) -> AntibodyPool:
                             continue
                         seen.add(key)
                     antibodies.append(ab)
-    if not antibodies:
-        raise ValueError("antibody pool is empty; universe is degenerate")
-    return AntibodyPool(population_type, tuple(antibodies))
+    return tuple(antibodies)

@@ -43,6 +43,7 @@ class SAConfig:
     stagnation_limit = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "operator", NeighborOperator(self.operator))
         if not 0.0 < self.final_temperature < self.initial_temperature:
             raise ValueError("temperatures must satisfy 0 < final < initial")
         if not 0.0 < self.cooling_factor < 1.0:
@@ -71,6 +72,7 @@ class GDConfig:
     level_name = "boundary"  # a class attribute, not a field
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "operator", NeighborOperator(self.operator))
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.stagnation_limit is not None and self.stagnation_limit < 1:

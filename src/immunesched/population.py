@@ -11,7 +11,7 @@ from .matching import AntigenSample, antibody_fitness
 from .scheduling import AntigenUniverse
 
 if TYPE_CHECKING:
-    from .gene_library import Antibody, AntibodyPool
+    from .gene_library import Antibody
 
 
 @dataclass
@@ -51,14 +51,14 @@ class Population:
         return max(self.require_evaluated())
 
 
-def sample_initial(pool: "AntibodyPool", size: int, rng: random.Random) -> Population:
+def sample_initial(pool: tuple["Antibody", ...], size: int, rng: random.Random) -> Population:
     """Draw `size` distinct pool members in random order as a fresh population."""
     if len(pool) < size:
         raise ValueError(
             f"pool holds {len(pool)} antibodies, cannot sample {size}"
         )
     indices = rng.sample(range(len(pool)), size)
-    return Population([pool.antibodies[i] for i in indices])
+    return Population([pool[i] for i in indices])
 
 
 def save_population(pop: Population, path: str | Path) -> None:

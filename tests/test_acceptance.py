@@ -156,18 +156,18 @@ def test_criterion_03_pool_laws():
     ok = len(set(universes)) == 10
     sizes = []
     for universe in universes:
-        libset = build_libraries(universe)
-        pool_a = generate_pool(libset, "A")
-        pool_b = generate_pool(libset, "B")
-        pool_c = generate_pool(libset, "C")
+        libraries = build_libraries(universe)
+        pool_a = generate_pool(libraries, "A")
+        pool_b = generate_pool(libraries, "B")
+        pool_c = generate_pool(libraries, "C")
         sizes.append(len(pool_a))
         ok = ok and len(pool_a) <= 6000
         ok = ok and len(pool_a) >= len(pool_c) >= len(pool_b)
-        ok = ok and all(len(set(ab.jobs)) == 5 for ab in pool_a.antibodies)
+        ok = ok and all(len(set(ab.jobs)) == 5 for ab in pool_a)
         for i, j in itertools.combinations(range(5), 2):
-            for c1 in libset.libraries[i].components:
-                for c2 in libset.libraries[j].components:
-                    if len(set(c1.jobs + c2.jobs)) == 6:
+            for c1 in libraries[i]:
+                for c2 in libraries[j]:
+                    if len(set(c1 + c2)) == 6:
                         ok = ok and len(combine_components(c1, c2)) == 6
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 5.0
@@ -244,7 +244,7 @@ def test_criterion_07_gd_level_identity():
     sample = AntigenSample.draw(1, random.Random("acc7"))
     trace = io.StringIO()
     refine(
-        pool.antibodies[0],
+        pool[0],
         universe,
         sample,
         GDConfig(iterations=120, stagnation_limit=None),
@@ -263,7 +263,7 @@ def test_criterion_08_sa_schedule():
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(1, random.Random("acc8"))
     trace = io.StringIO()
-    refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(8), trace=trace)
+    refine(pool[0], universe, sample, SAConfig(), random.Random(8), trace=trace)
     steps = len(trace.getvalue().splitlines()) - 1
     ok = steps == 570
     ok = ok and all(acceptance_probability(0, t) == 1.0 for t in (5000.0, 1.0, 0.05))

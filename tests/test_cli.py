@@ -191,6 +191,7 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
     [
         ("replicates=0", "replicates must be at least 1"),
         ("ag_sample=1,11", "ag sample sizes must lie in 1..10"),
+        ("ag_sample=", "ag_sample needs a value"),
         ("operator=bogus", "'bogus' is not a valid NeighborOperator"),
         ("phase2=xx", "phase2 must be one of ('none', 'sa', 'gd')"),
         ("type=z", "population type must be one of ('A', 'B', 'C')"),
@@ -202,6 +203,21 @@ def test_config_file_rejected_value_names_file_and_line(tmp_path, capsys, entry,
     cfg.write_text(f"# a comment\nseed=3\n{entry}\n")
     assert run("experiment", "--config", cfg, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 3: {message}\n"
+
+
+def test_refine_config_rejects_phase2_none(tmp_path, capsys):
+    universe_path, pop_path = tmp_path / "u.txt", tmp_path / "p.txt"
+    run("gen-universe", "--out", universe_path)
+    run("evolve", "--universe", universe_path, "--generations", 0, "--out", pop_path)
+    capsys.readouterr()
+    cfg = tmp_path / "c.txt"
+    cfg.write_text("seed=3\nphase2=none\n")
+    argv = ("--universe", universe_path, "--population", pop_path,
+            "--phase2", "sa", "--out", tmp_path / "r.txt", "--config", cfg)
+    assert run("refine", *argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 2: phase2 must be one of ('sa', 'gd') for 'refine'\n"
+    )
 
 
 def test_invalid_flags_are_not_blamed_on_the_config_file(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_sample_initial_whole_pool_is_permutation(setup):
     _, pool, _ = setup
     pop = sample_initial(pool, len(pool), random.Random(4))
     assert sorted(ab.jobs for ab in pop.antibodies) == sorted(
-        ab.jobs for ab in pool.antibodies
+        ab.jobs for ab in pool
     )
 
 
@@ -208,7 +208,7 @@ def test_evolve_reaches_prefix_optimum(setup):
     # The pool always contains the sampled antigen's five-job prefix (the
     # combination of its first two components), so 25 is reachable.
     prefix = universe.antigens[sample.indices[0]].sequence[:5]
-    assert any(ab.jobs == prefix for ab in pool.antibodies)
+    assert any(ab.jobs == prefix for ab in pool)
     pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
     final = evolve(pop, universe, sample, GAConfig(generations=250), random.Random(0))
     assert final.best_fitness == 25

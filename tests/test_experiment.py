@@ -79,7 +79,7 @@ def test_coverage_monotone_in_threshold(universe, pool):
 def test_coverage_monotone_under_antibody_addition(universe, pool):
     rng = random.Random(5)
     pop = sample_initial(pool, 20, rng)
-    extended = Population(pop.antibodies + [pool.antibodies[0]])
+    extended = Population(pop.antibodies + [pool[0]])
     for t in range(2, 6):
         assert coverage(extended, universe, t) <= coverage(pop, universe, t)
 
@@ -102,6 +102,9 @@ def test_experiment_config_validation():
         ExperimentConfig(ag_sample_sizes=(1, 1))
     with pytest.raises(ValueError):
         ExperimentConfig(ag_sample_sizes=(0, 4))
+    for thresholds in ((4, 4, 5), (4, 5, 5)):
+        with pytest.raises(ValueError, match="thresholds must be distinct"):
+            ExperimentConfig(thresholds=thresholds)
     cfg = ExperimentConfig(population_type="b", ag_sample_sizes=(8, 1))
     assert cfg.population_type == "B"
     assert cfg.ag_sample_sizes == (1, 8)

@@ -9,7 +9,6 @@ from immunesched import (
     Antibody,
     Antigen,
     AntigenUniverse,
-    Component,
     build_libraries,
     combine_components,
     default_base_problem,
@@ -24,26 +23,26 @@ def universe():
 
 
 @pytest.fixture(scope="module")
-def libset(universe):
+def libraries(universe):
     return build_libraries(universe)
 
 
 def reference_candidates(c1, c2):
     """The concatenation with one job dropped, from the last position to the
     first, keeping duplicate-free candidates; built without combine_components."""
-    concat = c1.jobs + c2.jobs
+    concat = c1 + c2
     dropped_one = (concat[:k] + concat[k + 1 :] for k in reversed(range(len(concat))))
     return [jobs for jobs in dropped_one if len(set(jobs)) == len(jobs)]
 
 
-def reference_pool(libset):
+def reference_pool(libraries):
     """(library pair, jobs) for every candidate in enumeration order: each
     library pair in order, then each component pair, then its candidates."""
     return [
         ((i, j), jobs)
         for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
-        for c1 in libset.libraries[i].components
-        for c2 in libset.libraries[j].components
+        for c1 in libraries[i]
+        for c2 in libraries[j]
         for jobs in reference_candidates(c1, c2)
     ]
 
@@ -75,81 +74,66 @@ def test_library_slices_known_antigen():
     others = [Antigen(tuple(ids[k:] + ids[:k])) for k in range(9)]
     universe = AntigenUniverse(tuple([Antigen(sequence)] + others))
     libs = build_libraries(universe)
-    assert libs.libraries[0].components[0].jobs == (1, 2, 7)
-    assert libs.libraries[1].components[0].jobs == (4, 3, 9)
+    assert libs[0][0] == (1, 2, 7)
+    assert libs[1][0] == (4, 3, 9)
 
 
-def test_libraries_partition_every_antigen(universe, libset):
+def test_libraries_partition_every_antigen(universe, libraries):
     for k, antigen in enumerate(universe.antigens):
         rebuilt = ()
-        for lib in libset.libraries:
-            rebuilt += lib.components[k].jobs
+        for lib in libraries:
+            rebuilt += lib[k]
         assert rebuilt == antigen.sequence
 
 
-def test_every_library_has_ten_components(libset):
-    assert len(libset.libraries) == LIBRARY_COUNT
-    for lib in libset.libraries:
-        assert len(lib.components) == 10
-        for k, comp in enumerate(lib.components):
-            assert comp.source == (k, lib.index)
+def test_every_library_has_ten_components(libraries):
+    assert len(libraries) == LIBRARY_COUNT
+    for lib in libraries:
+        assert len(lib) == 10
+        assert all(len(comp) == 3 for comp in lib)
 
 
 def test_combine_keeps_first_component_plus_two():
-    c1 = Component((1, 2, 7), (0, 0))
-    c2 = Component((6, 8, 9), (0, 1))
-    sequences = [ab.jobs for ab in combine_components(c1, c2)]
+    sequences = [ab.jobs for ab in combine_components((1, 2, 7), (6, 8, 9))]
     assert (1, 2, 7, 6, 8) in sequences
 
 
 def test_combine_six_distinct_jobs_gives_six_candidates():
-    c1 = Component((1, 2, 7), (0, 0))
-    c2 = Component((6, 8, 9), (0, 1))
-    candidates = combine_components(c1, c2)
+    candidates = combine_components((1, 2, 7), (6, 8, 9))
     assert len(candidates) == 6
     assert len(set(ab.jobs for ab in candidates)) == 6
 
 
 def test_combine_discards_duplicate_jobs():
-    c1 = Component((1, 2, 3), (0, 0))
-    c2 = Component((3, 4, 5), (0, 1))
-    candidates = combine_components(c1, c2)
+    candidates = combine_components((1, 2, 3), (3, 4, 5))
     assert len(candidates) == 2
     assert all(ab.jobs == (1, 2, 3, 4, 5) for ab in candidates)
 
 
-def test_combine_requires_lower_library_first():
-    c1 = Component((1, 2, 3), (0, 2))
-    c2 = Component((4, 5, 6), (0, 1))
-    with pytest.raises(ValueError):
-        combine_components(c1, c2)
-
-
-def test_combined_candidates_are_masked_subsequences(libset):
-    lib0, lib1 = libset.libraries[0], libset.libraries[1]
-    for c1, c2 in itertools.product(lib0.components, lib1.components):
+def test_combined_candidates_are_masked_subsequences(libraries):
+    for c1, c2 in itertools.product(libraries[0], libraries[1]):
         jobs = [ab.jobs for ab in combine_components(c1, c2)]
         assert jobs == reference_candidates(c1, c2)
 
 
-def test_pool_size_laws(libset):
-    pool_a = generate_pool(libset, "A")
-    pool_b = generate_pool(libset, "B")
-    pool_c = generate_pool(libset, "C")
+def test_pool_size_laws(libraries):
+    pool_a = generate_pool(libraries, "A")
+    pool_b = generate_pool(libraries, "B")
+    pool_c = generate_pool(libraries, "C")
     assert len(pool_a) <= 6000
     assert len(pool_a) >= len(pool_c) >= len(pool_b)
-    for ab in pool_a.antibodies:
+    for ab in pool_a:
         assert len(set(ab.jobs)) == 5
 
 
-def test_pool_dedup_semantics(libset):
-    reference = reference_pool(libset)
+def test_pool_dedup_semantics(libraries):
+    reference = reference_pool(libraries)
     expected_b = first_occurrences(reference, key=lambda c: c[1])
     expected_c = first_occurrences(reference, key=lambda c: c)
-    assert [ab.jobs for ab in generate_pool(libset, "B").antibodies] == [
+    assert [ab.jobs for ab in generate_pool(libraries, "B")] == [
         jobs for _, jobs in expected_b
     ]
-    assert [ab.jobs for ab in generate_pool(libset, "C").antibodies] == [
+    assert [ab.jobs for ab in generate_pool(libraries, "C")] == [
         jobs for _, jobs in expected_c
     ]
 
@@ -160,21 +144,21 @@ def test_type_c_keeps_duplicates_across_library_pairs():
     pool_c = generate_pool(libs, "C")
     assert len(pool_c) > len(pool_b)
     expected_c = first_occurrences(reference_pool(libs), key=lambda c: c)
-    assert [ab.jobs for ab in pool_c.antibodies] == [jobs for _, jobs in expected_c]
+    assert [ab.jobs for ab in pool_c] == [jobs for _, jobs in expected_c]
     by_sequence = {}
     for pair, jobs in expected_c:
         by_sequence.setdefault(jobs, set()).add(pair)
     assert any(len(pairs) > 1 for pairs in by_sequence.values())
 
 
-def test_pool_rejects_unknown_type(libset):
+def test_pool_rejects_unknown_type(libraries):
     with pytest.raises(ValueError):
-        generate_pool(libset, "D")
+        generate_pool(libraries, "D")
 
 
-def test_pool_enumeration_is_ordered(libset):
-    pool = generate_pool(libset, "A")
-    assert [ab.jobs for ab in pool.antibodies] == [jobs for _, jobs in reference_pool(libset)]
+def test_pool_enumeration_is_ordered(libraries):
+    pool = generate_pool(libraries, "A")
+    assert [ab.jobs for ab in pool] == [jobs for _, jobs in reference_pool(libraries)]
 
 
 def test_antibody_validation():
@@ -184,8 +168,8 @@ def test_antibody_validation():
         Antibody((1, 2, 3, 4, 16))
 
 
-def test_antibody_is_its_jobs(libset):
-    ab = generate_pool(libset, "A").antibodies[0]
+def test_antibody_is_its_jobs(libraries):
+    ab = generate_pool(libraries, "A")[0]
     assert ab == Antibody(ab.jobs) == Antibody.trusted(ab.jobs)
     assert hash(ab) == hash(Antibody.trusted(ab.jobs))
     assert ab != Antibody(ab.jobs[::-1])

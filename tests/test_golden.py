@@ -86,7 +86,7 @@ def trace_bytes(method: str) -> bytes:
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(4, random.Random("golden-trace"))
     trace = io.StringIO()
-    refine(pool.antibodies[18], universe, sample, cfg, random.Random(11), trace=trace)
+    refine(pool[18], universe, sample, cfg, random.Random(11), trace=trace)
     return trace.getvalue().encode()
 
 

@@ -88,7 +88,7 @@ def test_decay_rate_exact_values():
 def test_sa_runs_570_steps_with_defaults(setup):
     universe, pool, sample = setup
     trace = io.StringIO()
-    refine(pool.antibodies[0], universe, sample, SAConfig(), random.Random(1), trace=trace)
+    refine(pool[0], universe, sample, SAConfig(), random.Random(1), trace=trace)
     rows = trace.getvalue().splitlines()
     assert rows[0] == "step,temperature,current_fitness,best_fitness,accepted"
     assert len(rows) - 1 == 570
@@ -131,7 +131,7 @@ def test_ceiling_exit_returns_what_the_full_schedule_returns(
     early_stops = 0
     for seed in range(30):
         sample = AntigenSample.draw(ag, random.Random(f"ceiling/{seed}"))
-        starts = (pool.antibodies[seed * 13 % len(pool)], prefix_antibody(universe, sample))
+        starts = (pool[seed * 13 % len(pool)], prefix_antibody(universe, sample))
         for ab in starts:
             for cfg in (SAConfig(), GDConfig()):
                 calls[0] = 0
@@ -153,7 +153,7 @@ def test_sa_never_returns_worse(setup):
     universe, pool, sample = setup
     cfg = SAConfig(initial_temperature=50.0, final_temperature=0.5, cooling_factor=0.9)
     for seed in range(30):
-        ab = pool.antibodies[seed * 7 % len(pool)]
+        ab = pool[seed * 7 % len(pool)]
         before = antibody_fitness(ab, universe, sample)
         after = antibody_fitness(refine(ab, universe, sample, cfg, random.Random(seed)), universe, sample)
         assert after >= before
@@ -169,7 +169,7 @@ def test_sa_keeps_optimum(setup):
 
 def test_gd_boundary_reaches_target_without_stagnation(setup):
     universe, pool, sample = setup
-    ab = pool.antibodies[5]
+    ab = pool[5]
     start = antibody_fitness(ab, universe, sample)
     target = max_fitness(sample.size)
     trace = io.StringIO()
@@ -214,7 +214,7 @@ def test_gd_stagnation_stops_after_limit(setup):
 def test_gd_never_returns_worse(setup):
     universe, pool, sample = setup
     for seed in range(30):
-        ab = pool.antibodies[seed * 11 % len(pool)]
+        ab = pool[seed * 11 % len(pool)]
         before = antibody_fitness(ab, universe, sample)
         after = antibody_fitness(
             refine(ab, universe, sample, GDConfig(), random.Random(seed)), universe, sample
@@ -279,3 +279,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GDConfig(stagnation_limit=0)
     GDConfig(stagnation_limit=None)  # disabled stagnation is allowed
+
+
+def test_config_operator_strings_are_coerced(setup):
+    universe, pool, sample = setup
+    for kind in (SAConfig, GDConfig):
+        assert kind(operator="change").operator is CHANGE
+        assert kind(operator="swap").operator is SWAP
+        with pytest.raises(ValueError, match="not a valid NeighborOperator"):
+            kind(operator="bogus")
+    by_string = refine(pool[3], universe, sample, SAConfig(operator="change"), random.Random(4))
+    by_member = refine(pool[3], universe, sample, SAConfig(operator=CHANGE), random.Random(4))
+    assert by_string == by_member
