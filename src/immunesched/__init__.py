@@ -35,7 +35,6 @@ from .local_search import (
     SAConfig,
     acceptance_probability,
     decay_rate,
-    neighbor,
     refine,
     refine_population,
 )

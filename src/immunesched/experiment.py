@@ -26,6 +26,7 @@ from .local_search import GDConfig, SAConfig, refine_population
 from .matching import AntigenSample, is_matched
 from .population import Population, sample_initial
 from .scheduling import (
+    ANTIBODY_LENGTH,
     UNIVERSE_SIZE,
     AntigenUniverse,
     default_base_problem,
@@ -76,8 +77,14 @@ class ExperimentConfig:
             raise ValueError(f"ag sample sizes must lie in 1..{UNIVERSE_SIZE}")
         self.ag_sample_sizes = sizes
         self.thresholds = tuple(sorted(self.thresholds))
+        if not self.thresholds:
+            raise ValueError("thresholds must not be empty")
         if len(set(self.thresholds)) != len(self.thresholds):
             raise ValueError("thresholds must be distinct")
+        # A threshold counts agreeing positions, so only 1..ANTIBODY_LENGTH can
+        # separate matched antigens from unmatched ones.
+        if any(not 1 <= t <= ANTIBODY_LENGTH for t in self.thresholds):
+            raise ValueError(f"thresholds must lie in 1..{ANTIBODY_LENGTH}")
 
 
 @dataclass(frozen=True)

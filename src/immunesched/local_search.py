@@ -4,6 +4,14 @@ Both methods are one chain (`refine`) over the neighborhood of a single
 antibody (change one job, or swap two); the config supplies what differs:
 the level schedule (SA temperatures, GD boundaries), the rule for a worse
 candidate, the trace's level column and GD's stagnation stop.
+
+The chain scores a move by its delta on the current antibody's packed
+match counts, one per sampled antigen (see the matching module): a column
+table gives, per slot and job id, the sampled antigens' `match_table`
+entries, so changing slot p from job a to job b yields the candidate's
+counts `packed - col[p][a] + col[p][b]`, and a swap subtracts two entries
+and adds two. No antibody is built for a candidate.
+
 refine_population refines every member independently, each with its own
 derived generator, so serial and parallel execution would agree.
 """
@@ -12,16 +20,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
+from operator import add, sub
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, nth_unused_job
-from .matching import AntigenSample, antibody_fitness, max_fitness
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
+from .matching import BEST_COUNT, POSITION_SCORE, AntigenSample, max_fitness
 from .population import Population
-from .scheduling import AntigenUniverse
+from .scheduling import JOB_COUNT, AntigenUniverse
 
 _SLOTS = range(ANTIBODY_LENGTH)
 
@@ -93,18 +103,6 @@ class GDConfig:
         return fit >= boundary
 
 
-def neighbor(ab: Antibody, op: NeighborOperator, rng: random.Random) -> Antibody:
-    """One random neighborhood move; the result always has 5 distinct jobs."""
-    jobs = list(ab.jobs)
-    if op is NeighborOperator.CHANGE_ONE_JOB:
-        posn = rng.randrange(ANTIBODY_LENGTH)
-        jobs[posn] = nth_unused_job(ab.jobs, rng.randrange(UNUSED_JOB_COUNT))
-    else:
-        i, j = rng.sample(_SLOTS, 2)
-        jobs[i], jobs[j] = jobs[j], jobs[i]
-    return Antibody.trusted(tuple(jobs))
-
-
 def acceptance_probability(delta: float, temperature: float) -> float:
     """Probability of accepting a candidate whose fitness is `delta` below
     the current one; non-positive delta is always accepted."""
@@ -121,6 +119,16 @@ def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -
     full iteration budget.
     """
     return (initial_fitness - target_fitness) / iterations
+
+
+# Per slot, per job id (index 0 unused): the sampled antigens' match_table
+# entries, in sample order.
+_Columns = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _columns(universe: AntigenUniverse, sample: AntigenSample) -> _Columns:
+    tables = [universe.antigens[i].match_table for i in sample.indices]
+    return tuple(tuple(zip(*(table[slot] for table in tables))) for slot in _SLOTS)
 
 
 def refine(
@@ -143,6 +151,10 @@ def refine(
     fitness over `iterations` steps, passes a worse candidate at or above
     it, and stops after `stagnation_limit` steps without a new best.
 
+    A candidate is scored from the current antibody's packed counts (see
+    the module docstring), to the value `antibody_fitness` gives the moved
+    antibody; only the returned antibody is built.
+
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
     <level> being `temperature` or `boundary` after the step. Untraced, the
     chain stops once the best reaches the maximum fitness: only a strict
@@ -150,11 +162,28 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    start_fit = antibody_fitness(ab, universe, sample)
-    target = max_fitness(sample.size)
+    return _chain(ab, _columns(universe, sample), max_fitness(sample.size), cfg, rng, trace)[0]
+
+
+def _chain(
+    ab: Antibody,
+    cols: _Columns,
+    target: int,
+    cfg: SAConfig | GDConfig,
+    rng: random.Random,
+    trace: TextIO | None,
+) -> tuple[Antibody, int]:
+    """`refine`'s chain over a prebuilt column table; returns the result
+    and its fitness."""
+    jobs = list(ab.jobs)
+    unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
+    packed = tuple(map(sum, zip(*(cols[slot][job] for slot, job in enumerate(jobs)))))
+    best_count = BEST_COUNT.__getitem__
+    start_fit = current_fit = best_fit = POSITION_SCORE * sum(map(best_count, packed))
+    best_jobs = ab.jobs
     ceiling = target if trace is None else None
-    current, current_fit = ab, start_fit
-    best, best_fit = ab, start_fit
+    change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
+    randrange, rng_sample = rng.randrange, rng.sample
     accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
     if trace is not None:
@@ -162,15 +191,32 @@ def refine(
     for step, (level, next_level) in enumerate(pairwise(cfg.levels(start_fit, target)), 1):
         if best_fit == ceiling:
             break
-        candidate = neighbor(current, cfg.operator, rng)
-        candidate_fit = antibody_fitness(candidate, universe, sample)
+        if change:
+            p = randrange(ANTIBODY_LENGTH)
+            n = randrange(UNUSED_JOB_COUNT)
+            old, new = jobs[p], unused[n]
+            col = cols[p]
+            candidate = tuple(map(add, map(sub, packed, col[old]), col[new]))
+        else:
+            i, j = rng_sample(_SLOTS, 2)
+            a, b = jobs[i], jobs[j]
+            col_i, col_j = cols[i], cols[j]
+            removed = map(sub, map(sub, packed, col_i[a]), col_j[b])
+            candidate = tuple(map(add, map(add, removed, col_i[b]), col_j[a]))
+        candidate_fit = POSITION_SCORE * sum(map(best_count, candidate))
         accepted = candidate_fit >= current_fit or accepts_worse(
             candidate_fit, current_fit, level, rng
         )
         if accepted:
-            current, current_fit = candidate, candidate_fit
+            packed, current_fit = candidate, candidate_fit
+            if change:
+                jobs[p] = new
+                del unused[n]
+                insort(unused, old)
+            else:
+                jobs[i], jobs[j] = b, a
         if current_fit > best_fit:
-            best, best_fit = current, current_fit
+            best_jobs, best_fit = tuple(jobs), current_fit
             stagnation = 0
         else:
             stagnation += 1
@@ -178,7 +224,9 @@ def refine(
             trace.write(f"{step},{next_level!r},{current_fit},{best_fit},{int(accepted)}\n")
         if stagnation == stagnation_limit:
             break
-    return best if best_fit > start_fit else ab
+    if best_fit > start_fit:
+        return Antibody.trusted(best_jobs), best_fit
+    return ab, start_fit
 
 
 def refine_population(
@@ -192,14 +240,18 @@ def refine_population(
     strict improvement, so total fitness cannot decrease.
 
     Each antibody gets its own generator seeded from `rng`, keeping results
-    independent of evaluation order.
+    independent of evaluation order. One column table serves every chain,
+    and each chain's fitness becomes the refined population's.
     """
     pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     seeds = [rng.getrandbits(64) for _ in pop.antibodies]
-    refined = [
-        refine(ab, universe, sample, cfg, random.Random(seed))
-        for ab, seed in zip(pop.antibodies, seeds)
-    ]
-    return Population(refined).evaluate(universe, sample)
+    cols = _columns(universe, sample)
+    target = max_fitness(sample.size)
+    refined, fits = [], []
+    for ab, seed in zip(pop.antibodies, seeds):
+        best, fit = _chain(ab, cols, target, cfg, random.Random(seed), None)
+        refined.append(best)
+        fits.append(fit)
+    return Population(refined, fits)

@@ -105,6 +105,11 @@ def test_experiment_config_validation():
     for thresholds in ((4, 4, 5), (4, 5, 5)):
         with pytest.raises(ValueError, match="thresholds must be distinct"):
             ExperimentConfig(thresholds=thresholds)
+    with pytest.raises(ValueError, match="thresholds must not be empty"):
+        ExperimentConfig(thresholds=())
+    for thresholds in ((0, 2), (9,), (2, 6)):
+        with pytest.raises(ValueError, match=r"thresholds must lie in 1\.\.5"):
+            ExperimentConfig(thresholds=thresholds)
     cfg = ExperimentConfig(population_type="b", ag_sample_sizes=(8, 1))
     assert cfg.population_type == "B"
     assert cfg.ag_sample_sizes == (1, 8)

@@ -1,6 +1,7 @@
 """Property tests of the packed-offset match kernel and of the operators
 whose output skips Antibody validation."""
 
+import io
 import random
 
 from hypothesis import given, settings
@@ -15,13 +16,15 @@ from immunesched import (
     Antigen,
     AntigenSample,
     AntigenUniverse,
+    GDConfig,
     NeighborOperator,
+    SAConfig,
     antibody_fitness,
     best_match,
     is_matched,
     mutate,
-    neighbor,
     order_crossover,
+    refine,
 )
 from immunesched.gene_library import nth_unused_job
 
@@ -87,9 +90,24 @@ def test_nth_unused_job_indexes_the_complement(jobs, n):
     assert nth_unused_job(tuple(jobs), n) == complement[n]
 
 
-@given(antibodies, st.sampled_from(list(NeighborOperator)), seeds)
-def test_neighbor_output_is_valid(antibody, op, seed):
-    assert_valid(neighbor(antibody, op, random.Random(seed)))
+@given(
+    universes,
+    samples,
+    antibodies,
+    st.sampled_from([SAConfig, GDConfig]),
+    st.sampled_from(list(NeighborOperator)),
+    seeds,
+)
+def test_refine_output_is_valid_and_scored_like_antibody_fitness(
+    universe, sample, antibody, method, op, seed
+):
+    """The chain scores moves by their delta on packed counts; the antibody
+    it returns must be valid and have the best fitness it traced."""
+    trace = io.StringIO()
+    out = refine(antibody, universe, sample, method(operator=op), random.Random(seed), trace)
+    assert_valid(out)
+    best_fitness = int(trace.getvalue().splitlines()[-1].split(",")[3])
+    assert antibody_fitness(out, universe, sample) == best_fitness
 
 
 @given(antibodies, st.floats(0.0, 1.0), seeds)

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-import immunesched.local_search
 from immunesched import (
     Antibody,
     Antigen,
@@ -22,7 +21,6 @@ from immunesched import (
     generate_pool,
     generate_universe,
     max_fitness,
-    neighbor,
     refine,
     refine_population,
     sample_initial,
@@ -30,11 +28,6 @@ from immunesched import (
 
 CHANGE = NeighborOperator.CHANGE_ONE_JOB
 SWAP = NeighborOperator.SWAP_TWO_JOBS
-
-
-class SwapFirstTwo:
-    def sample(self, population, k):
-        return [0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -47,30 +40,6 @@ def setup():
 
 def prefix_antibody(universe, sample):
     return Antibody(universe.antigens[sample.indices[0]].sequence[:5])
-
-
-def test_swap_exchanges_chosen_positions():
-    ab = Antibody((4, 3, 9, 5, 12))
-    assert neighbor(ab, SWAP, SwapFirstTwo()).jobs == (3, 4, 9, 5, 12)
-
-
-def test_change_one_job_touches_exactly_one_position():
-    ab = Antibody((4, 3, 9, 5, 12))
-    rng = random.Random(21)
-    for _ in range(200):
-        out = neighbor(ab, CHANGE, rng)
-        differing = [i for i in range(5) if out.jobs[i] != ab.jobs[i]]
-        assert len(differing) == 1
-        assert out.jobs[differing[0]] not in ab.jobs
-
-
-def test_neighbor_outputs_never_duplicate():
-    rng = random.Random(99)
-    for _ in range(1000):
-        ab = Antibody(tuple(rng.sample(range(1, 16), 5)))
-        for op in (CHANGE, SWAP):
-            out = neighbor(ab, op, rng)
-            assert len(set(out.jobs)) == 5
 
 
 def test_acceptance_probability_boundary_and_formula():
@@ -94,18 +63,6 @@ def test_sa_runs_570_steps_with_defaults(setup):
     assert len(rows) - 1 == 570
 
 
-def count_fitness_calls(monkeypatch):
-    """Count the fitness evaluations local_search makes from here on."""
-    calls = [0]
-
-    def counted(antibody, universe, sample):
-        calls[0] += 1
-        return antibody_fitness(antibody, universe, sample)
-
-    monkeypatch.setattr(immunesched.local_search, "antibody_fitness", counted)
-    return calls
-
-
 def shared_prefix_universe(rng):
     """Ten antigens that all start with the same five jobs, so an antibody
     can reach the maximum fitness against any sample."""
@@ -118,31 +75,28 @@ def shared_prefix_universe(rng):
 
 @pytest.mark.parametrize("ag", [1, 8])
 @pytest.mark.parametrize("universe_kind", ["generated", "shared-prefix"])
-def test_ceiling_exit_returns_what_the_full_schedule_returns(
-    setup, monkeypatch, ag, universe_kind
-):
+def test_ceiling_exit_returns_what_the_full_schedule_returns(setup, ag, universe_kind):
     """An untraced chain stops at the maximum fitness; a traced one runs the
-    full schedule. Both must return the same antibody."""
+    full schedule. Both must return the same antibody. A chain that stopped
+    early drew fewer numbers, so its generator ends in another state."""
     universe, pool, _ = setup
     if universe_kind == "shared-prefix":
         universe = shared_prefix_universe(random.Random(ag))
         pool = generate_pool(build_libraries(universe), "A")
-    calls = count_fitness_calls(monkeypatch)
     early_stops = 0
     for seed in range(30):
         sample = AntigenSample.draw(ag, random.Random(f"ceiling/{seed}"))
         starts = (pool[seed * 13 % len(pool)], prefix_antibody(universe, sample))
         for ab in starts:
             for cfg in (SAConfig(), GDConfig()):
-                calls[0] = 0
-                fast = refine(ab, universe, sample, cfg, random.Random(seed))
-                fast_calls, calls[0] = calls[0], 0
+                fast_rng, full_rng = random.Random(seed), random.Random(seed)
+                fast = refine(ab, universe, sample, cfg, fast_rng)
                 trace = io.StringIO()
-                full = refine(ab, universe, sample, cfg, random.Random(seed), trace=trace)
+                full = refine(ab, universe, sample, cfg, full_rng, trace=trace)
                 assert fast.jobs == full.jobs, (seed, ab.jobs, cfg)
                 if isinstance(cfg, SAConfig):
                     assert len(trace.getvalue().splitlines()) - 1 == 570
-                early_stops += fast_calls < calls[0]
+                early_stops += fast_rng.getstate() != full_rng.getstate()
     # No antibody matches eight generated antigens fully, so there the exit
     # never fires and only the equality is checked.
     if (universe_kind, ag) != ("generated", 8):
