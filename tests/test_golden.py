@@ -3,8 +3,11 @@
 Each experiment case runs a small experiment and compares the written
 coverage.csv and fitness.csv byte for byte with the files under
 tests/golden/<case>/. Each trace case refines one antibody with a trace
-and compares the trace bytes with tests/golden/trace/<method>.csv. A
-change that alters the random stream on purpose regenerates them with
+and compares the trace bytes with tests/golden/trace/<method>.csv. The
+evolve cases run the full default phase one (250 generations) of
+replicate 0 and compare its per-generation statistics and final
+population with tests/golden/evolve/. A change that alters the random
+stream on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
 
@@ -32,8 +35,15 @@ from immunesched import (
     generate_universe,
     refine,
     run_experiment,
+    save_population,
 )
-from immunesched.experiment import COVERAGE_CSV, FITNESS_CSV
+from immunesched.experiment import (
+    COVERAGE_CSV,
+    FITNESS_CSV,
+    draw_sample,
+    evolve_replicate,
+    resolve_universe,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CSVS = (COVERAGE_CSV, FITNESS_CSV)
@@ -53,6 +63,8 @@ CASES = {
 }
 # Trace cases: method -> refinement config.
 TRACES = {"sa": SAConfig(), "gd": GDConfig()}
+# Evolve cases: the default protocol's ag sample sizes.
+EVOLVE_AGS = (1, 4, 8)
 
 
 def golden_config(case: str) -> ExperimentConfig:
@@ -90,6 +102,23 @@ def trace_bytes(method: str) -> bytes:
     return trace.getvalue().encode()
 
 
+def write_evolve(ag: int, out_dir: Path) -> None:
+    """Replicate 0's default phase one at master seed 11, as `immunesched
+    evolve --seed 11 --ag-sample <ag> --stats` writes it: the stats CSV and
+    the saved final population. The three-generation experiment cases
+    stop short of convergence; these pin the whole default run, in which
+    each population collapses onto one antibody by generation 7."""
+    cfg = ExperimentConfig(master_seed=11)
+    universe = resolve_universe(cfg)
+    pool = generate_pool(build_libraries(universe), cfg.population_type)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / f"ag{ag}-stats.csv").open("w") as stats:
+        final = evolve_replicate(
+            cfg, universe, pool, draw_sample(cfg, ag, 0), ag, 0, stats_stream=stats
+        )
+    save_population(final, out_dir / f"ag{ag}-population.txt")
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_csvs_match_golden(case, tmp_path):
     write_case(case, tmp_path)
@@ -104,10 +133,22 @@ def test_trace_matches_golden(method):
     assert trace_bytes(method) == expected, f"trace/{method}.csv changed"
 
 
+@pytest.mark.parametrize("ag", EVOLVE_AGS)
+def test_evolve_matches_golden(ag, tmp_path):
+    write_evolve(ag, tmp_path)
+    for path in sorted(tmp_path.iterdir()):
+        expected = (GOLDEN / "evolve" / path.name).read_bytes()
+        assert path.read_bytes() == expected, f"evolve/{path.name} changed"
+
+
 if __name__ == "__main__":
-    names = sys.argv[1:] or [*CASES, *(f"trace/{m}" for m in TRACES)]
+    names = sys.argv[1:] or [*CASES, *(f"trace/{m}" for m in TRACES), "evolve"]
     for name in names:
-        if name.startswith("trace/"):
+        if name == "evolve":
+            target = GOLDEN / "evolve"
+            for ag in EVOLVE_AGS:
+                write_evolve(ag, target)
+        elif name.startswith("trace/"):
             target = GOLDEN / f"{name}.csv"
             target.parent.mkdir(exist_ok=True)
             target.write_bytes(trace_bytes(name.removeprefix("trace/")))
