@@ -13,6 +13,8 @@ since neither phase reads it.
 from __future__ import annotations
 
 import itertools
+import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .scheduling import ANTIBODY_LENGTH, JOB_COUNT, AntigenUniverse
@@ -65,6 +67,28 @@ def nth_unused_job(jobs: tuple[int, ...], n: int) -> int:
         if taken <= job:
             job += 1
     return job
+
+
+def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
+    """A draw that returns what `rng.randrange(n)` would and leaves `rng` in
+    the same state, without randrange's argument handling per call.
+
+    This is CPython's own algorithm for it: draw `n.bit_length()` random
+    bits until the value is below `n`. Both phases' operators draw their
+    slots, members and unused-job indices with it.
+    """
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}: the range is empty")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return draw
 
 
 def build_libraries(universe: AntigenUniverse) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -28,7 +28,7 @@ from itertools import pairwise
 from operator import add, sub
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
 from .matching import BEST_COUNT, POSITION_SCORE, AntigenSample, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse
@@ -183,7 +183,9 @@ def _chain(
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
-    randrange, rng_sample = rng.randrange, rng.sample
+    draw_slot = draw_below(ANTIBODY_LENGTH, rng)
+    draw_unused = draw_below(UNUSED_JOB_COUNT, rng)
+    rng_sample = rng.sample
     accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
     if trace is not None:
@@ -192,8 +194,8 @@ def _chain(
         if best_fit == ceiling:
             break
         if change:
-            p = randrange(ANTIBODY_LENGTH)
-            n = randrange(UNUSED_JOB_COUNT)
+            p = draw_slot()
+            n = draw_unused()
             old, new = jobs[p], unused[n]
             col = cols[p]
             candidate = tuple(map(add, map(sub, packed, col[old]), col[new]))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import immunesched.evolution
 from immunesched import (
     Antibody,
     AntigenSample,
@@ -19,10 +20,14 @@ from immunesched import (
     sample_initial,
     tournament_select,
 )
+from immunesched.gene_library import draw_below
 
 
 class ScriptedRng:
-    """Stub feeding predetermined values to random()/randrange()."""
+    """Stub feeding predetermined values to random() and to the operators'
+    randrange draws. A draw takes random bits until they fall below its
+    range, so each scripted `randranges` value is returned by getrandbits
+    and must already lie in that range."""
 
     def __init__(self, randoms=(), randranges=()):
         self.randoms = list(randoms)
@@ -31,7 +36,7 @@ class ScriptedRng:
     def random(self):
         return self.randoms.pop(0)
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         return self.randranges.pop(0)
 
 
@@ -100,6 +105,14 @@ def test_tournament_full_draw_returns_global_best():
 def test_tournament_tie_breaks_to_lowest_index():
     pop = evaluated_population([7, 7, 7])
     assert tournament_select(pop.fitnesses, 2, ScriptedRng(randranges=[2, 1])) == 1
+
+
+def test_draws_over_an_empty_range_are_rejected():
+    with pytest.raises(ValueError, match="empty"):
+        tournament_select([], 2, random.Random(0))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="empty"):
+            draw_below(n, random.Random(0))
 
 
 def test_tournament_prefers_fitter_over_many_draws():
@@ -222,6 +235,25 @@ def test_evolve_deterministic_for_equal_seeds(setup):
         final = evolve(pop, universe, sample, GAConfig(generations=25), random.Random(7))
         results.append((final.antibodies, final.fitnesses))
     assert results[0] == results[1]
+
+
+def test_evolve_scores_each_new_job_tuple_once_through_the_module_seam(setup, monkeypatch):
+    """Children are scored through a memo seeded with the initial
+    population, and a miss calls the module-level antibody_fitness, where
+    the benchmark's counting wrapper looks it up."""
+    universe, pool, sample = setup
+    pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
+    scored = []
+
+    def counted(ab, universe, sample):
+        scored.append(ab.jobs)
+        return antibody_fitness(ab, universe, sample)
+
+    monkeypatch.setattr(immunesched.evolution, "antibody_fitness", counted)
+    evolve(pop, universe, sample, GAConfig(generations=30), random.Random(0))
+    assert len(scored) > 0
+    assert len(scored) == len(set(scored))
+    assert not set(scored) & {ab.jobs for ab in pop.antibodies}
 
 
 def test_evolve_population_size_constant(setup):

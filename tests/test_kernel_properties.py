@@ -1,5 +1,6 @@
-"""Property tests of the packed-offset match kernel and of the operators
-whose output skips Antibody validation."""
+"""Property tests of the packed-offset match kernel, of the operators
+whose output skips Antibody validation, and of the draw the operators use
+in place of randrange."""
 
 import io
 import random
@@ -26,7 +27,7 @@ from immunesched import (
     order_crossover,
     refine,
 )
-from immunesched.gene_library import nth_unused_job
+from immunesched.gene_library import draw_below, nth_unused_job
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -88,6 +89,21 @@ def test_fitness_agrees_with_sliding_window(universe, sample, antibody):
 def test_nth_unused_job_indexes_the_complement(jobs, n):
     complement = [job for job in JOB_IDS if job not in jobs]
     assert nth_unused_job(tuple(jobs), n) == complement[n]
+
+
+@given(
+    seeds,
+    st.one_of(st.sampled_from([2**p for p in range(9)]), st.integers(1, 257)),
+    st.integers(1, 40),
+)
+def test_draw_below_matches_randrange(seed, n, count):
+    """Same values and same generator state as randrange: the operators'
+    outputs depend on CPython's randrange algorithm, so a Python whose
+    randrange differs fails here by name."""
+    rng, reference = random.Random(seed), random.Random(seed)
+    draw = draw_below(n, rng)
+    assert [draw() for _ in range(count)] == [reference.randrange(n) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
 
 
 @given(
