@@ -7,7 +7,7 @@ great deluge algorithm. See the experiment module for the end-to-end
 protocol and the cli module for the command-line harness.
 """
 
-from .evolution import GAConfig, evolve, mutate, order_crossover, tournament_select
+from .evolution import GAConfig, evolve, order_crossover
 from .experiment import (
     CoverageTable,
     ExperimentConfig,

@@ -69,10 +69,9 @@ def _tournament(n: int, k: int, rng: random.Random) -> Callable[[list[int]], int
 
 
 def _mutation(rate: float, rng: random.Random) -> Callable[[_Jobs], _Jobs]:
-    """Per-position mutation of job tuples; returns its argument itself
-    when no position mutates."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("mutation rate must be in [0, 1]")
+    """Independently replace each position, with probability `rate`, by a job
+    not currently in the tuple (the exclusion set updates left to right).
+    Returns its argument itself when no position mutates."""
     random_ = rng.random
     draw = draw_below(UNUSED_JOB_COUNT, rng)
 
@@ -86,8 +85,15 @@ def _mutation(rate: float, rng: random.Random) -> Callable[[_Jobs], _Jobs]:
     return mutate_jobs
 
 
-def _crossover(j1: _Jobs, j2: _Jobs) -> tuple[_Jobs, _Jobs]:
-    """Order crossover of two job tuples (see order_crossover)."""
+def order_crossover(j1: _Jobs, j2: _Jobs) -> tuple[_Jobs, _Jobs]:
+    """Reorder each parent's shared jobs to follow the other parent.
+
+    Child one keeps parent one's job set and positions; only the jobs both
+    parents share are rewritten, in the relative order they appear in
+    parent two. Child two mirrors this. Neither child can contain a
+    duplicate job, and no randomness is consumed. Identical parents, and
+    parents sharing fewer than two jobs, are returned themselves.
+    """
     if j1 == j2:
         return j1, j2
     shared = set(j1).intersection(j2)
@@ -99,38 +105,6 @@ def _crossover(j1: _Jobs, j2: _Jobs) -> tuple[_Jobs, _Jobs]:
 def _reordered(keeper: _Jobs, donor: _Jobs, shared: set[int]) -> _Jobs:
     order = iter([j for j in donor if j in shared])
     return tuple([next(order) if j in shared else j for j in keeper])
-
-
-def _adopt(ab: Antibody, jobs: _Jobs) -> Antibody:
-    return ab if jobs == ab.jobs else Antibody.trusted(jobs)
-
-
-def tournament_select(fitnesses: list[int], k: int, rng: random.Random) -> int:
-    """Index of the fittest among k uniform draws (with replacement).
-
-    Ties break toward the lowest index.
-    """
-    return _tournament(len(fitnesses), k, rng)(fitnesses)
-
-
-def order_crossover(p1: Antibody, p2: Antibody) -> tuple[Antibody, Antibody]:
-    """Reorder each parent's shared jobs to follow the other parent.
-
-    Child one keeps parent one's job set and positions; only the jobs both
-    parents share are rewritten, in the relative order they appear in
-    parent two. Child two mirrors this. Neither child can contain a
-    duplicate job, and no randomness is consumed. A child whose jobs equal
-    its parent's is that parent.
-    """
-    c1, c2 = _crossover(p1.jobs, p2.jobs)
-    return _adopt(p1, c1), _adopt(p2, c2)
-
-
-def mutate(ab: Antibody, rate: float, rng: random.Random) -> Antibody:
-    """Independently replace each position, with probability `rate`, by a job
-    not currently in the antibody (the exclusion set updates left to right).
-    Returns `ab` itself when no position mutates."""
-    return _adopt(ab, _mutation(rate, rng)(ab.jobs))
 
 
 def evolve(
@@ -181,7 +155,7 @@ def evolve(
             p1, f1 = cur[i1], cur_fit[i1]
             p2, f2 = cur[i2], cur_fit[i2]
             if random_() < crossover_rate:
-                c1, c2 = _crossover(p1, p2)
+                c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
             c1 = mutate_jobs(c1)

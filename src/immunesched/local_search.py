@@ -54,8 +54,8 @@ class SAConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operator", NeighborOperator(self.operator))
-        if not 0.0 < self.final_temperature < self.initial_temperature:
-            raise ValueError("temperatures must satisfy 0 < final < initial")
+        if not 0.0 < self.final_temperature < self.initial_temperature < math.inf:
+            raise ValueError("temperatures must satisfy 0 < final < initial < inf")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling factor must be in (0, 1)")
 

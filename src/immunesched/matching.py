@@ -103,7 +103,7 @@ def antibody_fitness(
     antibody: Antibody, universe: AntigenUniverse, sample: AntigenSample
 ) -> int:
     """Sum of the antibody's best match scores over the sampled antigens."""
-    # _packed_counts inlined: this is the innermost call of both phases.
+    # _packed_counts inlined: called per evolve memo miss and per Population.evaluate member.
     a, b, c, d, e = antibody.jobs
     antigens = universe.antigens
     total = 0

@@ -287,9 +287,9 @@ def test_criterion_09_ga_elitism_and_crossover_safety():
     rng = random.Random(90)
     for _ in range(10_000):
         p1, p2 = random_antibody(rng), random_antibody(rng)
-        c1, c2 = order_crossover(p1, p2)
-        ok = ok and set(c1.jobs) == set(p1.jobs) and len(set(c1.jobs)) == 5
-        ok = ok and set(c2.jobs) == set(p2.jobs) and len(set(c2.jobs)) == 5
+        c1, c2 = order_crossover(p1.jobs, p2.jobs)
+        ok = ok and set(c1) == set(p1.jobs) and len(set(c1)) == 5
+        ok = ok and set(c2) == set(p2.jobs) and len(set(c2)) == 5
     assert report(9, "elitism monotone; crossover duplicate-free", ok)
 
 

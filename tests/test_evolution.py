@@ -15,11 +15,10 @@ from immunesched import (
     evolve,
     generate_pool,
     generate_universe,
-    mutate,
     order_crossover,
     sample_initial,
-    tournament_select,
 )
+from immunesched.evolution import _mutation, _tournament
 from immunesched.gene_library import draw_below
 
 
@@ -93,23 +92,25 @@ def test_sample_initial_rejects_oversized_request(setup):
 
 def test_tournament_k1_returns_the_single_draw():
     pop = evaluated_population([5, 10, 15, 20])
-    assert tournament_select(pop.fitnesses, 1, ScriptedRng(randranges=[2])) == 2
+    f = pop.fitnesses
+    assert _tournament(len(f), 1, ScriptedRng(randranges=[2]))(f) == 2
 
 
 def test_tournament_full_draw_returns_global_best():
     pop = evaluated_population([5, 40, 15, 20])
     rng = ScriptedRng(randranges=[0, 1, 2, 3])
-    assert tournament_select(pop.fitnesses, 4, rng) == 1
+    assert _tournament(len(pop.fitnesses), 4, rng)(pop.fitnesses) == 1
 
 
 def test_tournament_tie_breaks_to_lowest_index():
     pop = evaluated_population([7, 7, 7])
-    assert tournament_select(pop.fitnesses, 2, ScriptedRng(randranges=[2, 1])) == 1
+    f = pop.fitnesses
+    assert _tournament(len(f), 2, ScriptedRng(randranges=[2, 1]))(f) == 1
 
 
 def test_draws_over_an_empty_range_are_rejected():
     with pytest.raises(ValueError, match="empty"):
-        tournament_select([], 2, random.Random(0))
+        _tournament(0, 2, random.Random(0))
     for n in (0, -3):
         with pytest.raises(ValueError, match="empty"):
             draw_below(n, random.Random(0))
@@ -118,67 +119,66 @@ def test_draws_over_an_empty_range_are_rejected():
 def test_tournament_prefers_fitter_over_many_draws():
     pop = evaluated_population([1, 50, 10, 10])
     rng = random.Random(123)
+    select = _tournament(len(pop.fitnesses), 2, rng)
     counts = [0, 0, 0, 0]
     for _ in range(10000):
-        counts[tournament_select(pop.fitnesses, 2, rng)] += 1
+        counts[select(pop.fitnesses)] += 1
     assert counts[1] > counts[0]
 
 
 def test_crossover_identical_parents_returns_parents():
-    p = Antibody((4, 3, 9, 5, 12))
+    p = (4, 3, 9, 5, 12)
     c1, c2 = order_crossover(p, p)
     assert c1 == p and c2 == p
 
 
 def test_crossover_disjoint_parents_returns_parents():
-    p1 = Antibody((1, 2, 3, 4, 5))
-    p2 = Antibody((6, 7, 8, 9, 10))
+    p1 = (1, 2, 3, 4, 5)
+    p2 = (6, 7, 8, 9, 10)
     c1, c2 = order_crossover(p1, p2)
     assert c1 == p1 and c2 == p2
 
 
 def test_crossover_hand_traced_reorder():
-    p1 = Antibody((1, 2, 3, 4, 5))
-    p2 = Antibody((9, 8, 3, 2, 10))
-    c1, c2 = order_crossover(p1, p2)
-    assert c1.jobs == (1, 3, 2, 4, 5)
-    assert c2.jobs == (9, 8, 2, 3, 10)
+    c1, c2 = order_crossover((1, 2, 3, 4, 5), (9, 8, 3, 2, 10))
+    assert c1 == (1, 3, 2, 4, 5)
+    assert c2 == (9, 8, 2, 3, 10)
 
 
 def test_crossover_preserves_job_sets_and_shared_order():
     rng = random.Random(404)
     for _ in range(1000):
-        p1 = Antibody(tuple(rng.sample(range(1, 16), 5)))
-        p2 = Antibody(tuple(rng.sample(range(1, 16), 5)))
+        p1 = tuple(rng.sample(range(1, 16), 5))
+        p2 = tuple(rng.sample(range(1, 16), 5))
         c1, c2 = order_crossover(p1, p2)
-        assert set(c1.jobs) == set(p1.jobs)
-        assert set(c2.jobs) == set(p2.jobs)
-        shared = set(p1.jobs) & set(p2.jobs)
-        assert [j for j in c1.jobs if j in shared] == [j for j in p2.jobs if j in shared]
-        assert [j for j in c2.jobs if j in shared] == [j for j in p1.jobs if j in shared]
+        assert set(c1) == set(p1)
+        assert set(c2) == set(p2)
+        shared = set(p1) & set(p2)
+        assert [j for j in c1 if j in shared] == [j for j in p2 if j in shared]
+        assert [j for j in c2 if j in shared] == [j for j in p1 if j in shared]
 
 
 def test_mutate_rate_zero_is_identity():
-    ab = Antibody((4, 3, 9, 5, 12))
-    assert mutate(ab, 0.0, random.Random(0)) is ab
+    jobs = (4, 3, 9, 5, 12)
+    mutate_jobs = _mutation(0.0, random.Random(0))
+    assert mutate_jobs(jobs) is jobs
 
 
 def test_mutate_rate_one_replaces_every_position():
-    ab = Antibody((4, 3, 9, 5, 12))
+    jobs = (4, 3, 9, 5, 12)
     for seed in range(1000):
-        out = mutate(ab, 1.0, random.Random(seed))
-        assert len(set(out.jobs)) == 5
-        assert all(1 <= j <= 15 for j in out.jobs)
-        assert all(out.jobs[i] != ab.jobs[i] for i in range(5))
+        out = _mutation(1.0, random.Random(seed))(jobs)
+        assert len(set(out)) == 5
+        assert all(1 <= j <= 15 for j in out)
+        assert all(out[i] != jobs[i] for i in range(5))
 
 
 def test_mutate_single_position_never_duplicates():
-    ab = Antibody((4, 3, 9, 5, 12))
+    jobs = (4, 3, 9, 5, 12)
     # Only position 2 mutates; the replacement draw picks index 0 of the
     # ascending eligible jobs (1, 2, 6, 7, 8, 10, 11, 13, 14, 15) -> job 1.
     rng = ScriptedRng(randoms=[0.9, 0.9, 0.0, 0.9, 0.9], randranges=[0])
-    out = mutate(ab, 0.5, rng)
-    assert out.jobs == (4, 3, 1, 5, 12)
+    assert _mutation(0.5, rng)(jobs) == (4, 3, 1, 5, 12)
 
 
 def test_evolve_zero_generations_returns_population_unchanged(setup):

@@ -23,10 +23,10 @@ from immunesched import (
     antibody_fitness,
     best_match,
     is_matched,
-    mutate,
     order_crossover,
     refine,
 )
+from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below, nth_unused_job
 
 JOB_IDS = range(1, JOB_COUNT + 1)
@@ -128,11 +128,12 @@ def test_refine_output_is_valid_and_scored_like_antibody_fitness(
 
 @given(antibodies, st.floats(0.0, 1.0), seeds)
 def test_mutate_output_is_valid(antibody, rate, seed):
-    assert_valid(mutate(antibody, rate, random.Random(seed)))
+    jobs = _mutation(rate, random.Random(seed))(antibody.jobs)
+    assert_valid(Antibody.trusted(jobs))
 
 
 @settings(max_examples=200)
 @given(antibodies, antibodies)
 def test_crossover_output_is_valid(p1, p2):
-    for child in order_crossover(p1, p2):
-        assert_valid(child)
+    for child in order_crossover(p1.jobs, p2.jobs):
+        assert_valid(Antibody.trusted(child))

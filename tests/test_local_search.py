@@ -227,6 +227,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SAConfig(initial_temperature=1.0, final_temperature=2.0)
     with pytest.raises(ValueError):
+        SAConfig(initial_temperature=math.inf)  # levels() would never end
+    with pytest.raises(ValueError):
         SAConfig(cooling_factor=1.0)
     with pytest.raises(ValueError):
         GDConfig(iterations=0)
