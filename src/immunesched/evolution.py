@@ -15,19 +15,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TextIO
 
-from .gene_library import (
-    ANTIBODY_LENGTH,
-    UNUSED_JOB_COUNT,
-    Antibody,
-    draw_below,
-    nth_unused_job,
-)
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
 from .matching import AntigenSample, antibody_fitness
 from .population import Population
-from .scheduling import AntigenUniverse
+from .scheduling import JOB_COUNT, AntigenUniverse
 
 _Jobs = tuple[int, ...]
 _SLOTS = range(ANTIBODY_LENGTH)
+_JOB_IDS = range(1, JOB_COUNT + 1)
 
 
 @dataclass(frozen=True)
@@ -70,17 +65,27 @@ def _tournament(n: int, k: int, rng: random.Random) -> Callable[[list[int]], int
 
 def _mutation(rate: float, rng: random.Random) -> Callable[[_Jobs], _Jobs]:
     """Independently replace each position, with probability `rate`, by a job
-    not currently in the tuple (the exclusion set updates left to right).
-    Returns its argument itself when no position mutates."""
+    not currently in the tuple (the exclusion set updates left to right):
+    draw n picks its n-th smallest unused job id. Returns its argument itself
+    when no position mutates. The unused ids of each tuple met are kept, as
+    a converging population mutates the same few tuples over and over."""
     random_ = rng.random
     draw = draw_below(UNUSED_JOB_COUNT, rng)
+    unused: dict[_Jobs, _Jobs] = {}
 
     def mutate_jobs(jobs: _Jobs) -> _Jobs:
+        out = None
         for posn in _SLOTS:
             if random_() < rate:
-                job = nth_unused_job(jobs, draw())
-                jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
-        return jobs
+                if out is None:
+                    key, out = jobs, list(jobs)
+                else:
+                    key = tuple(out)
+                free = unused.get(key)
+                if free is None:
+                    free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
+                out[posn] = free[draw()]
+        return jobs if out is None else tuple(out)
 
     return mutate_jobs
 
@@ -132,14 +137,13 @@ def evolve(
     memo = dict(zip(cur, cur_fit))
     # The elite starts as the first of the fittest members (max keeps the first).
     best_jobs, best_fit = max(zip(cur, cur_fit), key=itemgetter(1))
+    memo_get = memo.get
     select = _tournament(size, cfg.tournament_size, rng)
     mutate_jobs = _mutation(cfg.mutation_rate, rng)
     random_, crossover_rate = rng.random, cfg.crossover_rate
 
-    def fitness(jobs: _Jobs) -> int:
-        fit = memo.get(jobs)
-        if fit is None:
-            fit = memo[jobs] = antibody_fitness(Antibody.trusted(jobs), universe, sample)
+    def score(jobs: _Jobs) -> int:
+        fit = memo[jobs] = antibody_fitness(Antibody.trusted(jobs), universe, sample)
         return fit
 
     if stats_stream is not None:
@@ -160,15 +164,30 @@ def evolve(
                 c1, c2 = p1, p2
             c1 = mutate_jobs(c1)
             c2 = mutate_jobs(c2)
-            fc1 = f1 if c1 is p1 else fitness(c1)
-            fc2 = f2 if c2 is p2 else fitness(c2)
+            fc1 = f1 if c1 is p1 else memo_get(c1)
+            if fc1 is None:
+                fc1 = score(c1)
+            fc2 = f2 if c2 is p2 else memo_get(c2)
+            if fc2 is None:
+                fc2 = score(c2)
             if fc1 > best_fit:
                 best_jobs, best_fit = c1, fc1
             if fc2 > best_fit:
                 best_jobs, best_fit = c2, fc2
-            family = [(p1, f1), (p2, f2), (c1, fc1), (c2, fc2)]
-            family.sort(key=itemgetter(1), reverse=True)  # stable: parents win ties
-            (a, fa), (b, fb) = family[:2]
+            # The two fittest of (p1, p2, c1, c2), fittest first; an earlier
+            # member wins a tie, so parents beat children of equal fitness.
+            if f1 >= f2:
+                a, fa, b, fb = p1, f1, p2, f2
+            else:
+                a, fa, b, fb = p2, f2, p1, f1
+            if fc1 > fa:
+                a, fa, b, fb = c1, fc1, a, fa
+            elif fc1 > fb:
+                b, fb = c1, fc1
+            if fc2 > fa:
+                a, fa, b, fb = c2, fc2, a, fa
+            elif fc2 > fb:
+                b, fb = c2, fc2
             new += a, b
             new_fit += fa, fb
         del new[size:], new_fit[size:]

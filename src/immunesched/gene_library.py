@@ -56,19 +56,6 @@ class Antibody:
         return ab
 
 
-def nth_unused_job(jobs: tuple[int, ...], n: int) -> int:
-    """The n-th smallest (from 0) job id in 1..JOB_COUNT that is not in `jobs`.
-
-    `jobs` must hold distinct ids. Each id at or below the running
-    candidate pushes it up by one, in ascending order.
-    """
-    job = n + 1
-    for taken in sorted(jobs):
-        if taken <= job:
-            job += 1
-    return job
-
-
 def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
     """A draw that returns what `rng.randrange(n)` would and leaves `rng` in
     the same state, without randrange's argument handling per call.

@@ -246,7 +246,7 @@ def load_base_problem(path: str | Path) -> BaseProblem:
         raise ValueError(
             f"{path}: line {lineno}: expected {JOB_COUNT} job lines, found {len(body)}"
         )
-    jobs = []
+    jobs: dict[int, Job] = {}
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != 4:
@@ -257,8 +257,10 @@ def load_base_problem(path: str | Path) -> BaseProblem:
             job_id, processing, due, arrival = (int(t) for t in tokens)
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: invalid integer field") from None
+        if job_id in jobs:
+            raise ValueError(f"{path}: line {lineno}: duplicate job id {job_id}")
         try:
-            jobs.append(Job(job_id, processing, due, arrival))
+            jobs[job_id] = Job(job_id, processing, due, arrival)
         except ValueError as err:
             raise ValueError(f"{path}: line {lineno}: {err}") from None
-    return BaseProblem(tuple(jobs))
+    return BaseProblem(tuple(jobs.values()))

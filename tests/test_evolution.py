@@ -2,11 +2,15 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import immunesched.evolution
 from immunesched import (
     Antibody,
+    Antigen,
     AntigenSample,
+    AntigenUniverse,
     GAConfig,
     Population,
     antibody_fitness,
@@ -274,3 +278,114 @@ def test_ga_config_validation():
         GAConfig(generations=-1)
     with pytest.raises(ValueError):
         GAConfig(tournament_size=0)
+
+
+def reference_evolve(pop, universe, sample, cfg, rng):
+    """The GA loop as it read before the unused-job memo and the hand-written
+    admission, with each operator written out: a tournament by randrange,
+    the replacement job found by counting past the sorted taken ids, and
+    admission by a stable sort of the four family members. Returns the
+    final job tuples, their fitnesses and the `--stats` text."""
+    size = pop.size
+    cur = [ab.jobs for ab in pop.antibodies]
+    cur_fit = list(pop.fitnesses)
+    best_jobs, best_fit = cur[0], cur_fit[0]
+    for jobs, fit in zip(cur, cur_fit):
+        if fit > best_fit:
+            best_jobs, best_fit = jobs, fit
+    stats = ["generation,best,mean,worst"]
+
+    def record(gen):
+        mean = sum(cur_fit) / size
+        stats.append(f"{gen},{max(cur_fit)},{mean:.4f},{min(cur_fit)}")
+
+    def select():
+        best = rng.randrange(size)
+        for _ in range(cfg.tournament_size - 1):
+            i = rng.randrange(size)
+            if cur_fit[i] > cur_fit[best] or (cur_fit[i] == cur_fit[best] and i < best):
+                best = i
+        return best
+
+    def nth_unused_job(jobs, n):
+        job = n + 1
+        for taken in sorted(jobs):
+            if taken <= job:
+                job += 1
+        return job
+
+    def mutate(jobs):
+        for posn in range(5):
+            if rng.random() < cfg.mutation_rate:
+                job = nth_unused_job(jobs, rng.randrange(10))
+                jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
+        return jobs
+
+    def fitness(jobs):
+        return antibody_fitness(Antibody(jobs), universe, sample)
+
+    record(0)
+    for gen in range(1, cfg.generations + 1):
+        new = []
+        while len(new) < size:
+            i1, i2 = select(), select()
+            p1, p2 = cur[i1], cur[i2]
+            if rng.random() < cfg.crossover_rate:
+                c1, c2 = order_crossover(p1, p2)
+            else:
+                c1, c2 = p1, p2
+            c1, c2 = mutate(c1), mutate(c2)
+            family = [(p1, cur_fit[i1]), (p2, cur_fit[i2]), (c1, fitness(c1)), (c2, fitness(c2))]
+            for jobs, fit in family[2:]:
+                if fit > best_fit:
+                    best_jobs, best_fit = jobs, fit
+            family.sort(key=lambda member: member[1], reverse=True)
+            new += family[:2]
+        del new[size:]
+        worst_fit = min(fit for _, fit in new)
+        if best_fit > worst_fit:
+            new[[fit for _, fit in new].index(worst_fit)] = (best_jobs, best_fit)
+        cur = [jobs for jobs, _ in new]
+        cur_fit = [fit for _, fit in new]
+        record(gen)
+    return cur, cur_fit, "\n".join(stats) + "\n"
+
+
+job_tuples = st.lists(st.integers(1, 15), min_size=5, max_size=5, unique=True).map(tuple)
+rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.permutations(range(1, 16)), min_size=10, max_size=10),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+    st.lists(job_tuples, min_size=1, max_size=12),
+    st.integers(1, 4),
+    rates,
+    rates,
+    st.integers(0, 15),
+    st.integers(0, 2**32),
+)
+def test_evolve_matches_the_reference_loop(
+    sequences, indices, members, tournament, crossover, mutation, generations, seed
+):
+    """Same members, fitnesses, statistics and generator state as the loop
+    written out without the unused-job memo and the top-two admission."""
+    universe = AntigenUniverse(tuple(Antigen(tuple(seq)) for seq in sequences))
+    sample = AntigenSample(tuple(indices))
+    cfg = GAConfig(
+        generations=generations,
+        crossover_rate=crossover,
+        mutation_rate=mutation,
+        tournament_size=tournament,
+        population_size=len(members),
+    )
+    pop = Population([Antibody(jobs) for jobs in members]).evaluate(universe, sample)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    stream = io.StringIO()
+    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
+    jobs, fitnesses, stats = reference_evolve(pop, universe, sample, cfg, reference_rng)
+    assert [ab.jobs for ab in final.antibodies] == jobs
+    assert final.fitnesses == fitnesses
+    assert stream.getvalue() == stats
+    assert rng.getstate() == reference_rng.getstate()

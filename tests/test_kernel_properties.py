@@ -27,7 +27,7 @@ from immunesched import (
     refine,
 )
 from immunesched.evolution import _mutation
-from immunesched.gene_library import draw_below, nth_unused_job
+from immunesched.gene_library import draw_below
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -85,10 +85,34 @@ def test_fitness_agrees_with_sliding_window(universe, sample, antibody):
     assert antibody_fitness(antibody, universe, sample) == expected
 
 
-@given(st.sets(st.integers(1, JOB_COUNT), min_size=5, max_size=5), st.integers(0, 9))
-def test_nth_unused_job_indexes_the_complement(jobs, n):
+class OneHitRng:
+    """Stub generator: mutates only position `posn`, with replacement draw `n`
+    (a draw takes random bits until they fall below its range, so `n`,
+    which lies in that range, is returned by getrandbits as it is)."""
+
+    def __init__(self, posn, n):
+        self.randoms = [0.0 if i == posn else 0.99 for i in range(5)]
+        self.n = n
+
+    def random(self):
+        return self.randoms.pop(0)
+
+    def getrandbits(self, k):
+        return self.n
+
+
+@given(
+    st.lists(st.integers(1, JOB_COUNT), min_size=5, max_size=5, unique=True),
+    st.integers(0, 4),
+    st.integers(0, 9),
+)
+def test_mutation_replacement_indexes_the_complement(jobs, posn, n):
+    """Draw n replaces the hit position by the n-th smallest unused job."""
+    jobs = tuple(jobs)
     complement = [job for job in JOB_IDS if job not in jobs]
-    assert nth_unused_job(tuple(jobs), n) == complement[n]
+    out = _mutation(0.5, OneHitRng(posn, n))(jobs)
+    assert out[posn] == complement[n]
+    assert out[:posn] + out[posn + 1 :] == jobs[:posn] + jobs[posn + 1 :]
 
 
 @given(

@@ -267,6 +267,17 @@ def test_base_problem_invalid_job_line(tmp_path):
         load_base_problem(path)
 
 
+def test_base_problem_duplicate_id_names_the_second_line(tmp_path):
+    path = tmp_path / "bp.txt"
+    write_base_problem(default_base_problem(), path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[2]  # job 2 on lines 3 and 4; job 3 is missing
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_base_problem(path)
+    assert str(err.value) == f"{path}: line 4: duplicate job id 2"
+
+
 def test_default_base_problem_in_documented_ranges():
     base = default_base_problem()
     assert default_base_problem() == base
