@@ -30,7 +30,7 @@ from .experiment import (
 from .gene_library import build_libraries, generate_pool
 from .local_search import GDConfig, NeighborOperator, SAConfig
 from .population import load_population, save_population
-from .scheduling import save_universe
+from .scheduling import at_line, read_lines, save_universe
 
 
 _AG_SAMPLE_HELP = "antigen sample size, 1..10"
@@ -62,16 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-universe", help="generate a ten-antigen universe file")
     p.add_argument("--base-problem", help="base-problem file (default: built-in instance)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--out", required=True, help="universe file to write")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_gen_universe)
 
     p = sub.add_parser("evolve", help="run the evolutionary phase on a fresh population")
     p.add_argument("--universe", required=True, help="universe file")
-    p.add_argument("--type", default="a")
+    p.add_argument("--type", default=ExperimentConfig.population_type)
     p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--generations", type=int, default=GAConfig.generations)
     p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
     p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True)
     p.add_argument("--population", required=True, help="population file to refine")
     p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--phase2", choices=_REFINE_CHOICES, required=True)
     p.add_argument(
         "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full replicate protocol with CSV reports")
     p.add_argument("--universe", help="universe file (default: generate from base problem)")
     p.add_argument("--base-problem", help="base-problem file used when generating")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--type", default="a")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
+    p.add_argument("--type", default=ExperimentConfig.population_type)
     p.add_argument(
         "--ag-sample",
         type=int,
@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
     )
-    p.add_argument("--replicates", type=int, default=10)
+    p.add_argument("--replicates", type=int, default=ExperimentConfig.replicates)
     p.add_argument("--out", required=True, help="output directory for the reports")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_experiment)
@@ -129,19 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; values override flags")
-
-
-def _config_entries(path: str | Path):
-    """(line number, key, value) for every key=value line of a config file
-    ('#' comment lines and blank lines are skipped)."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        yield lineno, key.strip(), value.strip()
 
 
 _INT_KEYS = {"seed", "generations", "replicates"}
@@ -159,17 +146,18 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     if not path:
         return
     error = _config_error(args)
-    for lineno, key, raw in _config_entries(path):
-        attr = key.replace("-", "_")
-        try:
+    for lineno, line in read_lines(path)[0]:
+        with at_line(path, lineno):
+            if "=" not in line:
+                raise ValueError("expected key=value")
+            key, _, raw = (part.strip() for part in line.partition("="))
+            attr = key.replace("-", "_")
             if attr in ("config", "func", "command") or not hasattr(args, attr):
                 raise ValueError(f"unknown config key {key!r} for '{args.command}'")
             setattr(args, attr, _coerce_config_value(attr, raw, args))
             valid_before, error = error is None, _config_error(args)
             if valid_before and error is not None:
                 raise error
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: {err}") from None
 
 
 def _config_error(args: argparse.Namespace) -> ValueError | None:
@@ -237,9 +225,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     pool = generate_pool(build_libraries(universe), cfg.population_type)
     sample = draw_sample(cfg, args.ag_sample, _REPLICATE)
     with open(args.stats, "w") if args.stats else nullcontext() as stream:
-        final = evolve_replicate(
-            cfg, universe, pool, sample, args.ag_sample, _REPLICATE, stats_stream=stream
-        )
+        final = evolve_replicate(cfg, universe, pool, sample, _REPLICATE, stats_stream=stream)
     save_population(final, args.out)
     print(f"wrote {args.out}: best fitness {final.best_fitness}, total {final.total_fitness}")
     return 0
@@ -250,7 +236,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     universe = resolve_universe(cfg)
     sample = draw_sample(cfg, args.ag_sample, _REPLICATE)
     pop = load_population(args.population).evaluate(universe, sample)
-    refined = refine_replicate(cfg, universe, pop, sample, args.ag_sample, _REPLICATE)
+    refined = refine_replicate(cfg, universe, pop, sample, _REPLICATE)
     save_population(refined, args.out)
     before, after = pop.total_fitness, refined.total_fitness
     pct = 100.0 * (after - before) / before if before else float("nan")

@@ -179,16 +179,15 @@ def evolve_replicate(
     universe: AntigenUniverse,
     pool: tuple[Antibody, ...],
     sample: AntigenSample,
-    ag: int,
     rep: int,
     stats_stream: TextIO | None = None,
 ) -> Population:
     """Phase one of a replicate: sample an initial population and evolve it."""
     pop = sample_initial(
-        pool, cfg.ga.population_size, derived_rng(cfg.master_seed, "init", ag, rep)
+        pool, cfg.ga.population_size, derived_rng(cfg.master_seed, "init", sample.size, rep)
     )
     pop.evaluate(universe, sample)
-    rng = derived_rng(cfg.master_seed, "ga", ag, rep)
+    rng = derived_rng(cfg.master_seed, "ga", sample.size, rep)
     return evolve(pop, universe, sample, cfg.ga, rng, stats_stream=stats_stream)
 
 
@@ -197,14 +196,13 @@ def refine_replicate(
     universe: AntigenUniverse,
     pop: Population,
     sample: AntigenSample,
-    ag: int,
     rep: int,
 ) -> Population:
     """Phase two of a replicate: refine an evaluated population with cfg.phase2."""
     if cfg.phase2 == "none":
         raise ValueError("phase2 is 'none'; there is no refinement to run")
     method = cfg.sa if cfg.phase2 == "sa" else cfg.gd
-    rng = derived_rng(cfg.master_seed, "refine", ag, rep)
+    rng = derived_rng(cfg.master_seed, "refine", sample.size, rep)
     return refine_population(pop, universe, sample, method, rng)
 
 
@@ -233,12 +231,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
             try:
                 sample = draw_sample(cfg, ag, rep)
                 t0 = time.perf_counter()
-                result = evolve_replicate(cfg, universe, pool, sample, ag, rep)
+                result = evolve_replicate(cfg, universe, pool, sample, rep)
                 phase1_seconds[ag] += time.perf_counter() - t0
                 before_totals[ag].append(result.total_fitness)
                 if cfg.phase2 != "none":
                     t0 = time.perf_counter()
-                    result = refine_replicate(cfg, universe, result, sample, ag, rep)
+                    result = refine_replicate(cfg, universe, result, sample, rep)
                     phase2_seconds[ag] += time.perf_counter() - t0
                     per_replicate_after.append(result.total_fitness)
                 t0 = time.perf_counter()

@@ -5,13 +5,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from .gene_library import Antibody
 from .matching import AntigenSample, antibody_fitness
-from .scheduling import AntigenUniverse
-
-if TYPE_CHECKING:
-    from .gene_library import Antibody
+from .scheduling import AntigenUniverse, at_line, read_lines
 
 
 @dataclass
@@ -23,7 +20,7 @@ class Population:
     evaluated against a sample yet.
     """
 
-    antibodies: list["Antibody"]
+    antibodies: list[Antibody]
     fitnesses: list[int] | None = None
 
     @property
@@ -51,7 +48,7 @@ class Population:
         return max(self.require_evaluated())
 
 
-def sample_initial(pool: tuple["Antibody", ...], size: int, rng: random.Random) -> Population:
+def sample_initial(pool: tuple[Antibody, ...], size: int, rng: random.Random) -> Population:
     """Draw `size` distinct pool members in random order as a fresh population."""
     if len(pool) < size:
         raise ValueError(
@@ -69,19 +66,11 @@ def save_population(pop: Population, path: str | Path) -> None:
 
 def load_population(path: str | Path) -> Population:
     """Read a population file written by save_population."""
-    from .gene_library import Antibody
-
     path = Path(path)
     antibodies = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            jobs = tuple(int(t) for t in line.split())
-            antibodies.append(Antibody(jobs))
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: {err}") from None
+    for lineno, line in read_lines(path)[0]:
+        with at_line(path, lineno):
+            antibodies.append(Antibody(tuple(int(t) for t in line.split())))
     if not antibodies:
         raise ValueError(f"{path}: empty population file")
     return Population(antibodies)

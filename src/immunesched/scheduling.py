@@ -10,6 +10,8 @@ rest of the package builds partial schedules against.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -70,8 +72,15 @@ class Antigen:
     sequence: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if sorted(self.sequence) != list(range(1, JOB_COUNT + 1)):
-            raise ValueError(f"antigen must be a permutation of 1..{JOB_COUNT}")
+        if len(self.sequence) != JOB_COUNT:
+            raise ValueError(f"expected {JOB_COUNT} job ids, found {len(self.sequence)}")
+        seen = set()
+        for job_id in self.sequence:
+            if not 1 <= job_id <= JOB_COUNT:
+                raise ValueError(f"job id {job_id} out of range 1..{JOB_COUNT}")
+            if job_id in seen:
+                raise ValueError(f"duplicate job id {job_id}")
+            seen.add(job_id)
 
     @cached_property
     def match_table(self) -> tuple[tuple[int, ...], ...]:
@@ -185,44 +194,58 @@ def save_universe(universe: AntigenUniverse, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def read_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
+    """The content lines of a text input file, and the file's line count.
+
+    Each content line comes stripped, with its line number counted from 1;
+    blank lines and `#`-prefixed comment lines are skipped.
+    """
+    file_lines = Path(path).read_text().splitlines()
+    lines = [
+        (lineno, line)
+        for lineno, raw in enumerate(file_lines, start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+    return lines, len(file_lines)
+
+
+@contextmanager
+def at_line(path: str | Path, lineno: int) -> Iterator[None]:
+    """Re-raise a ValueError from the block as `path: line N: message`."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: line {lineno}: {err}") from None
+
+
+def check_count(
+    path: str | Path, lines: Sequence[tuple[int, str]], expected: int, what: str, end: int
+) -> None:
+    """Require `expected` content lines. A wrong count names the first
+    surplus line, or line end + 1, the line after the end of the file."""
+    if len(lines) != expected:
+        lineno = lines[expected][0] if len(lines) > expected else end + 1
+        with at_line(path, lineno):
+            raise ValueError(f"expected {expected} {what}, found {len(lines)}")
+
+
 def load_universe(path: str | Path) -> AntigenUniverse:
     """Read a universe file; `#`-prefixed comment lines and blank lines are ignored."""
     path = Path(path)
+    lines, end = read_lines(path)
     antigens = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        antigens.append(_parse_antigen_line(line, lineno, path))
-    if len(antigens) != UNIVERSE_SIZE:
-        raise ValueError(
-            f"{path}: expected {UNIVERSE_SIZE} antigens, found {len(antigens)}"
-        )
+    for lineno, line in lines:
+        with at_line(path, lineno):
+            antigens.append(Antigen(tuple(map(_job_id, line.split()))))
+    check_count(path, lines, UNIVERSE_SIZE, "antigens", end)
     return AntigenUniverse(tuple(antigens))
 
 
-def _parse_antigen_line(line: str, lineno: int, path: Path) -> Antigen:
-    tokens = line.split()
-    if len(tokens) != JOB_COUNT:
-        raise ValueError(
-            f"{path}: line {lineno}: expected {JOB_COUNT} job ids, found {len(tokens)}"
-        )
-    ids = []
-    for token in tokens:
-        try:
-            ids.append(int(token))
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: invalid integer {token!r}") from None
-    seen = set()
-    for job_id in ids:
-        if not 1 <= job_id <= JOB_COUNT:
-            raise ValueError(
-                f"{path}: line {lineno}: job id {job_id} out of range 1..{JOB_COUNT}"
-            )
-        if job_id in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate job id {job_id}")
-        seen.add(job_id)
-    return Antigen(tuple(ids))
+def _job_id(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"invalid integer {token!r}") from None
 
 
 def load_base_problem(path: str | Path) -> BaseProblem:
@@ -230,37 +253,24 @@ def load_base_problem(path: str | Path) -> BaseProblem:
     `id processing_time due_date arrival_date` line per job; `#`-prefixed
     comment lines and blank lines are ignored."""
     path = Path(path)
-    file_lines = path.read_text().splitlines()
-    lines = [
-        (lineno, raw.strip())
-        for lineno, raw in enumerate(file_lines, start=1)
-        if raw.strip() and not raw.strip().startswith("#")
-    ]
+    lines, end = read_lines(path)
     lineno, header = lines[0] if lines else (1, "")
-    if header != f"jobs {JOB_COUNT}":
-        raise ValueError(f"{path}: line {lineno}: expected header 'jobs {JOB_COUNT}'")
+    with at_line(path, lineno):
+        if header != f"jobs {JOB_COUNT}":
+            raise ValueError(f"expected header 'jobs {JOB_COUNT}'")
     body = lines[1:]
-    if len(body) != JOB_COUNT:
-        # The first surplus line, or the line after the end of the file.
-        lineno = body[JOB_COUNT][0] if len(body) > JOB_COUNT else len(file_lines) + 1
-        raise ValueError(
-            f"{path}: line {lineno}: expected {JOB_COUNT} job lines, found {len(body)}"
-        )
+    check_count(path, body, JOB_COUNT, "job lines", end)
     jobs: dict[int, Job] = {}
     for lineno, line in body:
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise ValueError(
-                f"{path}: line {lineno}: expected 'id processing_time due_date arrival_date'"
-            )
-        try:
-            job_id, processing, due, arrival = (int(t) for t in tokens)
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: invalid integer field") from None
-        if job_id in jobs:
-            raise ValueError(f"{path}: line {lineno}: duplicate job id {job_id}")
-        try:
+        with at_line(path, lineno):
+            tokens = line.split()
+            if len(tokens) != 4:
+                raise ValueError("expected 'id processing_time due_date arrival_date'")
+            try:
+                job_id, processing, due, arrival = (int(t) for t in tokens)
+            except ValueError:
+                raise ValueError("invalid integer field") from None
+            if job_id in jobs:
+                raise ValueError(f"duplicate job id {job_id}")
             jobs[job_id] = Job(job_id, processing, due, arrival)
-        except ValueError as err:
-            raise ValueError(f"{path}: line {lineno}: {err}") from None
     return BaseProblem(tuple(jobs.values()))

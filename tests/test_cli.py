@@ -167,10 +167,11 @@ def test_config_file_with_comments_and_spaces_matches_flags(tmp_path):
     assert from_file == from_flags != default
 
 
-def test_config_file_rejects_bad_line(tmp_path):
+def test_config_file_rejects_bad_line(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed 42\n")
     assert run("gen-universe", "--out", tmp_path / "u.txt", "--config", cfg) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 1: expected key=value\n"
 
 
 def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):

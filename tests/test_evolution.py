@@ -19,6 +19,7 @@ from immunesched import (
     evolve,
     generate_pool,
     generate_universe,
+    load_population,
     order_crossover,
     sample_initial,
 )
@@ -64,6 +65,25 @@ def test_population_evaluate_caches_fitness(setup):
     pop = sample_initial(pool, 20, random.Random(1)).evaluate(universe, sample)
     for ab, fit in zip(pop.antibodies, pop.fitnesses):
         assert fit == antibody_fitness(ab, universe, sample)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 2 3 4 5\n# next\n1 2 x 4 5\n",
+         "line 3: invalid literal for int() with base 10: 'x'"),
+        ("1 2 3 4 5\n1 2 3 4 2\n",
+         "line 2: antibody needs 5 distinct jobs, got (1, 2, 3, 4, 2)"),
+        ("# no antibodies\n\n", "empty population file"),
+    ],
+    ids=("non-integer", "duplicate-job", "comments-only"),
+)
+def test_load_population_errors_name_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "p.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_population(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_sample_initial_whole_pool_is_permutation(setup):

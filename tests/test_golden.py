@@ -114,7 +114,7 @@ def write_evolve(ag: int, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / f"ag{ag}-stats.csv").open("w") as stats:
         final = evolve_replicate(
-            cfg, universe, pool, draw_sample(cfg, ag, 0), ag, 0, stats_stream=stats
+            cfg, universe, pool, draw_sample(cfg, ag, 0), 0, stats_stream=stats
         )
     save_population(final, out_dir / f"ag{ag}-population.txt")
 

@@ -72,10 +72,12 @@ def test_base_problem_requires_all_ids():
 
 
 def test_antigen_must_be_permutation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate job id 1$"):
         Antigen(tuple([1] * JOB_COUNT))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 15 job ids, found 14$"):
         Antigen(tuple(range(1, JOB_COUNT)))  # too short
+    with pytest.raises(ValueError, match=r"^job id 16 out of range 1\.\.15$"):
+        Antigen(tuple(range(2, JOB_COUNT + 2)))
 
 
 def test_universe_must_hold_ten_antigens():
@@ -178,12 +180,23 @@ def test_universe_comments_and_blanks_ignored(tmp_path):
     assert load_universe(path) == universe
 
 
-def test_universe_wrong_line_count(tmp_path):
+@pytest.mark.parametrize(
+    "found, before, after, lineno",
+    [
+        (9, "", "", 10),  # too few: the line after the file's last line
+        (9, "", "# end\n\n", 12),
+        (11, "", "", 11),  # too many: the first surplus line
+        (11, "# antigens follow\n", "", 12),
+    ],
+    ids=("too-few", "too-few-then-comment", "one-surplus", "surplus-after-comment"),
+)
+def test_universe_wrong_line_count(tmp_path, found, before, after, lineno):
     path = tmp_path / "u.txt"
     line = " ".join(str(i) for i in range(1, JOB_COUNT + 1))
-    path.write_text("\n".join([line] * 9) + "\n")
-    with pytest.raises(ValueError, match="expected 10 antigens"):
+    path.write_text(before + f"{line}\n" * found + after)
+    with pytest.raises(ValueError) as err:
         load_universe(path)
+    assert str(err.value) == f"{path}: line {lineno}: expected 10 antigens, found {found}"
 
 
 def test_universe_duplicate_id_names_line(tmp_path):
