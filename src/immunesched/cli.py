@@ -239,8 +239,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     refined = refine_replicate(cfg, universe, pop, sample, _REPLICATE)
     save_population(refined, args.out)
     before, after = pop.total_fitness, refined.total_fitness
-    pct = 100.0 * (after - before) / before if before else float("nan")
-    print(f"wrote {args.out}: total fitness {before} -> {after} ({pct:+.1f}%)")
+    change = f" ({100.0 * (after - before) / before:+.1f}%)" if before else ""
+    print(f"wrote {args.out}: total fitness {before} -> {after}{change}")
     return 0
 
 

@@ -5,12 +5,18 @@ antibody (change one job, or swap two); the config supplies what differs:
 the level schedule (SA temperatures, GD boundaries), the rule for a worse
 candidate, the trace's level column and GD's stagnation stop.
 
-The chain scores a move by its delta on the current antibody's packed
-match counts, one per sampled antigen (see the matching module): a column
-table gives, per slot and job id, the sampled antigens' `match_table`
-entries, so changing slot p from job a to job b yields the candidate's
-counts `packed - col[p][a] + col[p][b]`, and a swap subtracts two entries
-and adds two. No antibody is built for a candidate.
+The chain scores a move by its delta on one int, the current antibody's
+lane-packed match counts. A column table gives, per slot and job id, the
+sampled antigens' `match_table` entries (see the matching module), antigen
+k's in the 64-bit lane that starts at bit 64*k. Changing slot p from job a
+to job b yields the candidate's lanes `packed - col[p][a] + col[p][b]`; a
+swap subtracts two entries and adds two. Integer arithmetic is exact, so
+the result is the sum of the candidate's five slot entries, and in that sum
+each 4-bit field counts at most five slots: no field spills into the next
+and the 11 fields fill 44 of a lane's 64 bits, so no lane carries into or
+borrows from its neighbour. Each lane is then read back as an unsigned
+64-bit word and scored with `BEST_COUNT`. No antibody is built for a
+candidate.
 
 refine_population refines every member independently, each with its own
 derived generator, so serial and parallel execution would agree.
@@ -20,12 +26,12 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
-from operator import add, sub
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
@@ -121,14 +127,20 @@ def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -
     return (initial_fitness - target_fitness) / iterations
 
 
-# Per slot, per job id (index 0 unused): the sampled antigens' match_table
-# entries, in sample order.
-_Columns = tuple[tuple[tuple[int, ...], ...], ...]
+# Per slot, per job id (index 0 unused): one int holding the sampled
+# antigens' match_table entries, antigen k's in the 64-bit lane at bit 64*k.
+_Columns = tuple[tuple[int, ...], ...]
 
 
 def _columns(universe: AntigenUniverse, sample: AntigenSample) -> _Columns:
     tables = [universe.antigens[i].match_table for i in sample.indices]
-    return tuple(tuple(zip(*(table[slot] for table in tables))) for slot in _SLOTS)
+    return tuple(
+        tuple(
+            sum(entry << 64 * k for k, entry in enumerate(entries))
+            for entries in zip(*(table[slot] for table in tables))
+        )
+        for slot in _SLOTS
+    )
 
 
 def refine(
@@ -151,9 +163,10 @@ def refine(
     fitness over `iterations` steps, passes a worse candidate at or above
     it, and stops after `stagnation_limit` steps without a new best.
 
-    A candidate is scored from the current antibody's packed counts (see
-    the module docstring), to the value `antibody_fitness` gives the moved
-    antibody; only the returned antibody is built.
+    A candidate is scored from one int holding the current antibody's
+    packed counts, one 64-bit lane per sampled antigen (see the module
+    docstring), to the value `antibody_fitness` gives the moved antibody;
+    only the returned antibody is built.
 
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
     <level> being `temperature` or `boundary` after the step. Untraced, the
@@ -162,24 +175,28 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    return _chain(ab, _columns(universe, sample), max_fitness(sample.size), cfg, rng, trace)[0]
+    return _chain(ab, _columns(universe, sample), sample.size, cfg, rng, trace)[0]
 
 
 def _chain(
     ab: Antibody,
     cols: _Columns,
-    target: int,
+    ag: int,
     cfg: SAConfig | GDConfig,
     rng: random.Random,
     trace: TextIO | None,
 ) -> tuple[Antibody, int]:
-    """`refine`'s chain over a prebuilt column table; returns the result
-    and its fitness."""
+    """`refine`'s chain over a prebuilt column table of `ag` lanes; returns
+    the result and its fitness."""
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
-    packed = tuple(map(sum, zip(*(cols[slot][job] for slot, job in enumerate(jobs)))))
+    packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
+    unpack, width = struct.Struct(f"<{ag}Q").unpack, 8 * ag
     best_count = BEST_COUNT.__getitem__
-    start_fit = current_fit = best_fit = POSITION_SCORE * sum(map(best_count, packed))
+    start_fit = current_fit = best_fit = POSITION_SCORE * sum(
+        map(best_count, unpack(packed.to_bytes(width, "little")))
+    )
+    target = max_fitness(ag)
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
@@ -198,14 +215,15 @@ def _chain(
             n = draw_unused()
             old, new = jobs[p], unused[n]
             col = cols[p]
-            candidate = tuple(map(add, map(sub, packed, col[old]), col[new]))
+            candidate = packed - col[old] + col[new]
         else:
             i, j = rng_sample(_SLOTS, 2)
             a, b = jobs[i], jobs[j]
             col_i, col_j = cols[i], cols[j]
-            removed = map(sub, map(sub, packed, col_i[a]), col_j[b])
-            candidate = tuple(map(add, map(add, removed, col_i[b]), col_j[a]))
-        candidate_fit = POSITION_SCORE * sum(map(best_count, candidate))
+            candidate = packed - col_i[a] - col_j[b] + col_i[b] + col_j[a]
+        candidate_fit = POSITION_SCORE * sum(
+            map(best_count, unpack(candidate.to_bytes(width, "little")))
+        )
         accepted = candidate_fit >= current_fit or accepts_worse(
             candidate_fit, current_fit, level, rng
         )
@@ -250,10 +268,9 @@ def refine_population(
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     seeds = [rng.getrandbits(64) for _ in pop.antibodies]
     cols = _columns(universe, sample)
-    target = max_fitness(sample.size)
     refined, fits = [], []
     for ab, seed in zip(pop.antibodies, seeds):
-        best, fit = _chain(ab, cols, target, cfg, random.Random(seed), None)
+        best, fit = _chain(ab, cols, sample.size, cfg, random.Random(seed), None)
         refined.append(best)
         fits.append(fit)
     return Population(refined, fits)

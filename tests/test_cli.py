@@ -221,6 +221,16 @@ def test_refine_config_rejects_phase2_none(tmp_path, capsys):
     )
 
 
+def test_refine_from_zero_total_fitness_prints_no_percentage(tmp_path, capsys):
+    universe_path, pop_path, out = tmp_path / "u.txt", tmp_path / "p.txt", tmp_path / "r.txt"
+    universe_path.write_text("1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\n" * 10)
+    pop_path.write_text("12 13 14 15 1\n")  # no job at an alignable position
+    assert run("refine", "--universe", universe_path, "--population", pop_path,
+               "--phase2", "sa", "--out", out) == 0
+    printed = capsys.readouterr().out
+    assert re.fullmatch(rf"wrote {re.escape(str(out))}: total fitness 0 -> \d+\n", printed)
+
+
 def test_invalid_flags_are_not_blamed_on_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "c.txt"
     cfg.write_text("seed=3\n")

@@ -1,10 +1,12 @@
-"""Property tests of the packed-offset match kernel, of the operators
-whose output skips Antibody validation, and of the draw the operators use
-in place of randrange."""
+"""Property tests of the packed-offset match kernel and of the refinement
+chain's lane-packed column table, of the operators whose output skips
+Antibody validation, and of the draw the operators use in place of
+randrange."""
 
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,11 +25,14 @@ from immunesched import (
     antibody_fitness,
     best_match,
     is_matched,
+    max_fitness,
     order_crossover,
     refine,
 )
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
+from immunesched.local_search import _columns
+from immunesched.matching import BEST_COUNT
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -42,6 +47,13 @@ samples = st.lists(
     st.integers(0, UNIVERSE_SIZE - 1), min_size=1, max_size=UNIVERSE_SIZE, unique=True
 ).map(lambda indices: AntigenSample(tuple(indices)))
 seeds = st.integers(0, 2**32)
+# ("change", slot, index among the unused jobs) or ("swap", slot, slot).
+moves = st.one_of(
+    st.tuples(st.just("change"), st.integers(0, 4), st.integers(0, JOB_COUNT - 6)),
+    st.tuples(st.just("swap"), st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda move: move[1] != move[2]
+    ),
+)
 
 
 def sliding_counts(antigen, antibody):
@@ -83,6 +95,59 @@ def test_fitness_agrees_with_sliding_window(universe, sample, antibody):
         for i in sample.indices
     )
     assert antibody_fitness(antibody, universe, sample) == expected
+
+
+def lanes(value, count):
+    """The 64-bit lanes of a lane-packed int, by shifting and masking."""
+    return [value >> 64 * k & (1 << 64) - 1 for k in range(count)]
+
+
+def move_on_lanes(cols, jobs, move):
+    """Apply `move` to the lane-packed sum of `jobs` the way the chain
+    does; return the moved sum and the moved jobs."""
+    packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
+    kind, i, x = move
+    if kind == "change":
+        old, new = jobs[i], [job for job in JOB_IDS if job not in jobs][x]
+        return packed - cols[i][old] + cols[i][new], jobs[:i] + (new,) + jobs[i + 1 :]
+    a, b = jobs[i], jobs[x]
+    moved = list(jobs)
+    moved[i], moved[x] = b, a
+    return packed - cols[i][a] - cols[x][b] + cols[i][b] + cols[x][a], tuple(moved)
+
+
+def assert_lanes_score_the_move(universe, sample, antibody, move):
+    packed, jobs = move_on_lanes(_columns(universe, sample), antibody.jobs, move)
+    moved = Antibody(jobs)
+    tables = [universe.antigens[i].match_table for i in sample.indices]
+    assert lanes(packed, sample.size + 1) == [
+        sum(table[slot][job] for slot, job in enumerate(jobs)) for table in tables
+    ] + [0]
+    score = POSITION_SCORE * sum(BEST_COUNT[lane] for lane in lanes(packed, sample.size))
+    assert score == antibody_fitness(moved, universe, sample)
+
+
+@given(universes, samples, antibodies, moves)
+def test_lane_packed_move_scores_like_antibody_fitness(universe, sample, antibody, move):
+    """Each lane of the moved sum is that antigen's packed counts for the
+    moved antibody, and nothing spills past the last lane."""
+    assert_lanes_score_the_move(universe, sample, antibody, move)
+
+
+@pytest.mark.parametrize("move", [("change", 0, 0), ("change", 4, 9), ("swap", 0, 4)])
+def test_lanes_at_their_largest_field_neither_carry_nor_borrow(move):
+    """All ten lanes start with a field at 5, the most a field can hold:
+    every antigen begins with the antibody's five jobs."""
+    rng = random.Random(10)
+    head = (3, 14, 7, 1, 10)
+    tail = [job for job in JOB_IDS if job not in head]
+    universe = AntigenUniverse(
+        tuple(Antigen(head + tuple(rng.sample(tail, len(tail)))) for _ in range(UNIVERSE_SIZE))
+    )
+    sample = AntigenSample(tuple(range(UNIVERSE_SIZE)))
+    antibody = Antibody(head)
+    assert antibody_fitness(antibody, universe, sample) == max_fitness(UNIVERSE_SIZE)
+    assert_lanes_score_the_move(universe, sample, antibody, move)
 
 
 class OneHitRng:

@@ -194,6 +194,24 @@ def test_refine_population_total_never_decreases(setup):
         assert refined.size == pop.size
 
 
+@pytest.mark.parametrize("ag", [1, 4, 10])
+@pytest.mark.parametrize(
+    "cfg",
+    [SAConfig(), SAConfig(operator=SWAP), GDConfig(), GDConfig(operator=SWAP)],
+    ids=["sa-change", "sa-swap", "gd-change", "gd-swap"],
+)
+def test_refine_population_fitnesses_match_a_fresh_evaluation(setup, ag, cfg):
+    """The refined population carries the chains' own scores; they must be
+    what evaluating its antibodies from scratch gives."""
+    universe, pool, _ = setup
+    sample = AntigenSample.draw(ag, random.Random(f"fresh/{ag}"))
+    pop = sample_initial(pool, 20, random.Random(ag)).evaluate(universe, sample)
+    refined = refine_population(pop, universe, sample, cfg, random.Random(ag))
+    assert refined.antibodies != pop.antibodies  # some chain improved its start
+    fresh = Population(refined.antibodies).evaluate(universe, sample)
+    assert refined.fitnesses == fresh.fitnesses
+
+
 def test_refine_population_fixed_point_at_optimum(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)
