@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
-from .matching import AntigenSample, antibody_fitness
+from .matching import AntigenSample, antibody_fitness, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse
 
@@ -34,6 +34,9 @@ class GAConfig:
     population_size: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("generations", "tournament_size", "population_size"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -129,6 +132,11 @@ def evolve(
     of every job tuple seen in this call (seeded with the initial
     population), calling `antibody_fitness` only for a new one; antibodies
     are built only for the returned population.
+
+    Once every member is the same job tuple at the maximum fitness, no child
+    can beat its parents and no later generation can change the population:
+    the loop stops there and writes the remaining `--stats` rows as they
+    stand, so `rng` is left where the loop stopped.
     """
     fitnesses = pop.require_evaluated()
     size = pop.size
@@ -141,6 +149,7 @@ def evolve(
     select = _tournament(size, cfg.tournament_size, rng)
     mutate_jobs = _mutation(cfg.mutation_rate, rng)
     random_, crossover_rate = rng.random, cfg.crossover_rate
+    ceiling = max_fitness(sample.size)
 
     def score(jobs: _Jobs) -> int:
         fit = memo[jobs] = antibody_fitness(Antibody.trusted(jobs), universe, sample)
@@ -151,6 +160,11 @@ def evolve(
         _write_stats(stats_stream, 0, cur_fit)
 
     for gen in range(1, cfg.generations + 1):
+        if min(cur_fit) == ceiling and cur.count(cur[0]) == size:
+            if stats_stream is not None:
+                for frozen_gen in range(gen, cfg.generations + 1):
+                    _write_stats(stats_stream, frozen_gen, cur_fit)
+            break
         new: list[_Jobs] = []
         new_fit: list[int] = []
         while len(new) < size:

@@ -122,12 +122,15 @@ class RunReport:
 
     `after_totals` and `improvements` are empty when no phase-two method
     ran. Timings are wall-clock seconds per pipeline stage.
+    `distinct_members` counts the distinct antibodies of each replicate's
+    evolved population.
     """
 
     before_totals: dict[int, list[int]]
     after_totals: dict[int, list[int]]
     improvements: dict[int, float]
     timings: dict[str, object]
+    distinct_members: dict[int, list[int]] = field(default_factory=dict)
 
 
 def coverage(pop: Population, universe: AntigenUniverse, threshold: int) -> int:
@@ -220,12 +223,14 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
     before_totals: dict[int, list[int]] = {}
     after_totals: dict[int, list[int]] = {}
     improvements: dict[int, float] = {}
+    distinct_members: dict[int, list[int]] = {}
     phase1_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
     phase2_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
     coverage_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
 
     for ag in cfg.ag_sample_sizes:
         before_totals[ag] = []
+        distinct_members[ag] = []
         per_replicate_after: list[int] = []
         for rep in range(cfg.replicates):
             try:
@@ -234,6 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
                 result = evolve_replicate(cfg, universe, pool, sample, rep)
                 phase1_seconds[ag] += time.perf_counter() - t0
                 before_totals[ag].append(result.total_fitness)
+                distinct_members[ag].append(len({ab.jobs for ab in result.antibodies}))
                 if cfg.phase2 != "none":
                     t0 = time.perf_counter()
                     result = refine_replicate(cfg, universe, result, sample, rep)
@@ -260,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
         "coverage_seconds": coverage_seconds,
         "total_seconds": time.perf_counter() - run_start,
     }
-    return table, RunReport(before_totals, after_totals, improvements, timings)
+    return table, RunReport(before_totals, after_totals, improvements, timings, distinct_members)
 
 
 def emit_reports(

@@ -89,6 +89,10 @@ class GDConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operator", NeighborOperator(self.operator))
+        if type(self.iterations) is not int:
+            raise ValueError("iterations must be an integer")
+        if self.stagnation_limit is not None and type(self.stagnation_limit) is not int:
+            raise ValueError("stagnation_limit must be an integer or None")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.stagnation_limit is not None and self.stagnation_limit < 1:

@@ -20,6 +20,7 @@ from immunesched import (
     generate_pool,
     generate_universe,
     load_population,
+    max_fitness,
     order_crossover,
     sample_initial,
 )
@@ -300,12 +301,21 @@ def test_ga_config_validation():
         GAConfig(tournament_size=0)
 
 
+@pytest.mark.parametrize("field", ["generations", "tournament_size", "population_size"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True, None])
+def test_ga_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+        GAConfig(**{field: value})
+
+
 def reference_evolve(pop, universe, sample, cfg, rng):
     """The GA loop as it read before the unused-job memo and the hand-written
     admission, with each operator written out: a tournament by randrange,
     the replacement job found by counting past the sorted taken ids, and
     admission by a stable sort of the four family members. Returns the
-    final job tuples, their fitnesses and the `--stats` text."""
+    final job tuples, their fitnesses, the `--stats` text and the first
+    generation after which the population was one job tuple at the maximum
+    fitness (None if it never was)."""
     size = pop.size
     cur = [ab.jobs for ab in pop.antibodies]
     cur_fit = list(pop.fitnesses)
@@ -314,10 +324,15 @@ def reference_evolve(pop, universe, sample, cfg, rng):
         if fit > best_fit:
             best_jobs, best_fit = jobs, fit
     stats = ["generation,best,mean,worst"]
+    frozen_at = None
 
     def record(gen):
+        nonlocal frozen_at
         mean = sum(cur_fit) / size
         stats.append(f"{gen},{max(cur_fit)},{mean:.4f},{min(cur_fit)}")
+        frozen = len(set(cur)) == 1 and min(cur_fit) == max_fitness(sample.size)
+        if frozen and frozen_at is None:
+            frozen_at = gen
 
     def select():
         best = rng.randrange(size)
@@ -368,14 +383,14 @@ def reference_evolve(pop, universe, sample, cfg, rng):
         cur = [jobs for jobs, _ in new]
         cur_fit = [fit for _, fit in new]
         record(gen)
-    return cur, cur_fit, "\n".join(stats) + "\n"
+    return cur, cur_fit, "\n".join(stats) + "\n", frozen_at
 
 
 job_tuples = st.lists(st.integers(1, 15), min_size=5, max_size=5, unique=True).map(tuple)
 rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.permutations(range(1, 16)), min_size=10, max_size=10),
     st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
@@ -385,12 +400,23 @@ rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     rates,
     st.integers(0, 15),
     st.integers(0, 2**32),
+    st.one_of(st.just(0), st.integers(1, 12)),
 )
 def test_evolve_matches_the_reference_loop(
-    sequences, indices, members, tournament, crossover, mutation, generations, seed
+    sequences, indices, members, tournament, crossover, mutation, generations, seed, planted
 ):
-    """Same members, fitnesses, statistics and generator state as the loop
-    written out without the unused-job memo and the top-two admission."""
+    """Same members, fitnesses and statistics as the loop written out without
+    the unused-job memo, the top-two admission and the stop at the fixed
+    point; the same generator state too, unless that stop cut the run short.
+
+    A `planted` example starts every sampled antigen with the first one's
+    five-job prefix and makes the first `planted` members that prefix, so
+    the maximum fitness is reachable and the fixed point can occur."""
+    if planted:
+        prefix = tuple(sequences[indices[0]][:5])
+        for k in indices:
+            sequences[k] = [*prefix, *(j for j in sequences[k] if j not in prefix)]
+        members = [prefix] * min(planted, len(members)) + members[planted:]
     universe = AntigenUniverse(tuple(Antigen(tuple(seq)) for seq in sequences))
     sample = AntigenSample(tuple(indices))
     cfg = GAConfig(
@@ -404,8 +430,51 @@ def test_evolve_matches_the_reference_loop(
     rng, reference_rng = random.Random(seed), random.Random(seed)
     stream = io.StringIO()
     final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
-    jobs, fitnesses, stats = reference_evolve(pop, universe, sample, cfg, reference_rng)
+    jobs, fitnesses, stats, frozen_at = reference_evolve(
+        pop, universe, sample, cfg, reference_rng
+    )
     assert [ab.jobs for ab in final.antibodies] == jobs
     assert final.fitnesses == fitnesses
     assert stream.getvalue() == stats
-    assert rng.getstate() == reference_rng.getstate()
+    stopped_early = frozen_at is not None and frozen_at < generations
+    assert (rng.getstate() == reference_rng.getstate()) != stopped_early
+
+
+def test_evolve_returns_a_frozen_population_without_drawing(setup):
+    """Copies of the sampled antigen's five-job prefix sit at the maximum
+    fitness (25), so the loop stops before the first generation."""
+    universe, _, sample = setup
+    prefix = universe.antigens[sample.indices[0]].sequence[:5]
+    pop = Population([Antibody(prefix) for _ in range(30)]).evaluate(universe, sample)
+    rng = random.Random(6)
+    state = rng.getstate()
+    stream = io.StringIO()
+    cfg = GAConfig(generations=20)
+    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
+    assert final.antibodies == pop.antibodies
+    assert final.fitnesses == pop.fitnesses
+    rows = stream.getvalue().splitlines()
+    assert rows[0] == "generation,best,mean,worst"
+    assert rows[1:] == [f"{gen},25,25.0000,25" for gen in range(cfg.generations + 1)]
+    assert rng.getstate() == state
+
+
+def test_evolve_stops_at_the_fixed_point_with_the_reference_result(setup):
+    """The default 250-generation run at ag 1 reaches one antibody at the
+    maximum fitness early: the result and statistics equal the full
+    reference loop's, and the generator shows that the remaining
+    generations did not run."""
+    universe, pool, sample = setup
+    pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
+    cfg = GAConfig()
+    rng, reference_rng = random.Random(0), random.Random(0)
+    stream = io.StringIO()
+    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
+    jobs, fitnesses, stats, frozen_at = reference_evolve(
+        pop, universe, sample, cfg, reference_rng
+    )
+    assert frozen_at is not None and frozen_at < cfg.generations
+    assert [ab.jobs for ab in final.antibodies] == jobs
+    assert final.fitnesses == fitnesses
+    assert stream.getvalue() == stats
+    assert rng.getstate() != reference_rng.getstate()

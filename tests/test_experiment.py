@@ -24,9 +24,11 @@ from immunesched import (
     generate_pool,
     generate_universe,
     is_matched,
+    resolve_universe,
     run_experiment,
     sample_initial,
 )
+from immunesched.experiment import draw_sample, evolve_replicate
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,33 @@ def test_emit_reports_roundtrip(tmp_path):
     assert manifest["master_seed"] == cfg.master_seed
     assert manifest["config"]["phase2"] == "gd"
     assert config_from_manifest(tmp_path / "run.json") == cfg
+
+
+def test_manifest_records_distinct_members_per_replicate(tmp_path):
+    cfg = small_config()
+    table, report = run_experiment(cfg)
+    emit_reports(table, report, cfg, tmp_path)
+    recorded = json.loads((tmp_path / "run.json").read_text())["report"]["distinct_members"]
+    universe = resolve_universe(cfg)
+    pool = generate_pool(build_libraries(universe), cfg.population_type)
+    expected = {}
+    for ag in cfg.ag_sample_sizes:
+        evolved = [
+            evolve_replicate(cfg, universe, pool, draw_sample(cfg, ag, rep), rep)
+            for rep in range(cfg.replicates)
+        ]
+        expected[str(ag)] = [len({ab.jobs for ab in pop.antibodies}) for pop in evolved]
+    assert recorded == expected
+    assert all(1 <= n <= cfg.ga.population_size for ns in recorded.values() for n in ns)
+
+
+def test_manifest_with_a_fractional_count_is_rejected(tmp_path):
+    path = emit_config_only(small_config(), tmp_path)
+    manifest = json.loads(path.read_text())
+    manifest["config"]["ga"]["generations"] = 2.5
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="generations must be an integer"):
+        config_from_manifest(path)
 
 
 DEFAULT_CONFIG_BLOCK = """{

@@ -255,6 +255,13 @@ def test_config_validation():
     GDConfig(stagnation_limit=None)  # disabled stagnation is allowed
 
 
+@pytest.mark.parametrize("field", ["iterations", "stagnation_limit"])
+@pytest.mark.parametrize("value", [30.5, 30.0, "30", True])
+def test_gd_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        GDConfig(**{field: value})
+
+
 def test_config_operator_strings_are_coerced(setup):
     universe, pool, sample = setup
     for kind in (SAConfig, GDConfig):
