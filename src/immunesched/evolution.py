@@ -37,6 +37,9 @@ class GAConfig:
         for name in ("generations", "tournament_size", "population_size"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
+        for name in ("crossover_rate", "mutation_rate"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:

@@ -68,14 +68,22 @@ class ExperimentConfig:
             raise ValueError(f"population type must be one of {POPULATION_TYPES}")
         if self.phase2 not in PHASE2_CHOICES:
             raise ValueError(f"phase2 must be one of {PHASE2_CHOICES}")
+        if type(self.replicates) is not int:
+            raise ValueError("replicates must be an integer")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if any(type(s) is not int for s in self.ag_sample_sizes):
+            raise ValueError("ag sample sizes must be integers")
         sizes = tuple(sorted(self.ag_sample_sizes))
+        if not sizes:
+            raise ValueError("ag sample sizes must not be empty")
         if len(set(sizes)) != len(sizes):
             raise ValueError("ag sample sizes must be distinct")
         if any(not 1 <= s <= UNIVERSE_SIZE for s in sizes):
             raise ValueError(f"ag sample sizes must lie in 1..{UNIVERSE_SIZE}")
         self.ag_sample_sizes = sizes
+        if any(type(t) is not int for t in self.thresholds):
+            raise ValueError("thresholds must be integers")
         self.thresholds = tuple(sorted(self.thresholds))
         if not self.thresholds:
             raise ValueError("thresholds must not be empty")

@@ -14,9 +14,10 @@ swap subtracts two entries and adds two. Integer arithmetic is exact, so
 the result is the sum of the candidate's five slot entries, and in that sum
 each 4-bit field counts at most five slots: no field spills into the next
 and the 11 fields fill 44 of a lane's 64 bits, so no lane carries into or
-borrows from its neighbour. Each lane is then read back as an unsigned
-64-bit word and scored with `BEST_COUNT`. No antibody is built for a
-candidate.
+borrows from its neighbour. The lanes are scored all at once, without
+unpacking them: a lane's best count is the number of c in 1..5 that some
+field reaches, and each c costs one masked add and one bit count over the
+whole int (`_best_counts`). No antibody is built for a candidate.
 
 refine_population refines every member independently, each with its own
 derived generator, so serial and parallel execution would agree.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 import random
-import struct
 from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -34,10 +34,10 @@ from enum import Enum
 from itertools import pairwise
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
-from .matching import BEST_COUNT, POSITION_SCORE, AntigenSample, max_fitness
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
+from .matching import POSITION_SCORE, AntigenSample, max_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, AntigenUniverse
+from .scheduling import JOB_COUNT, OFFSET_COUNT, AntigenUniverse
 
 _SLOTS = range(ANTIBODY_LENGTH)
 
@@ -60,6 +60,9 @@ class SAConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "operator", NeighborOperator(self.operator))
+        for name in ("initial_temperature", "final_temperature", "cooling_factor"):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"{name} must be a number")
         if not 0.0 < self.final_temperature < self.initial_temperature < math.inf:
             raise ValueError("temperatures must satisfy 0 < final < initial < inf")
         if not 0.0 < self.cooling_factor < 1.0:
@@ -134,16 +137,53 @@ def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -
 # Per slot, per job id (index 0 unused): one int holding the sampled
 # antigens' match_table entries, antigen k's in the 64-bit lane at bit 64*k.
 _Columns = tuple[tuple[int, ...], ...]
+# The constants `_best_counts` adds and masks with (see `_lane_masks`).
+_Masks = tuple[int, int, int, int, int, int, int]
+_FIELD_BITS = 4 * OFFSET_COUNT  # a lane's 11 four-bit fields; bit 44 is free
 
 
-def _columns(universe: AntigenUniverse, sample: AntigenSample) -> _Columns:
+def _columns(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
+    """The column table of `sample` and the masks that score its lanes."""
     tables = [universe.antigens[i].match_table for i in sample.indices]
-    return tuple(
+    cols = tuple(
         tuple(
             sum(entry << 64 * k for k, entry in enumerate(entries))
             for entries in zip(*(table[slot] for table in tables))
         )
         for slot in _SLOTS
+    )
+    return cols, _lane_masks(sample.size)
+
+
+def _lane_masks(ag: int) -> _Masks:
+    """The constants that score `ag` lanes, in `_best_counts`' order:
+    2**44 - 1 in every lane, bit 44 of every lane, bit 3 of every field,
+    then 8 - c in every field for c = 2, 3, 4 and 5."""
+    lane = sum(1 << 64 * k for k in range(ag))  # bit 0 of every lane
+    field = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of every field
+    below_top = ((1 << _FIELD_BITS) - 1) * lane
+    return below_top, lane << _FIELD_BITS, 8 * field, 6 * field, 5 * field, 4 * field, 3 * field
+
+
+def _best_counts(packed: int, masks: _Masks) -> int:
+    """The sum of `BEST_COUNT[lane]` over the lanes of `packed`.
+
+    A lane's best count is its largest field, so it is the number of c in
+    1..5 with some field >= c. Adding 2**44 - 1 to a lane sets its bit 44
+    exactly when the lane is non-zero: that is c = 1. For c >= 2, adding
+    8 - c to every field sets the field's bit 3 exactly when it is >= c,
+    and no field passes 15, since the fields sum to at most 5. For c >= 3
+    at most one field per lane passes (two would hold six slots), so the
+    set bits count lanes; for c = 2 two fields can, so each lane's flags
+    are collapsed onto bit 44 first. `_chain` inlines this expression.
+    """
+    below_top, top, high, two, three, four, five = masks
+    return (
+        ((packed + below_top) & top).bit_count()
+        + ((((packed + two) & high) + below_top) & top).bit_count()
+        + ((packed + three) & high).bit_count()
+        + ((packed + four) & high).bit_count()
+        + ((packed + five) & high).bit_count()
     )
 
 
@@ -168,9 +208,10 @@ def refine(
     it, and stops after `stagnation_limit` steps without a new best.
 
     A candidate is scored from one int holding the current antibody's
-    packed counts, one 64-bit lane per sampled antigen (see the module
-    docstring), to the value `antibody_fitness` gives the moved antibody;
-    only the returned antibody is built.
+    packed counts, one 64-bit lane per sampled antigen, by five masked adds
+    and bit counts over every lane at once (see the module docstring and
+    `_best_counts`), to the value `antibody_fitness` gives the moved
+    antibody; only the returned antibody is built.
 
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
     <level> being `temperature` or `boundary` after the step. Untraced, the
@@ -179,34 +220,31 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    return _chain(ab, _columns(universe, sample), sample.size, cfg, rng, trace)[0]
+    return _chain(ab, *_columns(universe, sample), sample.size, cfg, rng, trace)[0]
 
 
 def _chain(
     ab: Antibody,
     cols: _Columns,
+    masks: _Masks,
     ag: int,
     cfg: SAConfig | GDConfig,
     rng: random.Random,
     trace: TextIO | None,
 ) -> tuple[Antibody, int]:
-    """`refine`'s chain over a prebuilt column table of `ag` lanes; returns
-    the result and its fitness."""
+    """`refine`'s chain over a prebuilt column table of `ag` lanes and its
+    masks; returns the result and its fitness."""
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
     packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
-    unpack, width = struct.Struct(f"<{ag}Q").unpack, 8 * ag
-    best_count = BEST_COUNT.__getitem__
-    start_fit = current_fit = best_fit = POSITION_SCORE * sum(
-        map(best_count, unpack(packed.to_bytes(width, "little")))
-    )
+    below_top, top, high, two, three, four, five = masks
+    start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
     target = max_fitness(ag)
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
-    draw_slot = draw_below(ANTIBODY_LENGTH, rng)
-    draw_unused = draw_below(UNUSED_JOB_COUNT, rng)
-    rng_sample = rng.sample
+    getrandbits, rng_sample = rng.getrandbits, rng.sample
+    slot_bits, unused_bits = ANTIBODY_LENGTH.bit_length(), UNUSED_JOB_COUNT.bit_length()
     accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
     if trace is not None:
@@ -215,8 +253,13 @@ def _chain(
         if best_fit == ceiling:
             break
         if change:
-            p = draw_slot()
-            n = draw_unused()
+            # draw_below's loops, inline: randrange's values and generator state.
+            p = getrandbits(slot_bits)
+            while p >= ANTIBODY_LENGTH:
+                p = getrandbits(slot_bits)
+            n = getrandbits(unused_bits)
+            while n >= UNUSED_JOB_COUNT:
+                n = getrandbits(unused_bits)
             old, new = jobs[p], unused[n]
             col = cols[p]
             candidate = packed - col[old] + col[new]
@@ -225,8 +268,12 @@ def _chain(
             a, b = jobs[i], jobs[j]
             col_i, col_j = cols[i], cols[j]
             candidate = packed - col_i[a] - col_j[b] + col_i[b] + col_j[a]
-        candidate_fit = POSITION_SCORE * sum(
-            map(best_count, unpack(candidate.to_bytes(width, "little")))
+        candidate_fit = POSITION_SCORE * (  # _best_counts(candidate, masks)
+            ((candidate + below_top) & top).bit_count()
+            + ((((candidate + two) & high) + below_top) & top).bit_count()
+            + ((candidate + three) & high).bit_count()
+            + ((candidate + four) & high).bit_count()
+            + ((candidate + five) & high).bit_count()
         )
         accepted = candidate_fit >= current_fit or accepts_worse(
             candidate_fit, current_fit, level, rng
@@ -271,10 +318,10 @@ def refine_population(
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     seeds = [rng.getrandbits(64) for _ in pop.antibodies]
-    cols = _columns(universe, sample)
+    cols, masks = _columns(universe, sample)
     refined, fits = [], []
     for ab, seed in zip(pop.antibodies, seeds):
-        best, fit = _chain(ab, cols, sample.size, cfg, random.Random(seed), None)
+        best, fit = _chain(ab, cols, masks, sample.size, cfg, random.Random(seed), None)
         refined.append(best)
         fits.append(fit)
     return Population(refined, fits)

@@ -104,6 +104,17 @@ def test_experiment_config_validation():
         ExperimentConfig(ag_sample_sizes=(1, 1))
     with pytest.raises(ValueError):
         ExperimentConfig(ag_sample_sizes=(0, 4))
+    for field, value, message in [
+        ("replicates", 2.5, "replicates must be an integer"),
+        ("replicates", True, "replicates must be an integer"),
+        ("ag_sample_sizes", (1.5,), "ag sample sizes must be integers"),
+        ("ag_sample_sizes", (4, True), "ag sample sizes must be integers"),
+        ("ag_sample_sizes", (), "ag sample sizes must not be empty"),
+        ("thresholds", (2.5,), "thresholds must be integers"),
+        ("thresholds", (3, 4.0), "thresholds must be integers"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ExperimentConfig(**{field: value})
     for thresholds in ((4, 4, 5), (4, 5, 5)):
         with pytest.raises(ValueError, match="thresholds must be distinct"):
             ExperimentConfig(thresholds=thresholds)
@@ -208,12 +219,37 @@ def test_manifest_records_distinct_members_per_replicate(tmp_path):
     assert all(1 <= n <= cfg.ga.population_size for ns in recorded.values() for n in ns)
 
 
-def test_manifest_with_a_fractional_count_is_rejected(tmp_path):
+# (path into the manifest's config block, hand-edited value, expected message)
+MANIFEST_EDITS = [
+    (("ga", "generations"), 2.5, "generations must be an integer"),
+    (("ga", "crossover_rate"), "0.5", "crossover_rate must be a number"),
+    (("ga", "mutation_rate"), True, "mutation_rate must be a number"),
+    (("sa", "initial_temperature"), "5000", "initial_temperature must be a number"),
+    (("sa", "cooling_factor"), "0.9", "cooling_factor must be a number"),
+    (("replicates",), 2.5, "replicates must be an integer"),
+    (("ag_sample_sizes",), [1.5], "ag sample sizes must be integers"),
+    (("ag_sample_sizes",), [], "ag sample sizes must not be empty"),
+    (("thresholds",), [2.5], "thresholds must be integers"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    MANIFEST_EDITS,
+    ids=[f"{'.'.join(keys)}={value!r}" for keys, value, _ in MANIFEST_EDITS],
+)
+def test_manifest_with_a_fractional_count_is_rejected(tmp_path, keys, value, message):
+    """A hand-edited run.json fails by the field's name, not by a bare
+    TypeError from a comparison or from range()."""
     path = emit_config_only(small_config(), tmp_path)
     manifest = json.loads(path.read_text())
-    manifest["config"]["ga"]["generations"] = 2.5
+    *sections, key = keys
+    block = manifest["config"]
+    for section in sections:
+        block = block[section]
+    block[key] = value
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="generations must be an integer"):
+    with pytest.raises(ValueError, match=f"^{message}"):
         config_from_manifest(path)
 
 

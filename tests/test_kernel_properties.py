@@ -1,13 +1,13 @@
-"""Property tests of the packed-offset match kernel and of the refinement
-chain's lane-packed column table, of the operators whose output skips
-Antibody validation, and of the draw the operators use in place of
-randrange."""
+"""Property tests of the packed-offset match kernel, of the refinement
+chain's lane-packed column table and its bit-count lane score, of the
+operators whose output skips Antibody validation, and of the draw the
+operators use in place of randrange."""
 
 import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from immunesched import (
@@ -31,7 +31,7 @@ from immunesched import (
 )
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
-from immunesched.local_search import _columns
+from immunesched.local_search import _best_counts, _columns, _lane_masks
 from immunesched.matching import BEST_COUNT
 
 JOB_IDS = range(1, JOB_COUNT + 1)
@@ -117,14 +117,16 @@ def move_on_lanes(cols, jobs, move):
 
 
 def assert_lanes_score_the_move(universe, sample, antibody, move):
-    packed, jobs = move_on_lanes(_columns(universe, sample), antibody.jobs, move)
+    cols, masks = _columns(universe, sample)
+    packed, jobs = move_on_lanes(cols, antibody.jobs, move)
     moved = Antibody(jobs)
     tables = [universe.antigens[i].match_table for i in sample.indices]
     assert lanes(packed, sample.size + 1) == [
         sum(table[slot][job] for slot, job in enumerate(jobs)) for table in tables
     ] + [0]
-    score = POSITION_SCORE * sum(BEST_COUNT[lane] for lane in lanes(packed, sample.size))
-    assert score == antibody_fitness(moved, universe, sample)
+    fitness = antibody_fitness(moved, universe, sample)
+    assert POSITION_SCORE * sum(BEST_COUNT[lane] for lane in lanes(packed, sample.size)) == fitness
+    assert POSITION_SCORE * _best_counts(packed, masks) == fitness  # the chain's own score
 
 
 @given(universes, samples, antibodies, moves)
@@ -148,6 +150,26 @@ def test_lanes_at_their_largest_field_neither_carry_nor_borrow(move):
     antibody = Antibody(head)
     assert antibody_fitness(antibody, universe, sample) == max_fitness(UNIVERSE_SIZE)
     assert_lanes_score_the_move(universe, sample, antibody, move)
+
+
+def test_lane_score_is_best_count_for_every_key():
+    """Every packed value a lane can hold: the 4,368 keys of BEST_COUNT."""
+    masks = _lane_masks(1)
+    assert len(BEST_COUNT) == 4368
+    assert all(_best_counts(key, masks) == best for key, best in BEST_COUNT.items())
+
+
+KEYS = sorted(BEST_COUNT)
+FULL_LANE = 5 << 4 * (OFFSET_COUNT - 1)  # all five slots at the last offset
+
+
+@example([FULL_LANE] * UNIVERSE_SIZE)
+@given(st.lists(st.sampled_from(KEYS), min_size=1, max_size=UNIVERSE_SIZE))
+def test_lane_score_sums_best_count_over_the_lanes(keys):
+    """Any keys in every lane of 1 to 10, the top lane included: no lane's
+    added constants carry into its neighbour."""
+    packed = sum(key << 64 * k for k, key in enumerate(keys))
+    assert _best_counts(packed, _lane_masks(len(keys))) == sum(BEST_COUNT[key] for key in keys)
 
 
 class OneHitRng:
