@@ -63,6 +63,10 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.master_seed) is not int:
+            raise ValueError("master_seed must be an integer")
+        if type(self.population_type) is not str:
+            raise ValueError("population_type must be a string")
         self.population_type = self.population_type.upper()
         if self.population_type not in POPULATION_TYPES:
             raise ValueError(f"population type must be one of {POPULATION_TYPES}")

@@ -6,18 +6,11 @@ the level schedule (SA temperatures, GD boundaries), the rule for a worse
 candidate, the trace's level column and GD's stagnation stop.
 
 The chain scores a move by its delta on one int, the current antibody's
-lane-packed match counts. A column table gives, per slot and job id, the
-sampled antigens' `match_table` entries (see the matching module), antigen
-k's in the 64-bit lane that starts at bit 64*k. Changing slot p from job a
-to job b yields the candidate's lanes `packed - col[p][a] + col[p][b]`; a
-swap subtracts two entries and adds two. Integer arithmetic is exact, so
-the result is the sum of the candidate's five slot entries, and in that sum
-each 4-bit field counts at most five slots: no field spills into the next
-and the 11 fields fill 44 of a lane's 64 bits, so no lane carries into or
-borrows from its neighbour. The lanes are scored all at once, without
-unpacking them: a lane's best count is the number of c in 1..5 that some
-field reaches, and each c costs one masked add and one bit count over the
-whole int (`_best_counts`). No antibody is built for a candidate.
+lanes against every sampled antigen in the sample's column table: changing
+slot p from job a to job b gives `packed - col[p][a] + col[p][b]`, and a
+swap subtracts two entries and adds two. The lane layout, the column table
+and the bit-count score are defined in the matching module. No antibody is
+built for a candidate.
 
 refine_population refines every member independently, each with its own
 derived generator, so serial and parallel execution would agree.
@@ -35,9 +28,9 @@ from itertools import pairwise
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
-from .matching import POSITION_SCORE, AntigenSample, max_fitness
+from .matching import POSITION_SCORE, AntigenSample, _best_counts, _columns_for, max_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, OFFSET_COUNT, AntigenUniverse
+from .scheduling import JOB_COUNT, AntigenUniverse
 
 _SLOTS = range(ANTIBODY_LENGTH)
 
@@ -134,59 +127,6 @@ def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -
     return (initial_fitness - target_fitness) / iterations
 
 
-# Per slot, per job id (index 0 unused): one int holding the sampled
-# antigens' match_table entries, antigen k's in the 64-bit lane at bit 64*k.
-_Columns = tuple[tuple[int, ...], ...]
-# The constants `_best_counts` adds and masks with (see `_lane_masks`).
-_Masks = tuple[int, int, int, int, int, int, int]
-_FIELD_BITS = 4 * OFFSET_COUNT  # a lane's 11 four-bit fields; bit 44 is free
-
-
-def _columns(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
-    """The column table of `sample` and the masks that score its lanes."""
-    tables = [universe.antigens[i].match_table for i in sample.indices]
-    cols = tuple(
-        tuple(
-            sum(entry << 64 * k for k, entry in enumerate(entries))
-            for entries in zip(*(table[slot] for table in tables))
-        )
-        for slot in _SLOTS
-    )
-    return cols, _lane_masks(sample.size)
-
-
-def _lane_masks(ag: int) -> _Masks:
-    """The constants that score `ag` lanes, in `_best_counts`' order:
-    2**44 - 1 in every lane, bit 44 of every lane, bit 3 of every field,
-    then 8 - c in every field for c = 2, 3, 4 and 5."""
-    lane = sum(1 << 64 * k for k in range(ag))  # bit 0 of every lane
-    field = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of every field
-    below_top = ((1 << _FIELD_BITS) - 1) * lane
-    return below_top, lane << _FIELD_BITS, 8 * field, 6 * field, 5 * field, 4 * field, 3 * field
-
-
-def _best_counts(packed: int, masks: _Masks) -> int:
-    """The sum of `BEST_COUNT[lane]` over the lanes of `packed`.
-
-    A lane's best count is its largest field, so it is the number of c in
-    1..5 with some field >= c. Adding 2**44 - 1 to a lane sets its bit 44
-    exactly when the lane is non-zero: that is c = 1. For c >= 2, adding
-    8 - c to every field sets the field's bit 3 exactly when it is >= c,
-    and no field passes 15, since the fields sum to at most 5. For c >= 3
-    at most one field per lane passes (two would hold six slots), so the
-    set bits count lanes; for c = 2 two fields can, so each lane's flags
-    are collapsed onto bit 44 first. `_chain` inlines this expression.
-    """
-    below_top, top, high, two, three, four, five = masks
-    return (
-        ((packed + below_top) & top).bit_count()
-        + ((((packed + two) & high) + below_top) & top).bit_count()
-        + ((packed + three) & high).bit_count()
-        + ((packed + four) & high).bit_count()
-        + ((packed + five) & high).bit_count()
-    )
-
-
 def refine(
     ab: Antibody,
     universe: AntigenUniverse,
@@ -207,11 +147,10 @@ def refine(
     fitness over `iterations` steps, passes a worse candidate at or above
     it, and stops after `stagnation_limit` steps without a new best.
 
-    A candidate is scored from one int holding the current antibody's
-    packed counts, one 64-bit lane per sampled antigen, by five masked adds
-    and bit counts over every lane at once (see the module docstring and
-    `_best_counts`), to the value `antibody_fitness` gives the moved
-    antibody; only the returned antibody is built.
+    A candidate is scored by its delta on the current antibody's lanes in
+    the sample's column table (see the matching module), to the value
+    `antibody_fitness` gives the moved antibody; only the returned antibody
+    is built.
 
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
     <level> being `temperature` or `boundary` after the step. Untraced, the
@@ -220,26 +159,25 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    return _chain(ab, *_columns(universe, sample), sample.size, cfg, rng, trace)[0]
+    return _chain(ab, universe, sample, cfg, rng, trace)[0]
 
 
 def _chain(
     ab: Antibody,
-    cols: _Columns,
-    masks: _Masks,
-    ag: int,
+    universe: AntigenUniverse,
+    sample: AntigenSample,
     cfg: SAConfig | GDConfig,
     rng: random.Random,
     trace: TextIO | None,
 ) -> tuple[Antibody, int]:
-    """`refine`'s chain over a prebuilt column table of `ag` lanes and its
-    masks; returns the result and its fitness."""
+    """`refine`'s chain; returns the result and its fitness."""
+    cols, masks = _columns_for(universe, sample)
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
     packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
     below_top, top, high, two, three, four, five = masks
     start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
-    target = max_fitness(ag)
+    target = max_fitness(sample.size)
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
@@ -311,17 +249,16 @@ def refine_population(
     strict improvement, so total fitness cannot decrease.
 
     Each antibody gets its own generator seeded from `rng`, keeping results
-    independent of evaluation order. One column table serves every chain,
-    and each chain's fitness becomes the refined population's.
+    independent of evaluation order. The sample's column table serves every
+    chain, and each chain's fitness becomes the refined population's.
     """
     pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     seeds = [rng.getrandbits(64) for _ in pop.antibodies]
-    cols, masks = _columns(universe, sample)
     refined, fits = [], []
     for ab, seed in zip(pop.antibodies, seeds):
-        best, fit = _chain(ab, cols, masks, sample.size, cfg, random.Random(seed), None)
+        best, fit = _chain(ab, universe, sample, cfg, random.Random(seed), None)
         refined.append(best)
         fits.append(fit)
     return Population(refined, fits)

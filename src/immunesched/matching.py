@@ -5,20 +5,32 @@ every position where the two agree contributes five points. The best
 offset's score is the antibody's match against that antigen, and fitness
 over a sample of antigens is the sum of best scores.
 
+Every score in the package is read from one packed format, defined here.
 Antigens are permutations, so antibody slot j agrees at offset d exactly
 when its job sits at antigen position j + d. Each antigen caches a table
 (`Antigen.match_table`) giving, per slot and job, a 1 in the 4-bit field
-of that offset; adding the five looked-up entries of an antibody packs
-all 11 offset counts into one integer, and `BEST_COUNT` maps each such
-packed value to its largest count. Matching one antibody against one
-antigen is therefore five table lookups, four additions and a dict lookup.
+of that offset. The sum of an antibody's five entries is a lane: all 11
+offset counts, one per field. A field counts at most five slots, so none
+spills into the next, and the fields fill 44 of a lane's 64 bits.
+
+A sample's column table (`_columns`) gives, per slot and job id, one int
+holding the sampled antigens' entries, antigen k's in the 64-bit lane at
+bit 64*k. Five column lookups and four additions give an antibody's lanes
+against every sampled antigen at once, and no lane carries into or borrows
+from its neighbour, so the refinement chain scores a move by subtracting
+and adding entries. The table is built once per (sample, universe) and kept
+on the sample.
+
+A lane's best count is its largest field, so it is the number of c in
+1..5 that some field reaches. `_best_counts` sums it over every lane with
+five masked adds and bit counts, whatever the number of lanes; a single
+antigen's lane is scored the same way with one-lane masks.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gene_library import Antibody
 from .scheduling import (
@@ -32,22 +44,12 @@ from .scheduling import (
 POSITION_SCORE = 5
 MAX_SCORE_PER_ANTIGEN = POSITION_SCORE * ANTIBODY_LENGTH
 
-
-def _best_count_table() -> dict[int, int]:
-    # Every packed value is the sum of ANTIBODY_LENGTH fields, each naming
-    # one offset or none (OFFSET_COUNT stands for "no offset"), so the
-    # multisets of that size enumerate them all: C(16, 5) = 4368 keys.
-    table = {}
-    for offsets in itertools.combinations_with_replacement(
-        range(OFFSET_COUNT + 1), ANTIBODY_LENGTH
-    ):
-        aligned = [d for d in offsets if d < OFFSET_COUNT]
-        packed = sum(1 << 4 * d for d in aligned)
-        table[packed] = max((aligned.count(d) for d in aligned), default=0)
-    return table
-
-
-BEST_COUNT = _best_count_table()
+# Per slot, per job id (index 0 unused): one int holding the sampled
+# antigens' match_table entries, antigen k's in the 64-bit lane at bit 64*k.
+_Columns = tuple[tuple[int, ...], ...]
+# The constants `_best_counts` adds and masks with (see `_lane_masks`).
+_Masks = tuple[int, int, int, int, int, int, int]
+_FIELD_BITS = 4 * OFFSET_COUNT  # a lane's 11 four-bit fields; bit 44 is free
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class AntigenSample:
     """Indices of the antigens an antibody population is trained against."""
 
     indices: tuple[int, ...]
+    # (universe, columns, masks) for the universe last scored against.
+    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.indices:
@@ -85,6 +89,64 @@ class AntigenSample:
         return cls(tuple(rng.sample(range(UNIVERSE_SIZE), size)))
 
 
+def _columns(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
+    """The column table of `sample` and the masks that score its lanes."""
+    tables = [universe.antigens[i].match_table for i in sample.indices]
+    cols = tuple(
+        tuple(
+            sum(entry << 64 * k for k, entry in enumerate(entries))
+            for entries in zip(*(table[slot] for table in tables))
+        )
+        for slot in range(ANTIBODY_LENGTH)
+    )
+    return cols, _lane_masks(sample.size)
+
+
+def _columns_for(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
+    """`_columns(universe, sample)`, built on first use and kept on the
+    sample until it is scored against another universe."""
+    table = sample._table
+    if table is None or table[0] is not universe:
+        table = universe, *_columns(universe, sample)
+        object.__setattr__(sample, "_table", table)
+    return table[1], table[2]
+
+
+def _lane_masks(ag: int) -> _Masks:
+    """The constants that score `ag` lanes, in `_best_counts`' order:
+    2**44 - 1 in every lane, bit 44 of every lane, bit 3 of every field,
+    then 8 - c in every field for c = 2, 3, 4 and 5."""
+    lane = sum(1 << 64 * k for k in range(ag))  # bit 0 of every lane
+    ones = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of every field
+    below_top = ((1 << _FIELD_BITS) - 1) * lane
+    return below_top, lane << _FIELD_BITS, 8 * ones, 6 * ones, 5 * ones, 4 * ones, 3 * ones
+
+
+_ONE_LANE = _lane_masks(1)
+
+
+def _best_counts(packed: int, masks: _Masks) -> int:
+    """The sum of the lanes' best counts, for lanes packed as in a column
+    table and the masks `_lane_masks` gives for their number.
+
+    Adding 2**44 - 1 to a lane sets its bit 44 exactly when the lane is
+    non-zero: that is c = 1. For c >= 2, adding 8 - c to every field sets
+    the field's bit 3 exactly when it is >= c, and no field passes 15,
+    since the fields sum to at most 5. For c >= 3 at most one field per
+    lane passes (two would hold six slots), so the set bits count lanes;
+    for c = 2 two fields can, so each lane's flags are collapsed onto bit
+    44 first. `local_search._chain` inlines this expression.
+    """
+    below_top, top, high, two, three, four, five = masks
+    return (
+        ((packed + below_top) & top).bit_count()
+        + ((((packed + two) & high) + below_top) & top).bit_count()
+        + ((packed + three) & high).bit_count()
+        + ((packed + four) & high).bit_count()
+        + ((packed + five) & high).bit_count()
+    )
+
+
 def _packed_counts(antigen: Antigen, jobs: tuple[int, ...]) -> int:
     t0, t1, t2, t3, t4 = antigen.match_table
     a, b, c, d, e = jobs
@@ -94,7 +156,7 @@ def _packed_counts(antigen: Antigen, jobs: tuple[int, ...]) -> int:
 def best_match(antigen: Antigen, antibody: Antibody) -> MatchResult:
     """Best alignment over all offsets; ties go to the smallest offset."""
     packed = _packed_counts(antigen, antibody.jobs)
-    count = BEST_COUNT[packed]
+    count = _best_counts(packed, _ONE_LANE)
     offset = next(d for d in range(OFFSET_COUNT) if (packed >> 4 * d) & 0xF == count)
     return MatchResult(count, POSITION_SCORE * count, offset)
 
@@ -103,19 +165,14 @@ def antibody_fitness(
     antibody: Antibody, universe: AntigenUniverse, sample: AntigenSample
 ) -> int:
     """Sum of the antibody's best match scores over the sampled antigens."""
-    # _packed_counts inlined: called per evolve memo miss and per Population.evaluate member.
+    (c0, c1, c2, c3, c4), masks = _columns_for(universe, sample)
     a, b, c, d, e = antibody.jobs
-    antigens = universe.antigens
-    total = 0
-    for i in sample.indices:
-        t0, t1, t2, t3, t4 = antigens[i].match_table
-        total += BEST_COUNT[t0[a] + t1[b] + t2[c] + t3[d] + t4[e]]
-    return POSITION_SCORE * total
+    return POSITION_SCORE * _best_counts(c0[a] + c1[b] + c2[c] + c3[d] + c4[e], masks)
 
 
 def is_matched(antigen: Antigen, antibody: Antibody, threshold: int) -> bool:
     """True when the best alignment matches at least `threshold` positions."""
-    return BEST_COUNT[_packed_counts(antigen, antibody.jobs)] >= threshold
+    return _best_counts(_packed_counts(antigen, antibody.jobs), _ONE_LANE) >= threshold
 
 
 def max_fitness(sample_size: int) -> int:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import immunesched.matching
 from immunesched import (
     Antibody,
     AntigenSample,
@@ -28,7 +29,7 @@ from immunesched import (
     run_experiment,
     sample_initial,
 )
-from immunesched.experiment import draw_sample, evolve_replicate
+from immunesched.experiment import draw_sample, evolve_replicate, refine_replicate
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,12 @@ def test_experiment_config_validation():
         ("ag_sample_sizes", (), "ag sample sizes must not be empty"),
         ("thresholds", (2.5,), "thresholds must be integers"),
         ("thresholds", (3, 4.0), "thresholds must be integers"),
+        ("master_seed", None, "master_seed must be an integer"),
+        ("master_seed", "7", "master_seed must be an integer"),
+        ("master_seed", 2.5, "master_seed must be an integer"),
+        ("master_seed", True, "master_seed must be an integer"),
+        ("population_type", 1, "population_type must be a string"),
+        ("population_type", None, "population_type must be a string"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}"):
             ExperimentConfig(**{field: value})
@@ -358,3 +365,22 @@ def test_failed_replicate_names_its_index(universe, tmp_path):
     cfg = small_config(ga=GAConfig(generations=1, population_size=100_000))
     with pytest.raises(RuntimeError, match=r"replicate 0"):
         run_experiment(cfg)
+
+
+def test_a_replicate_builds_its_column_table_once(universe, pool, monkeypatch):
+    """The initial population's scores, phase one's memo misses and every
+    phase-two chain read the one column table kept on the sample."""
+    builds = []
+    build = immunesched.matching._columns
+
+    def counted(universe, sample):
+        builds.append(sample)
+        return build(universe, sample)
+
+    monkeypatch.setattr(immunesched.matching, "_columns", counted)
+    cfg = small_config(phase2="sa")
+    sample = draw_sample(cfg, 4, 0)
+    evolved = evolve_replicate(cfg, universe, pool, sample, 0)
+    refined = refine_replicate(cfg, universe, evolved, sample, 0)
+    assert refined.total_fitness >= evolved.total_fitness
+    assert builds == [sample]

@@ -1,9 +1,10 @@
-"""Property tests of the packed-offset match kernel, of the refinement
-chain's lane-packed column table and its bit-count lane score, of the
-operators whose output skips Antibody validation, and of the draw the
-operators use in place of randrange."""
+"""Property tests of the packed-offset match kernel, of the lane-packed
+column table and its bit-count lane score, of the operators whose output
+skips Antibody validation, and of the draw the operators use in place of
+randrange."""
 
 import io
+import itertools
 import random
 
 import pytest
@@ -31,8 +32,7 @@ from immunesched import (
 )
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
-from immunesched.local_search import _best_counts, _columns, _lane_masks
-from immunesched.matching import BEST_COUNT
+from immunesched.matching import _best_counts, _columns, _lane_masks
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -97,6 +97,24 @@ def test_fitness_agrees_with_sliding_window(universe, sample, antibody):
     assert antibody_fitness(antibody, universe, sample) == expected
 
 
+def reference_best_counts():
+    """Every value one lane can hold, mapped to its largest field.
+
+    A lane is the sum of five slot entries, each naming one offset's field
+    or none, so the multisets of five from the 11 offsets and "none"
+    enumerate them all: C(16, 5) = 4368 values. The largest field is read
+    by shifting and masking each of the 11 fields.
+    """
+    table = {}
+    for offsets in itertools.combinations_with_replacement(range(OFFSET_COUNT + 1), 5):
+        lane = sum(1 << 4 * d for d in offsets if d < OFFSET_COUNT)
+        table[lane] = max(lane >> 4 * d & 0xF for d in range(OFFSET_COUNT))
+    return table
+
+
+LANE_BEST = reference_best_counts()
+
+
 def lanes(value, count):
     """The 64-bit lanes of a lane-packed int, by shifting and masking."""
     return [value >> 64 * k & (1 << 64) - 1 for k in range(count)]
@@ -125,7 +143,7 @@ def assert_lanes_score_the_move(universe, sample, antibody, move):
         sum(table[slot][job] for slot, job in enumerate(jobs)) for table in tables
     ] + [0]
     fitness = antibody_fitness(moved, universe, sample)
-    assert POSITION_SCORE * sum(BEST_COUNT[lane] for lane in lanes(packed, sample.size)) == fitness
+    assert POSITION_SCORE * sum(LANE_BEST[lane] for lane in lanes(packed, sample.size)) == fitness
     assert POSITION_SCORE * _best_counts(packed, masks) == fitness  # the chain's own score
 
 
@@ -153,13 +171,13 @@ def test_lanes_at_their_largest_field_neither_carry_nor_borrow(move):
 
 
 def test_lane_score_is_best_count_for_every_key():
-    """Every packed value a lane can hold: the 4,368 keys of BEST_COUNT."""
+    """Every packed value a lane can hold: the 4,368 keys of LANE_BEST."""
     masks = _lane_masks(1)
-    assert len(BEST_COUNT) == 4368
-    assert all(_best_counts(key, masks) == best for key, best in BEST_COUNT.items())
+    assert len(LANE_BEST) == 4368
+    assert all(_best_counts(key, masks) == best for key, best in LANE_BEST.items())
 
 
-KEYS = sorted(BEST_COUNT)
+KEYS = sorted(LANE_BEST)
 FULL_LANE = 5 << 4 * (OFFSET_COUNT - 1)  # all five slots at the last offset
 
 
@@ -169,7 +187,7 @@ def test_lane_score_sums_best_count_over_the_lanes(keys):
     """Any keys in every lane of 1 to 10, the top lane included: no lane's
     added constants carry into its neighbour."""
     packed = sum(key << 64 * k for k, key in enumerate(keys))
-    assert _best_counts(packed, _lane_masks(len(keys))) == sum(BEST_COUNT[key] for key in keys)
+    assert _best_counts(packed, _lane_masks(len(keys))) == sum(LANE_BEST[key] for key in keys)
 
 
 class OneHitRng:

@@ -160,5 +160,27 @@ def test_antigen_sample_validation():
         AntigenSample.draw(11, random.Random(8))
 
 
+def test_one_sample_scored_against_two_universes_alternately():
+    """The sample keeps one universe's column table at a time; scoring it
+    against another universe must not read the first one's."""
+    first = _universe()
+    second = generate_universe(default_base_problem(), random.Random(3))
+    sample = AntigenSample((0, 4, 6))
+    rng = random.Random(12)
+    differ = False
+    for _ in range(50):
+        antibody = random_antibody(rng)
+        fits = []
+        for universe in (first, second, first, second):
+            expected = sum(
+                5 * brute_force_best(universe.antigens[i], antibody)[0]
+                for i in sample.indices
+            )
+            fits.append(antibody_fitness(antibody, universe, sample))
+            assert fits[-1] == expected
+        differ = differ or fits[0] != fits[1]
+    assert differ  # some antibody scores differently in the two universes
+
+
 def _universe():
     return generate_universe(default_base_problem(), random.Random(2))
