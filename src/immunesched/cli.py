@@ -128,11 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
+    """Add --config after the other flags: its entries take their flags' types."""
     p.add_argument("--config", help="key=value file; values override flags")
-
-
-_INT_KEYS = {"seed", "generations", "replicates"}
-_FLOAT_KEYS = {"crossover_rate", "mutation_rate"}
+    p.set_defaults(flag_types={action.dest: action.type for action in p._actions})
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -152,7 +150,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 raise ValueError("expected key=value")
             key, _, raw = (part.strip() for part in line.partition("="))
             attr = key.replace("-", "_")
-            if attr in ("config", "func", "command") or not hasattr(args, attr):
+            if attr in ("config", "func", "command", "flag_types") or not hasattr(args, attr):
                 raise ValueError(f"unknown config key {key!r} for '{args.command}'")
             setattr(args, attr, _coerce_config_value(attr, raw, args))
             valid_before, error = error is None, _config_error(args)
@@ -170,8 +168,9 @@ def _config_error(args: argparse.Namespace) -> ValueError | None:
 
 
 def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
+    kind = args.flag_types[attr] or str
     if attr == "ag_sample":
-        values = [int(tok) for tok in raw.replace(",", " ").split()]
+        values = [kind(tok) for tok in raw.replace(",", " ").split()]
         if not values:
             raise ValueError("ag_sample needs a value")
         if args.command == "experiment":
@@ -179,11 +178,7 @@ def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
         if len(values) != 1:
             raise ValueError(f"ag_sample must be a single value for '{args.command}'")
         return values[0]
-    if attr in _INT_KEYS:
-        return int(raw)
-    if attr in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    return kind(raw)
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
 from .matching import AntigenSample, antibody_fitness, max_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, AntigenUniverse
+from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
 _Jobs = tuple[int, ...]
 _SLOTS = range(ANTIBODY_LENGTH)
@@ -27,27 +27,13 @@ _JOB_IDS = range(1, JOB_COUNT + 1)
 
 @dataclass(frozen=True)
 class GAConfig:
-    generations: int = 250
-    crossover_rate: float = 0.7
-    mutation_rate: float = 0.2
-    tournament_size: int = 2
-    population_size: int = 100
+    generations: int = field(default=250, metadata={"range": (0, None)})
+    crossover_rate: float = field(default=0.7, metadata={"range": (0.0, 1.0)})
+    mutation_rate: float = field(default=0.2, metadata={"range": (0.0, 1.0)})
+    tournament_size: int = field(default=2, metadata={"range": (1, None)})
+    population_size: int = field(default=100, metadata={"range": (1, None)})
 
-    def __post_init__(self) -> None:
-        for name in ("generations", "tournament_size", "population_size"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer")
-        for name in ("crossover_rate", "mutation_rate"):
-            if type(getattr(self, name)) not in (int, float):
-                raise ValueError(f"{name} must be a number")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation rate must be in [0, 1]")
-        if self.generations < 0:
-            raise ValueError("generations must be non-negative")
-        if self.tournament_size < 1 or self.population_size < 1:
-            raise ValueError("tournament and population sizes must be positive")
+    __post_init__ = check_fields
 
 
 def _tournament(n: int, k: int, rng: random.Random) -> Callable[[list[int]], int]:

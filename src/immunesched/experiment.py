@@ -29,6 +29,7 @@ from .scheduling import (
     ANTIBODY_LENGTH,
     UNIVERSE_SIZE,
     AntigenUniverse,
+    check_fields,
     default_base_problem,
     generate_universe,
     load_base_problem,
@@ -52,51 +53,26 @@ def derived_rng(master_seed: int, *parts: object) -> random.Random:
 class ExperimentConfig:
     universe_path: str | None = None
     base_problem_path: str | None = None
-    population_type: str = "A"
-    ag_sample_sizes: tuple[int, ...] = (1, 4, 8)
-    thresholds: tuple[int, ...] = (2, 3, 4, 5)
-    replicates: int = 10
-    phase2: str = "none"
+    population_type: str = field(default="A", metadata={"choices": POPULATION_TYPES})
+    ag_sample_sizes: tuple[int, ...] = field(
+        default=(1, 4, 8), metadata={"range": (1, UNIVERSE_SIZE)}
+    )
+    # A threshold counts agreeing positions, so only 1..ANTIBODY_LENGTH can
+    # separate matched antigens from unmatched ones.
+    thresholds: tuple[int, ...] = field(
+        default=(2, 3, 4, 5), metadata={"range": (1, ANTIBODY_LENGTH)}
+    )
+    replicates: int = field(default=10, metadata={"range": (1, None)})
+    phase2: str = field(default="none", metadata={"choices": PHASE2_CHOICES})
     ga: GAConfig = field(default_factory=GAConfig)
     sa: SAConfig = field(default_factory=SAConfig)
     gd: GDConfig = field(default_factory=GDConfig)
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.master_seed) is not int:
-            raise ValueError("master_seed must be an integer")
-        if type(self.population_type) is not str:
-            raise ValueError("population_type must be a string")
-        self.population_type = self.population_type.upper()
-        if self.population_type not in POPULATION_TYPES:
-            raise ValueError(f"population type must be one of {POPULATION_TYPES}")
-        if self.phase2 not in PHASE2_CHOICES:
-            raise ValueError(f"phase2 must be one of {PHASE2_CHOICES}")
-        if type(self.replicates) is not int:
-            raise ValueError("replicates must be an integer")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if any(type(s) is not int for s in self.ag_sample_sizes):
-            raise ValueError("ag sample sizes must be integers")
-        sizes = tuple(sorted(self.ag_sample_sizes))
-        if not sizes:
-            raise ValueError("ag sample sizes must not be empty")
-        if len(set(sizes)) != len(sizes):
-            raise ValueError("ag sample sizes must be distinct")
-        if any(not 1 <= s <= UNIVERSE_SIZE for s in sizes):
-            raise ValueError(f"ag sample sizes must lie in 1..{UNIVERSE_SIZE}")
-        self.ag_sample_sizes = sizes
-        if any(type(t) is not int for t in self.thresholds):
-            raise ValueError("thresholds must be integers")
-        self.thresholds = tuple(sorted(self.thresholds))
-        if not self.thresholds:
-            raise ValueError("thresholds must not be empty")
-        if len(set(self.thresholds)) != len(self.thresholds):
-            raise ValueError("thresholds must be distinct")
-        # A threshold counts agreeing positions, so only 1..ANTIBODY_LENGTH can
-        # separate matched antigens from unmatched ones.
-        if any(not 1 <= t <= ANTIBODY_LENGTH for t in self.thresholds):
-            raise ValueError(f"thresholds must lie in 1..{ANTIBODY_LENGTH}")
+        if type(self.population_type) is str:  # check_fields rejects any other kind
+            self.population_type = self.population_type.upper()
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -325,6 +301,6 @@ def config_from_manifest(path: str | Path) -> ExperimentConfig:
     """Rebuild the configuration recorded in a run.json manifest."""
     data = json.loads(Path(path).read_text())["config"]
     for key, kind in (("ga", GAConfig), ("sa", SAConfig), ("gd", GDConfig)):
-        if key in data:
+        if isinstance(data.get(key), dict):  # anything else is the checker's to reject
             data[key] = kind(**data[key])
     return ExperimentConfig(**data)

@@ -22,7 +22,7 @@ import math
 import random
 from bisect import insort
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
 from typing import TextIO
@@ -30,9 +30,7 @@ from typing import TextIO
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
 from .matching import POSITION_SCORE, AntigenSample, _best_counts, _columns_for, max_fitness
 from .population import Population
-from .scheduling import JOB_COUNT, AntigenUniverse
-
-_SLOTS = range(ANTIBODY_LENGTH)
+from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
 
 class NeighborOperator(str, Enum):
@@ -52,14 +50,11 @@ class SAConfig:
     stagnation_limit = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "operator", NeighborOperator(self.operator))
-        for name in ("initial_temperature", "final_temperature", "cooling_factor"):
-            if type(getattr(self, name)) not in (int, float):
-                raise ValueError(f"{name} must be a number")
-        if not 0.0 < self.final_temperature < self.initial_temperature < math.inf:
-            raise ValueError("temperatures must satisfy 0 < final < initial < inf")
+        check_fields(self)
+        if not 0.0 < self.final_temperature < self.initial_temperature:
+            raise ValueError("final_temperature must lie above 0 and below initial_temperature")
         if not 0.0 < self.cooling_factor < 1.0:
-            raise ValueError("cooling factor must be in (0, 1)")
+            raise ValueError("cooling_factor must lie strictly between 0 and 1")
 
     def levels(self, start_fit: int, target: int) -> Iterator[float]:
         """Geometric cooling: the initial temperature, then each cooled one
@@ -77,22 +72,12 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class GDConfig:
-    iterations: int = 120
-    stagnation_limit: int | None = 30
+    iterations: int = field(default=120, metadata={"range": (1, None)})
+    stagnation_limit: int | None = field(default=30, metadata={"range": (1, None)})
     operator: NeighborOperator = NeighborOperator.CHANGE_ONE_JOB
 
     level_name = "boundary"  # a class attribute, not a field
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operator", NeighborOperator(self.operator))
-        if type(self.iterations) is not int:
-            raise ValueError("iterations must be an integer")
-        if self.stagnation_limit is not None and type(self.stagnation_limit) is not int:
-            raise ValueError("stagnation_limit must be an integer or None")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.stagnation_limit is not None and self.stagnation_limit < 1:
-            raise ValueError("stagnation limit must be at least 1 (or None to disable)")
+    __post_init__ = check_fields
 
     def levels(self, start_fit: int, target: int) -> Iterator[float]:
         """A boundary that starts at the start fitness and moves by a fixed
@@ -181,7 +166,7 @@ def _chain(
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
-    getrandbits, rng_sample = rng.getrandbits, rng.sample
+    getrandbits = rng.getrandbits
     slot_bits, unused_bits = ANTIBODY_LENGTH.bit_length(), UNUSED_JOB_COUNT.bit_length()
     accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
@@ -202,7 +187,14 @@ def _chain(
             col = cols[p]
             candidate = packed - col[old] + col[new]
         else:
-            i, j = rng_sample(_SLOTS, 2)
+            # rng.sample(range(5), 2), inline: i < 5, then j < 4 (3 bits too); j == i means 4.
+            i = getrandbits(slot_bits)
+            while i >= ANTIBODY_LENGTH:
+                i = getrandbits(slot_bits)
+            j = getrandbits(slot_bits)
+            while j >= ANTIBODY_LENGTH - 1:
+                j = getrandbits(slot_bits)
+            j = ANTIBODY_LENGTH - 1 if j == i else j
             a, b = jobs[i], jobs[j]
             col_i, col_j = cols[i], cols[j]
             candidate = packed - col_i[a] - col_j[b] + col_i[b] + col_j[a]

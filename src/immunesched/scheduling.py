@@ -9,12 +9,16 @@ rest of the package builds partial schedules against.
 
 from __future__ import annotations
 
+import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, fields, replace
+from enum import Enum
+from functools import cache, cached_property
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 JOB_COUNT = 15
 # Partial schedules (antibodies) hold this many jobs and align with an
@@ -227,6 +231,52 @@ def check_count(
         lineno = lines[expected][0] if len(lines) > expected else end + 1
         with at_line(path, lineno):
             raise ValueError(f"expected {expected} {what}, found {len(lines)}")
+
+
+def check_fields(cfg: object) -> None:
+    """Check each field of a config dataclass by its annotation and metadata,
+    naming the field first in every message. Kinds: int (not bool), float
+    (finite; an int will do), str, `X | None`, an Enum (a value is stored as
+    its member), a nested config, `tuple[int, ...]` (distinct; stored sorted).
+    Bounds: `range=(lo, hi)` (hi None: unbounded) on the value or each
+    element, or `choices`."""
+    for f in fields(cfg):
+        kind, value = _type_hints(type(cfg))[f.name], getattr(cfg, f.name)
+        if problem := _problem(kind, value, f.metadata):
+            raise ValueError(f"{f.name} must {problem}")
+        if kind == tuple[int, ...]:
+            object.__setattr__(cfg, f.name, tuple(sorted(value)))
+        elif isinstance(kind, type) and issubclass(kind, Enum):
+            object.__setattr__(cfg, f.name, kind(value))
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_type_hints = cache(get_type_hints)
+
+
+def _problem(kind: object, value: object, bounds: Mapping) -> str | None:
+    """What keeps `value` from being a `kind` within `bounds`, or None."""
+    if isinstance(kind, UnionType):  # X | None
+        problem = None if value is None else _problem(get_args(kind)[0], value, bounds)
+        return problem and f"{problem} or None"
+    items = (value,)
+    if kind == tuple[int, ...]:
+        if type(value) not in (tuple, list) or any(type(v) is not int for v in value):
+            return "be integers"
+        if not value or len(set(value)) < len(value):
+            return "be distinct" if value else "not be empty"
+        items = value
+    elif issubclass(kind, Enum):
+        return None if isinstance(value, str) else f"be one of {tuple(m.value for m in kind)}"
+    elif not (type(value) is kind or kind is float and type(value) is int):
+        return f"be {_KIND_NAMES.get(kind) or 'a ' + kind.__name__}"
+    elif type(value) is float and not math.isfinite(value):
+        return "be finite"
+    lo, hi = bounds.get("range", (None, None))
+    if lo is not None and any(v < lo or hi is not None and v > hi for v in items):
+        return f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
+    choices = bounds.get("choices")
+    return f"be one of {choices}" if choices and value not in choices else None
 
 
 def load_universe(path: str | Path) -> AntigenUniverse:

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,12 +195,12 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
     "entry, message",
     [
         ("replicates=0", "replicates must be at least 1"),
-        ("ag_sample=1,11", "ag sample sizes must lie in 1..10"),
+        ("ag_sample=1,11", "ag_sample_sizes must lie in 1..10"),
         ("ag_sample=", "ag_sample needs a value"),
         ("operator=bogus", "'bogus' is not a valid NeighborOperator"),
         ("phase2=xx", "phase2 must be one of ('none', 'sa', 'gd')"),
-        ("type=z", "population type must be one of ('A', 'B', 'C')"),
-        ("generations=-1", "generations must be non-negative"),
+        ("type=z", "population_type must be one of ('A', 'B', 'C')"),
+        ("generations=-1", "generations must be at least 0"),
     ],
 )
 def test_config_file_rejected_value_names_file_and_line(tmp_path, capsys, entry, message):
@@ -204,6 +208,25 @@ def test_config_file_rejected_value_names_file_and_line(tmp_path, capsys, entry,
     cfg.write_text(f"# a comment\nseed=3\n{entry}\n")
     assert run("experiment", "--config", cfg, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"error: {cfg}: line 3: {message}\n"
+
+
+def test_module_entry_point_exits_2_on_a_bad_config_line(tmp_path):
+    """`python -m immunesched` in a process of its own: a rejected --config
+    line sets exit status 2 and prints the `file: line N:` message."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# a comment\nseed=3\nreplicates=0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["experiment", "--config", str(bad), "--out", str(tmp_path / "o")]
+    done = subprocess.run(
+        [sys.executable, "-m", "immunesched", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: {bad}: line 3: replicates must be at least 1\n"
+    assert done.stdout == ""
 
 
 def test_refine_config_rejects_phase2_none(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import csv
+import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -108,9 +110,9 @@ def test_experiment_config_validation():
     for field, value, message in [
         ("replicates", 2.5, "replicates must be an integer"),
         ("replicates", True, "replicates must be an integer"),
-        ("ag_sample_sizes", (1.5,), "ag sample sizes must be integers"),
-        ("ag_sample_sizes", (4, True), "ag sample sizes must be integers"),
-        ("ag_sample_sizes", (), "ag sample sizes must not be empty"),
+        ("ag_sample_sizes", (1.5,), "ag_sample_sizes must be integers"),
+        ("ag_sample_sizes", (4, True), "ag_sample_sizes must be integers"),
+        ("ag_sample_sizes", (), "ag_sample_sizes must not be empty"),
         ("thresholds", (2.5,), "thresholds must be integers"),
         ("thresholds", (3, 4.0), "thresholds must be integers"),
         ("master_seed", None, "master_seed must be an integer"),
@@ -234,8 +236,8 @@ MANIFEST_EDITS = [
     (("sa", "initial_temperature"), "5000", "initial_temperature must be a number"),
     (("sa", "cooling_factor"), "0.9", "cooling_factor must be a number"),
     (("replicates",), 2.5, "replicates must be an integer"),
-    (("ag_sample_sizes",), [1.5], "ag sample sizes must be integers"),
-    (("ag_sample_sizes",), [], "ag sample sizes must not be empty"),
+    (("ag_sample_sizes",), [1.5], "ag_sample_sizes must be integers"),
+    (("ag_sample_sizes",), [], "ag_sample_sizes must not be empty"),
     (("thresholds",), [2.5], "thresholds must be integers"),
 ]
 
@@ -257,6 +259,92 @@ def test_manifest_with_a_fractional_count_is_rejected(tmp_path, keys, value, mes
     block[key] = value
     path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"^{message}"):
+        config_from_manifest(path)
+
+
+# Every config field's kind, written out apart from the annotations; a
+# trailing "?" marks a field that may be None.
+FIELD_KINDS = {
+    GAConfig: {
+        "generations": "int",
+        "crossover_rate": "float",
+        "mutation_rate": "float",
+        "tournament_size": "int",
+        "population_size": "int",
+    },
+    SAConfig: {
+        "initial_temperature": "float",
+        "final_temperature": "float",
+        "cooling_factor": "float",
+        "operator": "enum",
+    },
+    GDConfig: {"iterations": "int", "stagnation_limit": "int?", "operator": "enum"},
+    ExperimentConfig: {
+        "universe_path": "str?",
+        "base_problem_path": "str?",
+        "population_type": "str",
+        "ag_sample_sizes": "ints",
+        "thresholds": "ints",
+        "replicates": "int",
+        "phase2": "str",
+        "ga": "config",
+        "sa": "config",
+        "gd": "config",
+        "master_seed": "int",
+    },
+}
+SECTIONS = {GAConfig: ("ga",), SAConfig: ("sa",), GDConfig: ("gd",), ExperimentConfig: ()}
+
+
+def wrong_values(kind):
+    """None (unless optional), a bool, a string, a float for an int, a list
+    for a scalar or a scalar for a tuple, NaN and inf: those that apply."""
+    values = [True, math.nan, math.inf] + ([] if kind.endswith("?") else [None])
+    kind = kind.rstrip("?")
+    if kind not in ("str", "enum"):
+        values.append("3")
+    values += {
+        "int": [2.5, [3]],
+        "float": [[0.5]],
+        "str": [3, ["A"]],
+        "enum": [["change"]],
+        "config": [[3]],
+        "ints": [[2.5], 5],
+    }[kind]
+    return values
+
+
+WRONG_KIND_CASES = [
+    (cls, name, value)
+    for cls, kinds in FIELD_KINDS.items()
+    for name, kind in kinds.items()
+    for value in wrong_values(kind)
+]
+
+
+def test_field_kind_table_covers_every_config_field():
+    for cls, kinds in FIELD_KINDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == list(kinds)
+
+
+@pytest.mark.parametrize(
+    "cls, name, value",
+    WRONG_KIND_CASES,
+    ids=[f"{cls.__name__}.{name}={value!r}" for cls, name, value in WRONG_KIND_CASES],
+)
+def test_wrong_kind_is_rejected_by_name(tmp_path, cls, name, value):
+    """A wrong kind fails with a ValueError that starts with the field's name,
+    both from the constructor and from a hand-edited run.json."""
+    with pytest.raises(ValueError, match=f"^{name} must "):
+        cls(**{name: value})
+    path = emit_config_only(ExperimentConfig(), tmp_path)
+    manifest = json.loads(path.read_text())
+    block = manifest["config"]
+    for section in SECTIONS[cls]:
+        block = block[section]
+    block[name] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"^{name} must "):
         config_from_manifest(path)
 
 

@@ -1,7 +1,8 @@
 """Property tests of the packed-offset match kernel, of the lane-packed
 column table and its bit-count lane score, of the operators whose output
-skips Antibody validation, and of the draw the operators use in place of
-randrange."""
+skips Antibody validation, of the draws the operators and the refinement
+chain use in place of randrange and rng.sample, and of the great deluge's
+floor."""
 
 import io
 import itertools
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from immunesched import (
+    ANTIBODY_LENGTH,
     JOB_COUNT,
     OFFSET_COUNT,
     POSITION_SCORE,
@@ -233,6 +235,70 @@ def test_draw_below_matches_randrange(seed, n, count):
     draw = draw_below(n, rng)
     assert [draw() for _ in range(count)] == [reference.randrange(n) for _ in range(count)]
     assert rng.getstate() == reference.getstate()
+
+
+def reference_chain(ab, universe, sample, cfg, rng):
+    """refine's untraced chain written plainly: each neighbour is a new
+    Antibody scored by antibody_fitness, its slots drawn by randrange (change)
+    or rng.sample (swap)."""
+    jobs = ab.jobs
+    start = current = best = antibody_fitness(ab, universe, sample)
+    best_jobs, target, stagnation = jobs, max_fitness(sample.size), 0
+    for level, _ in itertools.pairwise(cfg.levels(start, target)):
+        if best == target:
+            break
+        moved = list(jobs)
+        if cfg.operator is NeighborOperator.CHANGE_ONE_JOB:
+            slot = rng.randrange(ANTIBODY_LENGTH)
+            unused = sorted(set(JOB_IDS) - set(jobs))
+            moved[slot] = unused[rng.randrange(len(unused))]
+        else:
+            i, j = rng.sample(range(ANTIBODY_LENGTH), 2)
+            moved[i], moved[j] = moved[j], moved[i]
+        fit = antibody_fitness(Antibody(tuple(moved)), universe, sample)
+        if fit >= current or cfg.accepts_worse(fit, current, level, rng):
+            jobs, current = tuple(moved), fit
+        if current > best:
+            best_jobs, best, stagnation = jobs, current, 0
+        else:
+            stagnation += 1
+        if stagnation == cfg.stagnation_limit:
+            break
+    return Antibody(best_jobs) if best > start else ab
+
+
+@settings(max_examples=40)
+@given(universes, samples, antibodies, st.sampled_from(list(NeighborOperator)), seeds)
+def test_chain_draws_match_randrange_and_sample(universe, sample, antibody, op, seed):
+    """The chain draws its moves inline. Both operators must give the values
+    randrange and rng.sample would, and leave the generator where they
+    would: refine returns the reference chain's antibody, and the two
+    generators end in the same state."""
+    for cfg in (SAConfig(operator=op), GDConfig(operator=op, stagnation_limit=None)):
+        rng, reference = random.Random(seed), random.Random(seed)
+        expected = reference_chain(antibody, universe, sample, cfg, reference)
+        assert refine(antibody, universe, sample, cfg, rng) == expected
+        assert rng.getstate() == reference.getstate()
+
+
+@given(
+    universes,
+    samples,
+    antibodies,
+    st.sampled_from(list(NeighborOperator)),
+    st.sampled_from([30, None]),
+    seeds,
+)
+def test_gd_never_falls_below_its_start(universe, sample, antibody, op, limit, seed):
+    """The boundary starts at the start fitness and only rises, so no
+    accepted move takes the current fitness below the start's."""
+    trace = io.StringIO()
+    cfg = GDConfig(stagnation_limit=limit, operator=op)
+    refine(antibody, universe, sample, cfg, random.Random(seed), trace)
+    start = antibody_fitness(antibody, universe, sample)
+    rows = trace.getvalue().splitlines()[1:]
+    assert rows
+    assert all(int(row.split(",")[2]) >= start for row in rows)
 
 
 @given(
