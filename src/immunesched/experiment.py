@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -298,9 +298,17 @@ def emit_reports(
 
 
 def config_from_manifest(path: str | Path) -> ExperimentConfig:
-    """Rebuild the configuration recorded in a run.json manifest."""
+    """Rebuild the configuration recorded in a run.json manifest. A key
+    missing from a block, or unknown to it, fails by its name."""
     data = json.loads(Path(path).read_text())["config"]
     for key, kind in (("ga", GAConfig), ("sa", SAConfig), ("gd", GDConfig)):
         if isinstance(data.get(key), dict):  # anything else is the checker's to reject
-            data[key] = kind(**data[key])
-    return ExperimentConfig(**data)
+            data[key] = _from_block(kind, data[key], f"{key}.")
+    return _from_block(ExperimentConfig, data, "")
+
+
+def _from_block(kind: type, block: dict, prefix: str):
+    """`kind(**block)`, once `block` holds exactly `kind`'s fields."""
+    if odd := sorted(block.keys() ^ {f.name for f in fields(kind)}):
+        raise ValueError(f"{'unknown' if odd[0] in block else 'missing'} key '{prefix}{odd[0]}'")
+    return kind(**block)

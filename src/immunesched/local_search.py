@@ -6,11 +6,11 @@ the level schedule (SA temperatures, GD boundaries), the rule for a worse
 candidate, the trace's level column and GD's stagnation stop.
 
 The chain scores a move by its delta on one int, the current antibody's
-lanes against every sampled antigen in the sample's column table: changing
-slot p from job a to job b gives `packed - col[p][a] + col[p][b]`, and a
-swap subtracts two entries and adds two. The lane layout, the column table
-and the bit-count score are defined in the matching module. No antibody is
-built for a candidate.
+lanes against every antigen in the universe's column table: changing slot
+p from job a to job b gives `packed - col[p][a] + col[p][b]`, and a swap
+subtracts two entries and adds two; the sample's masks score its own lanes.
+The lane layout, the column table and the bit-count score are defined in
+the matching module. No antibody is built for a candidate.
 
 refine_population refines every member independently, each with its own
 derived generator, so serial and parallel execution would agree.
@@ -28,7 +28,7 @@ from itertools import pairwise
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
-from .matching import POSITION_SCORE, AntigenSample, _best_counts, _columns_for, max_fitness
+from .matching import POSITION_SCORE, AntigenSample, _best_counts, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
@@ -133,7 +133,7 @@ def refine(
     it, and stops after `stagnation_limit` steps without a new best.
 
     A candidate is scored by its delta on the current antibody's lanes in
-    the sample's column table (see the matching module), to the value
+    the universe's column table (see the matching module), to the value
     `antibody_fitness` gives the moved antibody; only the returned antibody
     is built.
 
@@ -156,7 +156,7 @@ def _chain(
     trace: TextIO | None,
 ) -> tuple[Antibody, int]:
     """`refine`'s chain; returns the result and its fitness."""
-    cols, masks = _columns_for(universe, sample)
+    cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
     packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
@@ -241,8 +241,8 @@ def refine_population(
     strict improvement, so total fitness cannot decrease.
 
     Each antibody gets its own generator seeded from `rng`, keeping results
-    independent of evaluation order. The sample's column table serves every
-    chain, and each chain's fitness becomes the refined population's.
+    independent of evaluation order. The universe's column table serves
+    every chain, and each chain's fitness becomes the refined population's.
     """
     pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):

@@ -11,30 +11,32 @@ when its job sits at antigen position j + d. Each antigen caches a table
 (`Antigen.match_table`) giving, per slot and job, a 1 in the 4-bit field
 of that offset. The sum of an antibody's five entries is a lane: all 11
 offset counts, one per field. A field counts at most five slots, so none
-spills into the next, and the fields fill 44 of a lane's 64 bits.
+spills into the next, and the fields fill 44 of a lane's LANE_BITS = 45.
 
-A sample's column table (`_columns`) gives, per slot and job id, one int
-holding the sampled antigens' entries, antigen k's in the 64-bit lane at
-bit 64*k. Five column lookups and four additions give an antibody's lanes
-against every sampled antigen at once, and no lane carries into or borrows
-from its neighbour, so the refinement chain scores a move by subtracting
-and adding entries. The table is built once per (sample, universe) and kept
-on the sample.
+The universe's column table (`AntigenUniverse.columns`) gives, per slot and
+job id, one int holding all ten antigens' entries, antigen k's in lane k at
+bit 45*k. Five column lookups and four additions give an antibody's lanes
+against every antigen at once, and no lane carries into or borrows from its
+neighbour, so the refinement chain scores a move by subtracting and adding
+entries. One table serves every sample of the universe.
 
-A lane's best count is its largest field, so it is the number of c in
-1..5 that some field reaches. `_best_counts` sums it over every lane with
-five masked adds and bit counts, whatever the number of lanes; a single
-antigen's lane is scored the same way with one-lane masks.
+A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
+and no other. A lane's best count is its largest field, so it is the number
+of c in 1..5 that some field reaches. `_best_counts` sums it over the masked
+lanes with five masked adds and bit counts, whatever their number; a single
+antigen's lane is scored the same way with lane 0's masks.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .gene_library import Antibody
 from .scheduling import (
     ANTIBODY_LENGTH,
+    LANE_BITS,
     OFFSET_COUNT,
     UNIVERSE_SIZE,
     Antigen,
@@ -44,12 +46,8 @@ from .scheduling import (
 POSITION_SCORE = 5
 MAX_SCORE_PER_ANTIGEN = POSITION_SCORE * ANTIBODY_LENGTH
 
-# Per slot, per job id (index 0 unused): one int holding the sampled
-# antigens' match_table entries, antigen k's in the 64-bit lane at bit 64*k.
-_Columns = tuple[tuple[int, ...], ...]
 # The constants `_best_counts` adds and masks with (see `_lane_masks`).
 _Masks = tuple[int, int, int, int, int, int, int]
-_FIELD_BITS = 4 * OFFSET_COUNT  # a lane's 11 four-bit fields; bit 44 is free
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,6 @@ class AntigenSample:
     """Indices of the antigens an antibody population is trained against."""
 
     indices: tuple[int, ...]
-    # (universe, columns, masks) for the universe last scored against.
-    _table: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.indices:
@@ -81,6 +77,11 @@ class AntigenSample:
     def size(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def masks(self) -> _Masks:
+        """The masks that score this sample's lanes of `AntigenUniverse.columns`."""
+        return _lane_masks(self.indices)
+
     @classmethod
     def draw(cls, size: int, rng: random.Random) -> "AntigenSample":
         """Sample `size` distinct antigen indices uniformly without replacement."""
@@ -89,45 +90,22 @@ class AntigenSample:
         return cls(tuple(rng.sample(range(UNIVERSE_SIZE), size)))
 
 
-def _columns(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
-    """The column table of `sample` and the masks that score its lanes."""
-    tables = [universe.antigens[i].match_table for i in sample.indices]
-    cols = tuple(
-        tuple(
-            sum(entry << 64 * k for k, entry in enumerate(entries))
-            for entries in zip(*(table[slot] for table in tables))
-        )
-        for slot in range(ANTIBODY_LENGTH)
-    )
-    return cols, _lane_masks(sample.size)
+def _lane_masks(lanes: tuple[int, ...]) -> _Masks:
+    """The constants that score the given lanes and no other, in
+    `_best_counts`' order: 2**44 - 1 in each lane, bit 44 of each lane,
+    bit 3 of each field, then 8 - c in each field for c = 2, 3, 4 and 5."""
+    lane = sum(1 << LANE_BITS * k for k in lanes)  # bit 0 of each lane
+    top = lane << LANE_BITS - 1
+    ones = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of each field
+    return top - lane, top, 8 * ones, 6 * ones, 5 * ones, 4 * ones, 3 * ones
 
 
-def _columns_for(universe: AntigenUniverse, sample: AntigenSample) -> tuple[_Columns, _Masks]:
-    """`_columns(universe, sample)`, built on first use and kept on the
-    sample until it is scored against another universe."""
-    table = sample._table
-    if table is None or table[0] is not universe:
-        table = universe, *_columns(universe, sample)
-        object.__setattr__(sample, "_table", table)
-    return table[1], table[2]
-
-
-def _lane_masks(ag: int) -> _Masks:
-    """The constants that score `ag` lanes, in `_best_counts`' order:
-    2**44 - 1 in every lane, bit 44 of every lane, bit 3 of every field,
-    then 8 - c in every field for c = 2, 3, 4 and 5."""
-    lane = sum(1 << 64 * k for k in range(ag))  # bit 0 of every lane
-    ones = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of every field
-    below_top = ((1 << _FIELD_BITS) - 1) * lane
-    return below_top, lane << _FIELD_BITS, 8 * ones, 6 * ones, 5 * ones, 4 * ones, 3 * ones
-
-
-_ONE_LANE = _lane_masks(1)
+_ONE_LANE = _lane_masks((0,))
 
 
 def _best_counts(packed: int, masks: _Masks) -> int:
-    """The sum of the lanes' best counts, for lanes packed as in a column
-    table and the masks `_lane_masks` gives for their number.
+    """The sum of the masked lanes' best counts, for lanes packed as in
+    `AntigenUniverse.columns`; a lane outside the masks adds nothing.
 
     Adding 2**44 - 1 to a lane sets its bit 44 exactly when the lane is
     non-zero: that is c = 1. For c >= 2, adding 8 - c to every field sets
@@ -135,7 +113,8 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     since the fields sum to at most 5. For c >= 3 at most one field per
     lane passes (two would hold six slots), so the set bits count lanes;
     for c = 2 two fields can, so each lane's flags are collapsed onto bit
-    44 first. `local_search._chain` inlines this expression.
+    44 first. An unmasked lane has nothing added and every bit of it is
+    masked off. `local_search._chain` inlines this expression.
     """
     below_top, top, high, two, three, four, five = masks
     return (
@@ -165,9 +144,9 @@ def antibody_fitness(
     antibody: Antibody, universe: AntigenUniverse, sample: AntigenSample
 ) -> int:
     """Sum of the antibody's best match scores over the sampled antigens."""
-    (c0, c1, c2, c3, c4), masks = _columns_for(universe, sample)
+    c0, c1, c2, c3, c4 = universe.columns
     a, b, c, d, e = antibody.jobs
-    return POSITION_SCORE * _best_counts(c0[a] + c1[b] + c2[c] + c3[d] + c4[e], masks)
+    return POSITION_SCORE * _best_counts(c0[a] + c1[b] + c2[c] + c3[d] + c4[e], sample.masks)
 
 
 def is_matched(antigen: Antigen, antibody: Antibody, threshold: int) -> bool:

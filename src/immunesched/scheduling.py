@@ -32,6 +32,9 @@ MUTATION_PROBABILITY = 0.2
 # The unit of each offset's 4-bit field in Antigen.match_table. Every table
 # refers to these same int objects instead of allocating its own.
 _OFFSET_FIELDS = tuple(1 << 4 * d for d in range(OFFSET_COUNT))
+# One antigen's lane in AntigenUniverse.columns: the 11 four-bit fields and
+# bit 44, which the best-count rule in matching carries into and never past.
+LANE_BITS = 4 * OFFSET_COUNT + 1
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,18 @@ class AntigenUniverse:
             raise ValueError(
                 f"universe must hold exactly {UNIVERSE_SIZE} antigens, got {len(self.antigens)}"
             )
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every antigen's `match_table` in one: per antibody slot and job id,
+        one int holding antigen k's entry in the lane at bit LANE_BITS * k."""
+        return tuple(
+            tuple(
+                sum(entry << LANE_BITS * k for k, entry in enumerate(entries))
+                for entries in zip(*(antigen.match_table[slot] for antigen in self.antigens))
+            )
+            for slot in range(ANTIBODY_LENGTH)
+        )
 
 
 def mutate_scenario(
@@ -267,7 +282,8 @@ def _problem(kind: object, value: object, bounds: Mapping) -> str | None:
             return "be distinct" if value else "not be empty"
         items = value
     elif issubclass(kind, Enum):
-        return None if isinstance(value, str) else f"be one of {tuple(m.value for m in kind)}"
+        values = tuple(m.value for m in kind)
+        return None if value in values else f"be one of {values}"
     elif not (type(value) is kind or kind is float and type(value) is int):
         return f"be {_KIND_NAMES.get(kind) or 'a ' + kind.__name__}"
     elif type(value) is float and not math.isfinite(value):

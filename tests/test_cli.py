@@ -197,7 +197,7 @@ def test_config_file_bad_value_names_file_and_line(tmp_path, capsys):
         ("replicates=0", "replicates must be at least 1"),
         ("ag_sample=1,11", "ag_sample_sizes must lie in 1..10"),
         ("ag_sample=", "ag_sample needs a value"),
-        ("operator=bogus", "'bogus' is not a valid NeighborOperator"),
+        ("operator=bogus", "operator must be one of ('change', 'swap')"),
         ("phase2=xx", "phase2 must be one of ('none', 'sa', 'gd')"),
         ("type=z", "population_type must be one of ('A', 'B', 'C')"),
         ("generations=-1", "generations must be at least 0"),

@@ -1,15 +1,16 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import random
 
 import pytest
 
-import immunesched.matching
 from immunesched import (
     Antibody,
     AntigenSample,
+    AntigenUniverse,
     CoverageTable,
     ExperimentConfig,
     GAConfig,
@@ -31,7 +32,7 @@ from immunesched import (
     run_experiment,
     sample_initial,
 )
-from immunesched.experiment import draw_sample, evolve_replicate, refine_replicate
+from immunesched.experiment import draw_sample, evolve_replicate
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +417,47 @@ def test_manifest_roundtrips_non_default_config(tmp_path):
     assert config_from_manifest(emit_config_only(cfg, tmp_path)) == cfg
 
 
+def edit_manifest(tmp_path, section, edit):
+    """Write the default config's run.json with `edit` applied to the block
+    at `section`, and return its path."""
+    path = emit_config_only(ExperimentConfig(), tmp_path)
+    manifest = json.loads(path.read_text())
+    block = manifest["config"]
+    for key in section:
+        block = block[key]
+    edit(block)
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+@pytest.mark.parametrize("section", [(), ("ga",), ("sa",), ("gd",)])
+def test_manifest_unknown_key_is_named(tmp_path, section):
+    """A key the config does not declare fails by its name, not by a bare
+    TypeError from the constructor."""
+    path = edit_manifest(tmp_path, section, lambda block: block.update(typo=1))
+    name = ".".join((*section, "typo"))
+    with pytest.raises(ValueError, match=f"^unknown key '{name}'$"):
+        config_from_manifest(path)
+
+
+MISSING_KEYS = [
+    ((), "ga"),
+    ((), "replicates"),
+    (("ga",), "generations"),
+    (("sa",), "operator"),
+    (("gd",), "stagnation_limit"),
+]
+
+
+@pytest.mark.parametrize("section, key", MISSING_KEYS)
+def test_manifest_missing_key_is_named(tmp_path, section, key):
+    """A dropped key fails by its name; it is not filled in by its default."""
+    path = edit_manifest(tmp_path, section, lambda block: block.pop(key))
+    name = ".".join((*section, key))
+    with pytest.raises(ValueError, match=f"^missing key '{name}'$"):
+        config_from_manifest(path)
+
+
 def test_emit_reports_empty_phase2_columns(tmp_path):
     cfg = small_config()
     table, report = run_experiment(cfg)
@@ -455,20 +497,20 @@ def test_failed_replicate_names_its_index(universe, tmp_path):
         run_experiment(cfg)
 
 
-def test_a_replicate_builds_its_column_table_once(universe, pool, monkeypatch):
-    """The initial population's scores, phase one's memo misses and every
-    phase-two chain read the one column table kept on the sample."""
+def test_an_experiment_builds_its_universe_table_once(monkeypatch):
+    """Every sample and replicate at every ag size, phase one and phase two
+    alike, reads the one column table of the run's universe."""
     builds = []
-    build = immunesched.matching._columns
+    build = AntigenUniverse.columns.func
 
-    def counted(universe, sample):
-        builds.append(sample)
-        return build(universe, sample)
+    def counted(universe):
+        builds.append(universe)
+        return build(universe)
 
-    monkeypatch.setattr(immunesched.matching, "_columns", counted)
-    cfg = small_config(phase2="sa")
-    sample = draw_sample(cfg, 4, 0)
-    evolved = evolve_replicate(cfg, universe, pool, sample, 0)
-    refined = refine_replicate(cfg, universe, evolved, sample, 0)
-    assert refined.total_fitness >= evolved.total_fitness
-    assert builds == [sample]
+    columns = functools.cached_property(counted)
+    columns.__set_name__(AntigenUniverse, "columns")
+    monkeypatch.setattr(AntigenUniverse, "columns", columns)
+    cfg = small_config(ag_sample_sizes=(1, 4, 8), phase2="sa")
+    _, report = run_experiment(cfg)
+    assert [len(totals) for totals in report.after_totals.values()] == [2, 2, 2]
+    assert builds == [resolve_universe(cfg)]

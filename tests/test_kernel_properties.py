@@ -1,8 +1,8 @@
-"""Property tests of the packed-offset match kernel, of the lane-packed
-column table and its bit-count lane score, of the operators whose output
-skips Antibody validation, of the draws the operators and the refinement
-chain use in place of randrange and rng.sample, and of the great deluge's
-floor."""
+"""Property tests of the packed-offset match kernel, of the universe's
+lane-packed column table, of the sample's lane masks and the bit-count lane
+score they feed, of the operators whose output skips Antibody validation,
+of the draws the operators and the refinement chain use in place of
+randrange and rng.sample, and of the great deluge's floor."""
 
 import io
 import itertools
@@ -34,7 +34,8 @@ from immunesched import (
 )
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
-from immunesched.matching import _best_counts, _columns, _lane_masks
+from immunesched.matching import _best_counts, _lane_masks
+from immunesched.scheduling import LANE_BITS
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -118,8 +119,8 @@ LANE_BEST = reference_best_counts()
 
 
 def lanes(value, count):
-    """The 64-bit lanes of a lane-packed int, by shifting and masking."""
-    return [value >> 64 * k & (1 << 64) - 1 for k in range(count)]
+    """The LANE_BITS-bit lanes of a lane-packed int, by shifting and masking."""
+    return [value >> LANE_BITS * k & (1 << LANE_BITS) - 1 for k in range(count)]
 
 
 def move_on_lanes(cols, jobs, move):
@@ -137,22 +138,23 @@ def move_on_lanes(cols, jobs, move):
 
 
 def assert_lanes_score_the_move(universe, sample, antibody, move):
-    cols, masks = _columns(universe, sample)
-    packed, jobs = move_on_lanes(cols, antibody.jobs, move)
+    packed, jobs = move_on_lanes(universe.columns, antibody.jobs, move)
     moved = Antibody(jobs)
-    tables = [universe.antigens[i].match_table for i in sample.indices]
-    assert lanes(packed, sample.size + 1) == [
-        sum(table[slot][job] for slot, job in enumerate(jobs)) for table in tables
+    packed_lanes = lanes(packed, UNIVERSE_SIZE + 1)
+    assert packed_lanes == [
+        sum(antigen.match_table[slot][job] for slot, job in enumerate(jobs))
+        for antigen in universe.antigens
     ] + [0]
     fitness = antibody_fitness(moved, universe, sample)
-    assert POSITION_SCORE * sum(LANE_BEST[lane] for lane in lanes(packed, sample.size)) == fitness
-    assert POSITION_SCORE * _best_counts(packed, masks) == fitness  # the chain's own score
+    assert POSITION_SCORE * sum(LANE_BEST[packed_lanes[i]] for i in sample.indices) == fitness
+    assert POSITION_SCORE * _best_counts(packed, sample.masks) == fitness  # the chain's own score
 
 
 @given(universes, samples, antibodies, moves)
 def test_lane_packed_move_scores_like_antibody_fitness(universe, sample, antibody, move):
-    """Each lane of the moved sum is that antigen's packed counts for the
-    moved antibody, and nothing spills past the last lane."""
+    """Lane k of the moved sum is antigen k's packed counts for the moved
+    antibody, nothing spills past the tenth lane, and the sample's masks
+    score its own lanes."""
     assert_lanes_score_the_move(universe, sample, antibody, move)
 
 
@@ -174,7 +176,7 @@ def test_lanes_at_their_largest_field_neither_carry_nor_borrow(move):
 
 def test_lane_score_is_best_count_for_every_key():
     """Every packed value a lane can hold: the 4,368 keys of LANE_BEST."""
-    masks = _lane_masks(1)
+    masks = _lane_masks((0,))
     assert len(LANE_BEST) == 4368
     assert all(_best_counts(key, masks) == best for key, best in LANE_BEST.items())
 
@@ -188,8 +190,26 @@ FULL_LANE = 5 << 4 * (OFFSET_COUNT - 1)  # all five slots at the last offset
 def test_lane_score_sums_best_count_over_the_lanes(keys):
     """Any keys in every lane of 1 to 10, the top lane included: no lane's
     added constants carry into its neighbour."""
-    packed = sum(key << 64 * k for k, key in enumerate(keys))
-    assert _best_counts(packed, _lane_masks(len(keys))) == sum(LANE_BEST[key] for key in keys)
+    packed = sum(key << LANE_BITS * k for k, key in enumerate(keys))
+    assert _best_counts(packed, _lane_masks(tuple(range(len(keys))))) == sum(
+        LANE_BEST[key] for key in keys
+    )
+
+
+@example([FULL_LANE] * UNIVERSE_SIZE, [0])
+@given(
+    st.lists(st.sampled_from(KEYS[1:]), min_size=UNIVERSE_SIZE, max_size=UNIVERSE_SIZE),
+    st.lists(
+        st.integers(0, UNIVERSE_SIZE - 1), min_size=1, max_size=UNIVERSE_SIZE - 1, unique=True
+    ),
+)
+def test_only_the_sampled_lanes_score(keys, indices):
+    """Non-zero keys in all ten lanes: the sample's masks score its own
+    lanes, and every unsampled lane, each of which has a best count of at
+    least 1, adds nothing."""
+    packed = sum(key << LANE_BITS * k for k, key in enumerate(keys))
+    sample = AntigenSample(tuple(indices))
+    assert _best_counts(packed, sample.masks) == sum(LANE_BEST[keys[i]] for i in indices)
 
 
 class OneHitRng:

@@ -267,7 +267,7 @@ def test_config_operator_strings_are_coerced(setup):
     for kind in (SAConfig, GDConfig):
         assert kind(operator="change").operator is CHANGE
         assert kind(operator="swap").operator is SWAP
-        with pytest.raises(ValueError, match="not a valid NeighborOperator"):
+        with pytest.raises(ValueError, match=r"^operator must be one of \('change', 'swap'\)$"):
             kind(operator="bogus")
     by_string = refine(pool[3], universe, sample, SAConfig(operator="change"), random.Random(4))
     by_member = refine(pool[3], universe, sample, SAConfig(operator=CHANGE), random.Random(4))

@@ -161,8 +161,9 @@ def test_antigen_sample_validation():
 
 
 def test_one_sample_scored_against_two_universes_alternately():
-    """The sample keeps one universe's column table at a time; scoring it
-    against another universe must not read the first one's."""
+    """Each universe holds its own column table and the sample only its lane
+    masks; scoring the sample against one universe must not read the
+    other's table."""
     first = _universe()
     second = generate_universe(default_base_problem(), random.Random(3))
     sample = AntigenSample((0, 4, 6))
