@@ -13,7 +13,6 @@ from .experiment import (
     ExperimentConfig,
     RunReport,
     config_from_manifest,
-    coverage,
     derived_rng,
     emit_reports,
     fitness_improvement,
@@ -46,7 +45,7 @@ from .matching import (
     MatchResult,
     antibody_fitness,
     best_match,
-    is_matched,
+    coverage,
     max_fitness,
 )
 from .population import (

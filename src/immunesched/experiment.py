@@ -17,13 +17,14 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
+from itertools import pairwise
 from pathlib import Path
 from typing import TextIO
 
 from .evolution import GAConfig, evolve
 from .gene_library import POPULATION_TYPES, Antibody, build_libraries, generate_pool
 from .local_search import GDConfig, SAConfig, refine_population
-from .matching import AntigenSample, is_matched
+from .matching import AntigenSample, coverage
 from .population import Population, sample_initial
 from .scheduling import (
     ANTIBODY_LENGTH,
@@ -91,14 +92,9 @@ class CoverageTable:
                 if not 0.0 <= value <= UNIVERSE_SIZE:
                     raise ValueError(f"cell ({t},{ag}) = {value} outside 0..{UNIVERSE_SIZE}")
         for ag in self.ag_sizes:
-            previous = None
-            for t in self.thresholds:
-                value = self.cells[(t, ag)]
-                if previous is not None and value < previous:
-                    raise ValueError(
-                        f"unmatched counts must not decrease with threshold (ag={ag})"
-                    )
-                previous = value
+            column = [self.cells[(t, ag)] for t in self.thresholds]
+            if any(b < a for a, b in pairwise(column)):
+                raise ValueError(f"unmatched counts must not decrease with threshold (ag={ag})")
 
     def cell(self, threshold: int, ag_size: int) -> float:
         return self.cells[(threshold, ag_size)]
@@ -119,21 +115,6 @@ class RunReport:
     improvements: dict[int, float]
     timings: dict[str, object]
     distinct_members: dict[int, list[int]] = field(default_factory=dict)
-
-
-def coverage(pop: Population, universe: AntigenUniverse, threshold: int) -> int:
-    """Number of universe antigens matched by no antibody at the threshold.
-
-    Always evaluated against all ten antigens, whatever sample the
-    population was trained on.
-    """
-    # Evolved populations hold few distinct antibodies; score each once.
-    distinct = {ab.jobs: ab for ab in pop.antibodies}.values()
-    unmatched = 0
-    for antigen in universe.antigens:
-        if not any(is_matched(antigen, ab, threshold) for ab in distinct):
-            unmatched += 1
-    return unmatched
 
 
 def fitness_improvement(before: list[int], after: list[int]) -> float:
@@ -300,7 +281,11 @@ def emit_reports(
 def config_from_manifest(path: str | Path) -> ExperimentConfig:
     """Rebuild the configuration recorded in a run.json manifest. A key
     missing from a block, or unknown to it, fails by its name."""
-    data = json.loads(Path(path).read_text())["config"]
+    manifest = json.loads(Path(path).read_text())
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ValueError("missing key 'config'")
+    if not isinstance(data := manifest["config"], dict):
+        raise ValueError("config must be an object")
     for key, kind in (("ga", GAConfig), ("sa", SAConfig), ("gd", GDConfig)):
         if isinstance(data.get(key), dict):  # anything else is the checker's to reject
             data[key] = _from_block(kind, data[key], f"{key}.")

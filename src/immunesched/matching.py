@@ -24,7 +24,9 @@ A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
 and no other. A lane's best count is its largest field, so it is the number
 of c in 1..5 that some field reaches. `_best_counts` sums it over the masked
 lanes with five masked adds and bit counts, whatever their number; a single
-antigen's lane is scored the same way with lane 0's masks.
+antigen's lane is scored the same way with lane 0's masks. Coverage packs
+each distinct member's lanes once and scores a threshold with one OR over
+the members of one masked add each, and one bit count.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .gene_library import Antibody
 from .scheduling import (
@@ -42,6 +45,9 @@ from .scheduling import (
     Antigen,
     AntigenUniverse,
 )
+
+if TYPE_CHECKING:  # population imports this module
+    from .population import Population
 
 POSITION_SCORE = 5
 MAX_SCORE_PER_ANTIGEN = POSITION_SCORE * ANTIBODY_LENGTH
@@ -101,6 +107,7 @@ def _lane_masks(lanes: tuple[int, ...]) -> _Masks:
 
 
 _ONE_LANE = _lane_masks((0,))
+_ALL_LANES = _lane_masks(tuple(range(UNIVERSE_SIZE)))
 
 
 def _best_counts(packed: int, masks: _Masks) -> int:
@@ -126,15 +133,11 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     )
 
 
-def _packed_counts(antigen: Antigen, jobs: tuple[int, ...]) -> int:
-    t0, t1, t2, t3, t4 = antigen.match_table
-    a, b, c, d, e = jobs
-    return t0[a] + t1[b] + t2[c] + t3[d] + t4[e]
-
-
 def best_match(antigen: Antigen, antibody: Antibody) -> MatchResult:
     """Best alignment over all offsets; ties go to the smallest offset."""
-    packed = _packed_counts(antigen, antibody.jobs)
+    t0, t1, t2, t3, t4 = antigen.match_table
+    a, b, c, d, e = antibody.jobs
+    packed = t0[a] + t1[b] + t2[c] + t3[d] + t4[e]
     count = _best_counts(packed, _ONE_LANE)
     offset = next(d for d in range(OFFSET_COUNT) if (packed >> 4 * d) & 0xF == count)
     return MatchResult(count, POSITION_SCORE * count, offset)
@@ -149,9 +152,21 @@ def antibody_fitness(
     return POSITION_SCORE * _best_counts(c0[a] + c1[b] + c2[c] + c3[d] + c4[e], sample.masks)
 
 
-def is_matched(antigen: Antigen, antibody: Antibody, threshold: int) -> bool:
-    """True when the best alignment matches at least `threshold` positions."""
-    return _best_counts(_packed_counts(antigen, antibody.jobs), _ONE_LANE) >= threshold
+def coverage(pop: Population, universe: AntigenUniverse, threshold: int) -> int:
+    """Number of universe antigens matched by no antibody at the threshold t,
+    always all ten, whatever sample the population was trained on. Adding
+    8 - t to a field sets its bit 3 exactly when the field reaches t; the
+    flags are OR'd over the distinct members and, as two can flag one lane,
+    collapsed onto bit 44 of each lane. A t below 0 scores as 0, which every
+    member reaches on every lane, one above ANTIBODY_LENGTH as ANTIBODY_LENGTH + 1."""
+    below_top, top, high = _ALL_LANES[:3]
+    t = min(max(threshold, 0), ANTIBODY_LENGTH + 1)
+    add = (8 - t) * (high >> 3)
+    c0, c1, c2, c3, c4 = universe.columns
+    reached = 0
+    for a, b, c, d, e in {ab.jobs for ab in pop.antibodies}:
+        reached |= (c0[a] + c1[b] + c2[c] + c3[d] + c4[e] + add) & high
+    return UNIVERSE_SIZE - ((reached + below_top) & top).bit_count()
 
 
 def max_fitness(sample_size: int) -> int:

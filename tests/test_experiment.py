@@ -9,7 +9,6 @@ import pytest
 
 from immunesched import (
     Antibody,
-    AntigenSample,
     AntigenUniverse,
     CoverageTable,
     ExperimentConfig,
@@ -19,6 +18,7 @@ from immunesched import (
     Population,
     RunReport,
     SAConfig,
+    best_match,
     build_libraries,
     config_from_manifest,
     coverage,
@@ -27,7 +27,6 @@ from immunesched import (
     fitness_improvement,
     generate_pool,
     generate_universe,
-    is_matched,
     resolve_universe,
     run_experiment,
     sample_initial,
@@ -71,7 +70,7 @@ def test_coverage_counts_unmatched_antigens(universe, pool):
     expected = sum(
         1
         for ag in universe.antigens
-        if not is_matched(ag, pop.antibodies[0], 5)
+        if best_match(ag, pop.antibodies[0]).best_count < 5
     )
     assert coverage(pop, universe, 5) == expected
 
@@ -455,6 +454,24 @@ def test_manifest_missing_key_is_named(tmp_path, section, key):
     path = edit_manifest(tmp_path, section, lambda block: block.pop(key))
     name = ".".join((*section, key))
     with pytest.raises(ValueError, match=f"^missing key '{name}'$"):
+        config_from_manifest(path)
+
+
+# (the manifest as written, expected message): no config object to rebuild.
+NO_CONFIG_BLOCK = [
+    ({"master_seed": 0}, "missing key 'config'"),
+    ([{"config": {}}], "missing key 'config'"),
+    ({"config": [1, 2]}, "config must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "manifest, message", NO_CONFIG_BLOCK, ids=["no-config", "top-level-list", "config-list"]
+)
+def test_manifest_without_a_config_object_is_rejected(tmp_path, manifest, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"^{message}$"):
         config_from_manifest(path)
 
 

@@ -1,8 +1,9 @@
 """Property tests of the packed-offset match kernel, of the universe's
 lane-packed column table, of the sample's lane masks and the bit-count lane
-score they feed, of the operators whose output skips Antibody validation,
-of the draws the operators and the refinement chain use in place of
-randrange and rng.sample, and of the great deluge's floor."""
+score they feed, of coverage over the universe's lanes, of the operators
+whose output skips Antibody validation, of the draws the operators and the
+refinement chain use in place of randrange and rng.sample, and of the great
+deluge's floor."""
 
 import io
 import itertools
@@ -24,10 +25,11 @@ from immunesched import (
     AntigenUniverse,
     GDConfig,
     NeighborOperator,
+    Population,
     SAConfig,
     antibody_fitness,
     best_match,
-    is_matched,
+    coverage,
     max_fitness,
     order_crossover,
     refine,
@@ -84,11 +86,20 @@ def test_best_match_agrees_with_sliding_window(antigen, antibody):
     assert result.best_score == POSITION_SCORE * best
 
 
-@given(antigens, antibodies)
-def test_is_matched_agrees_with_sliding_window(antigen, antibody):
-    best = max(sliding_counts(antigen, antibody))
-    for threshold in range(7):
-        assert is_matched(antigen, antibody, threshold) == (best >= threshold)
+# Zero to six members drawn from up to six distinct antibodies, so repeats
+# are common.
+members_lists = st.lists(antibodies, min_size=1, max_size=6).flatmap(
+    lambda distinct: st.lists(st.sampled_from(distinct), max_size=6)
+)
+
+
+@given(universes, members_lists, st.integers(-3, 9))
+def test_coverage_agrees_with_sliding_window(universe, members, threshold):
+    expected = sum(
+        not any(max(sliding_counts(antigen, ab)) >= threshold for ab in members)
+        for antigen in universe.antigens
+    )
+    assert coverage(Population(members), universe, threshold) == expected
 
 
 @given(universes, samples, antibodies)

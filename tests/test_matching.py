@@ -9,12 +9,10 @@ from immunesched import (
     Antibody,
     Antigen,
     AntigenSample,
-    AntigenUniverse,
     antibody_fitness,
     best_match,
     default_base_problem,
     generate_universe,
-    is_matched,
     max_fitness,
 )
 
@@ -106,22 +104,6 @@ def test_fitness_equals_sum_of_brute_force_scores():
             for i in sample.indices
         )
         assert antibody_fitness(antibody, universe, sample) == expected
-
-
-def test_is_matched_golden_thresholds():
-    assert is_matched(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, 3)
-    assert not is_matched(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, 4)
-    assert is_matched(GOLDEN_ANTIGEN, GOLDEN_ANTIBODY, 0)
-    assert is_matched(GOLDEN_ANTIGEN, Antibody(GOLDEN_ANTIGEN.sequence[:5]), 5)
-
-
-def test_threshold_monotonicity():
-    rng = random.Random(31)
-    for _ in range(200):
-        antigen, antibody = random_antigen(rng), random_antibody(rng)
-        for threshold in range(1, 6):
-            if is_matched(antigen, antibody, threshold):
-                assert is_matched(antigen, antibody, threshold - 1)
 
 
 def test_max_fitness_values():
