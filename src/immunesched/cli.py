@@ -23,6 +23,7 @@ from .experiment import (
     draw_sample,
     emit_reports,
     evolve_replicate,
+    fitness_improvement,
     refine_replicate,
     resolve_universe,
     run_experiment,
@@ -234,7 +235,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     refined = refine_replicate(cfg, universe, pop, sample, _REPLICATE)
     save_population(refined, args.out)
     before, after = pop.total_fitness, refined.total_fitness
-    change = f" ({100.0 * (after - before) / before:+.1f}%)" if before else ""
+    change = f" ({fitness_improvement([before], [after]):+.1f}%)" if before else ""
     print(f"wrote {args.out}: total fitness {before} -> {after}{change}")
     return 0
 

@@ -6,9 +6,10 @@ protocol: draw a fresh antigen sample, sample an initial population,
 evolve it, optionally refine it, and score the resulting population's
 coverage of all ten antigens at every matching threshold. Replicate seeds
 derive deterministically from the master seed, so the whole pipeline is a
-pure function of its configuration. The per-stage functions (draw_sample,
-evolve_replicate, refine_replicate) hold the only seed paths; the CLI's
-stage subcommands call them as replicate 0.
+pure function of its configuration. resolve_universe derives the
+"universe" path and the per-stage functions (draw_sample, evolve_replicate,
+refine_replicate) derive the rest; the CLI's stage subcommands call them as
+replicate 0.
 """
 
 from __future__ import annotations

@@ -5,20 +5,18 @@ every position where the two agree contributes five points. The best
 offset's score is the antibody's match against that antigen, and fitness
 over a sample of antigens is the sum of best scores.
 
-Every score in the package is read from one packed format, defined here.
-Antigens are permutations, so antibody slot j agrees at offset d exactly
-when its job sits at antigen position j + d. Each antigen caches a table
-(`Antigen.match_table`) giving, per slot and job, a 1 in the 4-bit field
-of that offset. The sum of an antibody's five entries is a lane: all 11
-offset counts, one per field. A field counts at most five slots, so none
-spills into the next, and the fields fill 44 of a lane's LANE_BITS = 45.
-
-The universe's column table (`AntigenUniverse.columns`) gives, per slot and
-job id, one int holding all ten antigens' entries, antigen k's in lane k at
-bit 45*k. Five column lookups and four additions give an antibody's lanes
-against every antigen at once, and no lane carries into or borrows from its
-neighbour, so the refinement chain scores a move by subtracting and adding
-entries. One table serves every sample of the universe.
+Every score in the package is read from one packed format, defined and
+built here. Antigens are permutations, so antibody slot j agrees at offset d
+exactly when its job sits at antigen position j + d. `pack_columns` builds a
+universe's column table straight from antigen positions: per slot and job
+id, one int with a 1 in the 4-bit field of that offset in antigen k's lane,
+at bit LANE_BITS * k. There is no per-antigen table. The sum of an
+antibody's five column entries is all 11 offset counts against every
+antigen at once, one lane each. A field counts at most five slots, so none
+spills into the next, and the fields fill 44 of a lane's LANE_BITS = 45: no
+lane carries into or borrows from its neighbour, so the refinement chain
+scores a move by subtracting and adding entries. The universe builds its
+table once (`AntigenUniverse.columns`), and it serves every sample.
 
 A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
 and no other. A lane's best count is its largest field, so it is the number
@@ -32,6 +30,7 @@ the members of one masked add each, and one bit count.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING
 from .gene_library import Antibody
 from .scheduling import (
     ANTIBODY_LENGTH,
-    LANE_BITS,
+    JOB_COUNT,
     OFFSET_COUNT,
     UNIVERSE_SIZE,
     Antigen,
@@ -51,6 +50,9 @@ if TYPE_CHECKING:  # population imports this module
 
 POSITION_SCORE = 5
 MAX_SCORE_PER_ANTIGEN = POSITION_SCORE * ANTIBODY_LENGTH
+# One antigen's lane in a column table: the 11 four-bit fields and bit 44,
+# which the best-count rule carries into and never past.
+LANE_BITS = 4 * OFFSET_COUNT + 1
 
 # The constants `_best_counts` adds and masks with (see `_lane_masks`).
 _Masks = tuple[int, int, int, int, int, int, int]
@@ -96,6 +98,19 @@ class AntigenSample:
         return cls(tuple(rng.sample(range(UNIVERSE_SIZE), size)))
 
 
+def pack_columns(antigens: Sequence[Antigen]) -> tuple[tuple[int, ...], ...]:
+    """The column table of the antigens, antigen k in lane k: per antibody
+    slot, one int per job id (index 0 is no job). The job at position p of
+    antigen k sets the field of offset p - slot in lane k, for each slot
+    at which that offset exists."""
+    columns = [[0] * (JOB_COUNT + 1) for _ in range(ANTIBODY_LENGTH)]
+    for k, antigen in enumerate(antigens):
+        for p, job in enumerate(antigen.sequence):
+            for slot in range(max(0, p - OFFSET_COUNT + 1), min(p + 1, ANTIBODY_LENGTH)):
+                columns[slot][job] += 1 << LANE_BITS * k + 4 * (p - slot)
+    return tuple(map(tuple, columns))
+
+
 def _lane_masks(lanes: tuple[int, ...]) -> _Masks:
     """The constants that score the given lanes and no other, in
     `_best_counts`' order: 2**44 - 1 in each lane, bit 44 of each lane,
@@ -135,7 +150,7 @@ def _best_counts(packed: int, masks: _Masks) -> int:
 
 def best_match(antigen: Antigen, antibody: Antibody) -> MatchResult:
     """Best alignment over all offsets; ties go to the smallest offset."""
-    t0, t1, t2, t3, t4 = antigen.match_table
+    t0, t1, t2, t3, t4 = pack_columns((antigen,))
     a, b, c, d, e = antibody.jobs
     packed = t0[a] + t1[b] + t2[c] + t3[d] + t4[e]
     count = _best_counts(packed, _ONE_LANE)

@@ -67,10 +67,12 @@ def save_population(pop: Population, path: str | Path) -> None:
 def load_population(path: str | Path) -> Population:
     """Read a population file written by save_population."""
     path = Path(path)
+    lines, end = read_lines(path)
+    if not lines:
+        with at_line(path, end + 1):
+            raise ValueError("expected at least 1 antibody, found 0")
     antibodies = []
-    for lineno, line in read_lines(path)[0]:
+    for lineno, line in lines:
         with at_line(path, lineno):
             antibodies.append(Antibody(tuple(int(t) for t in line.split())))
-    if not antibodies:
-        raise ValueError(f"{path}: empty population file")
     return Population(antibodies)

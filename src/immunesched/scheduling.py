@@ -29,12 +29,6 @@ UNIVERSE_SIZE = 10
 ARRIVAL_DAY_MAX = 300
 # Chance that generate_universe re-draws a job's arrival date.
 MUTATION_PROBABILITY = 0.2
-# The unit of each offset's 4-bit field in Antigen.match_table. Every table
-# refers to these same int objects instead of allocating its own.
-_OFFSET_FIELDS = tuple(1 << 4 * d for d in range(OFFSET_COUNT))
-# One antigen's lane in AntigenUniverse.columns: the 11 four-bit fields and
-# bit 44, which the best-count rule in matching carries into and never past.
-LANE_BITS = 4 * OFFSET_COUNT + 1
 
 
 @dataclass(frozen=True)
@@ -89,27 +83,6 @@ class Antigen:
                 raise ValueError(f"duplicate job id {job_id}")
             seen.add(job_id)
 
-    @cached_property
-    def match_table(self) -> tuple[tuple[int, ...], ...]:
-        """Packed alignment counts: one row per antibody slot j, indexed by job id.
-
-        A job at slot j agrees with this antigen at offset d = position - j;
-        its entry is 1 in the 4-bit field of that offset (1 << 4*d), or 0
-        when no offset lines them up. Summing the entries of an antibody's
-        five jobs yields every offset's count at once, one per field, and a
-        count never exceeds ANTIBODY_LENGTH, so fields cannot overflow.
-        """
-        pos = [-1] * (JOB_COUNT + 1)  # index 0 is no job id
-        for i, job_id in enumerate(self.sequence):
-            pos[job_id] = i
-        return tuple(
-            tuple(
-                _OFFSET_FIELDS[pos[job] - j] if 0 <= pos[job] - j < OFFSET_COUNT else 0
-                for job in range(JOB_COUNT + 1)
-            )
-            for j in range(ANTIBODY_LENGTH)
-        )
-
 
 @dataclass(frozen=True)
 class AntigenUniverse:
@@ -125,15 +98,10 @@ class AntigenUniverse:
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Every antigen's `match_table` in one: per antibody slot and job id,
-        one int holding antigen k's entry in the lane at bit LANE_BITS * k."""
-        return tuple(
-            tuple(
-                sum(entry << LANE_BITS * k for k, entry in enumerate(entries))
-                for entries in zip(*(antigen.match_table[slot] for antigen in self.antigens))
-            )
-            for slot in range(ANTIBODY_LENGTH)
-        )
+        """The universe's packed column table (`matching.pack_columns`), built once."""
+        from .matching import pack_columns  # matching imports this module
+
+        return pack_columns(self.antigens)
 
 
 def mutate_scenario(

@@ -75,7 +75,7 @@ def test_population_evaluate_caches_fitness(setup):
          "line 3: invalid literal for int() with base 10: 'x'"),
         ("1 2 3 4 5\n1 2 3 4 2\n",
          "line 2: antibody needs 5 distinct jobs, got (1, 2, 3, 4, 2)"),
-        ("# no antibodies\n\n", "empty population file"),
+        ("# no antibodies\n\n", "line 3: expected at least 1 antibody, found 0"),
     ],
     ids=("non-integer", "duplicate-job", "comments-only"),
 )

@@ -36,8 +36,7 @@ from immunesched import (
 )
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
-from immunesched.matching import _best_counts, _lane_masks
-from immunesched.scheduling import LANE_BITS
+from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
 
 JOB_IDS = range(1, JOB_COUNT + 1)
 
@@ -153,7 +152,7 @@ def assert_lanes_score_the_move(universe, sample, antibody, move):
     moved = Antibody(jobs)
     packed_lanes = lanes(packed, UNIVERSE_SIZE + 1)
     assert packed_lanes == [
-        sum(antigen.match_table[slot][job] for slot, job in enumerate(jobs))
+        sum(n << 4 * d for d, n in enumerate(sliding_counts(antigen, moved)))
         for antigen in universe.antigens
     ] + [0]
     fitness = antibody_fitness(moved, universe, sample)
