@@ -180,63 +180,51 @@ def refine_replicate(
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
-    """Run the full replicate protocol and aggregate coverage and fitness."""
+    """Run the full replicate protocol and aggregate coverage and fitness.
+    Each replicate adds its totals, distinct members and stage seconds to
+    the report as it finishes."""
     run_start = time.perf_counter()
     universe = resolve_universe(cfg)
     t0 = time.perf_counter()
     pool = generate_pool(build_libraries(universe), cfg.population_type)
-    pool_seconds = time.perf_counter() - t0
-
+    report = RunReport({}, {}, {}, {"pool_build_seconds": time.perf_counter() - t0}, {})
+    for stage in ("phase1_seconds", "phase2_seconds", "coverage_seconds"):
+        report.timings[stage] = dict.fromkeys(cfg.ag_sample_sizes, 0.0)
     unmatched_sums: dict[tuple[int, int], int] = {
         (t, ag): 0 for t in cfg.thresholds for ag in cfg.ag_sample_sizes
     }
-    before_totals: dict[int, list[int]] = {}
-    after_totals: dict[int, list[int]] = {}
-    improvements: dict[int, float] = {}
-    distinct_members: dict[int, list[int]] = {}
-    phase1_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
-    phase2_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
-    coverage_seconds = {ag: 0.0 for ag in cfg.ag_sample_sizes}
 
     for ag in cfg.ag_sample_sizes:
-        before_totals[ag] = []
-        distinct_members[ag] = []
-        per_replicate_after: list[int] = []
         for rep in range(cfg.replicates):
             try:
                 sample = draw_sample(cfg, ag, rep)
                 t0 = time.perf_counter()
                 result = evolve_replicate(cfg, universe, pool, sample, rep)
-                phase1_seconds[ag] += time.perf_counter() - t0
-                before_totals[ag].append(result.total_fitness)
-                distinct_members[ag].append(len({ab.jobs for ab in result.antibodies}))
+                report.timings["phase1_seconds"][ag] += time.perf_counter() - t0
+                report.before_totals.setdefault(ag, []).append(result.total_fitness)
+                distinct = len({ab.jobs for ab in result.antibodies})
+                report.distinct_members.setdefault(ag, []).append(distinct)
                 if cfg.phase2 != "none":
                     t0 = time.perf_counter()
                     result = refine_replicate(cfg, universe, result, sample, rep)
-                    phase2_seconds[ag] += time.perf_counter() - t0
-                    per_replicate_after.append(result.total_fitness)
+                    report.timings["phase2_seconds"][ag] += time.perf_counter() - t0
+                    report.after_totals.setdefault(ag, []).append(result.total_fitness)
                 t0 = time.perf_counter()
                 for threshold in cfg.thresholds:
                     unmatched_sums[(threshold, ag)] += coverage(result, universe, threshold)
-                coverage_seconds[ag] += time.perf_counter() - t0
+                report.timings["coverage_seconds"][ag] += time.perf_counter() - t0
             except Exception as err:
                 raise RuntimeError(
                     f"replicate {rep} (ag sample size {ag}) failed: {err}"
                 ) from err
         if cfg.phase2 != "none":
-            after_totals[ag] = per_replicate_after
-            improvements[ag] = fitness_improvement(before_totals[ag], per_replicate_after)
+            report.improvements[ag] = fitness_improvement(
+                report.before_totals[ag], report.after_totals[ag]
+            )
 
     cells = {key: total / cfg.replicates for key, total in unmatched_sums.items()}
-    table = CoverageTable(cfg.thresholds, cfg.ag_sample_sizes, cells)
-    timings: dict[str, object] = {
-        "pool_build_seconds": pool_seconds,
-        "phase1_seconds": phase1_seconds,
-        "phase2_seconds": phase2_seconds,
-        "coverage_seconds": coverage_seconds,
-        "total_seconds": time.perf_counter() - run_start,
-    }
-    return table, RunReport(before_totals, after_totals, improvements, timings, distinct_members)
+    report.timings["total_seconds"] = time.perf_counter() - run_start
+    return CoverageTable(cfg.thresholds, cfg.ag_sample_sizes, cells), report
 
 
 def emit_reports(

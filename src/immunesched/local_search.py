@@ -166,8 +166,13 @@ def _chain(
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
+    # Every move draws a slot p below 5, then n below `second`: the index of
+    # an unused job (change), or a second slot below 4 for which 4 stands in
+    # when n == p (swap). These are randrange's and rng.sample(range(5), 2)'s
+    # rejection loops, inline: the same values and generator state.
+    second = UNUSED_JOB_COUNT if change else ANTIBODY_LENGTH - 1
     getrandbits = rng.getrandbits
-    slot_bits, unused_bits = ANTIBODY_LENGTH.bit_length(), UNUSED_JOB_COUNT.bit_length()
+    slot_bits, second_bits = ANTIBODY_LENGTH.bit_length(), second.bit_length()
     accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
     stagnation = 0
     if trace is not None:
@@ -175,29 +180,21 @@ def _chain(
     for step, (level, next_level) in enumerate(pairwise(cfg.levels(start_fit, target)), 1):
         if best_fit == ceiling:
             break
-        if change:
-            # draw_below's loops, inline: randrange's values and generator state.
+        p = getrandbits(slot_bits)
+        while p >= ANTIBODY_LENGTH:
             p = getrandbits(slot_bits)
-            while p >= ANTIBODY_LENGTH:
-                p = getrandbits(slot_bits)
-            n = getrandbits(unused_bits)
-            while n >= UNUSED_JOB_COUNT:
-                n = getrandbits(unused_bits)
+        n = getrandbits(second_bits)
+        while n >= second:
+            n = getrandbits(second_bits)
+        if change:
             old, new = jobs[p], unused[n]
             col = cols[p]
             candidate = packed - col[old] + col[new]
         else:
-            # rng.sample(range(5), 2), inline: i < 5, then j < 4 (3 bits too); j == i means 4.
-            i = getrandbits(slot_bits)
-            while i >= ANTIBODY_LENGTH:
-                i = getrandbits(slot_bits)
-            j = getrandbits(slot_bits)
-            while j >= ANTIBODY_LENGTH - 1:
-                j = getrandbits(slot_bits)
-            j = ANTIBODY_LENGTH - 1 if j == i else j
-            a, b = jobs[i], jobs[j]
-            col_i, col_j = cols[i], cols[j]
-            candidate = packed - col_i[a] - col_j[b] + col_i[b] + col_j[a]
+            j = ANTIBODY_LENGTH - 1 if n == p else n
+            a, b = jobs[p], jobs[j]
+            col_p, col_j = cols[p], cols[j]
+            candidate = packed - col_p[a] - col_j[b] + col_p[b] + col_j[a]
         candidate_fit = POSITION_SCORE * (  # _best_counts(candidate, masks)
             ((candidate + below_top) & top).bit_count()
             + ((((candidate + two) & high) + below_top) & top).bit_count()
@@ -215,7 +212,7 @@ def _chain(
                 del unused[n]
                 insort(unused, old)
             else:
-                jobs[i], jobs[j] = b, a
+                jobs[p], jobs[j] = b, a
         if current_fit > best_fit:
             best_jobs, best_fit = tuple(jobs), current_fit
             stagnation = 0

@@ -138,10 +138,8 @@ def schedule_scenario(scenario: BaseProblem) -> Antigen:
     sequence: list[int] = []
     now = 0
     while remaining:
+        now = max(now, min(job.arrival_date for job in remaining))
         arrived = [job for job in remaining if job.arrival_date <= now]
-        if not arrived:
-            now = min(job.arrival_date for job in remaining)
-            arrived = [job for job in remaining if job.arrival_date <= now]
         pick = min(arrived, key=lambda job: (job.due_date, job.id))
         sequence.append(pick.id)
         remaining.remove(pick)
@@ -270,16 +268,9 @@ def load_universe(path: str | Path) -> AntigenUniverse:
     antigens = []
     for lineno, line in lines:
         with at_line(path, lineno):
-            antigens.append(Antigen(tuple(map(_job_id, line.split()))))
+            antigens.append(Antigen(tuple(map(int, line.split()))))
     check_count(path, lines, UNIVERSE_SIZE, "antigens", end)
     return AntigenUniverse(tuple(antigens))
-
-
-def _job_id(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"invalid integer {token!r}") from None
 
 
 def load_base_problem(path: str | Path) -> BaseProblem:
@@ -300,10 +291,7 @@ def load_base_problem(path: str | Path) -> BaseProblem:
             tokens = line.split()
             if len(tokens) != 4:
                 raise ValueError("expected 'id processing_time due_date arrival_date'")
-            try:
-                job_id, processing, due, arrival = (int(t) for t in tokens)
-            except ValueError:
-                raise ValueError("invalid integer field") from None
+            job_id, processing, due, arrival = (int(t) for t in tokens)
             if job_id in jobs:
                 raise ValueError(f"duplicate job id {job_id}")
             jobs[job_id] = Job(job_id, processing, due, arrival)

@@ -1,0 +1,134 @@
+"""Plain reference implementations that tests compare the package with:
+each written the obvious way, without the packed lanes, inline draws and
+memos of the code under test."""
+
+import itertools
+
+from immunesched import (
+    ANTIBODY_LENGTH,
+    JOB_COUNT,
+    OFFSET_COUNT,
+    Antibody,
+    NeighborOperator,
+    antibody_fitness,
+    max_fitness,
+    order_crossover,
+)
+
+JOB_IDS = range(1, JOB_COUNT + 1)
+
+
+def sliding_counts(antigen, antibody):
+    """Matching positions at every offset, by sliding the antibody along."""
+    return [
+        sum(job == antigen.sequence[offset + j] for j, job in enumerate(antibody.jobs))
+        for offset in range(OFFSET_COUNT)
+    ]
+
+
+def reference_chain(ab, universe, sample, cfg, rng):
+    """refine's untraced chain written plainly: each neighbour is a new
+    Antibody scored by antibody_fitness, its slots drawn by randrange (change)
+    or rng.sample (swap)."""
+    jobs = ab.jobs
+    start = current = best = antibody_fitness(ab, universe, sample)
+    best_jobs, target, stagnation = jobs, max_fitness(sample.size), 0
+    for level, _ in itertools.pairwise(cfg.levels(start, target)):
+        if best == target:
+            break
+        moved = list(jobs)
+        if cfg.operator is NeighborOperator.CHANGE_ONE_JOB:
+            slot = rng.randrange(ANTIBODY_LENGTH)
+            unused = sorted(set(JOB_IDS) - set(jobs))
+            moved[slot] = unused[rng.randrange(len(unused))]
+        else:
+            i, j = rng.sample(range(ANTIBODY_LENGTH), 2)
+            moved[i], moved[j] = moved[j], moved[i]
+        fit = antibody_fitness(Antibody(tuple(moved)), universe, sample)
+        if fit >= current or cfg.accepts_worse(fit, current, level, rng):
+            jobs, current = tuple(moved), fit
+        if current > best:
+            best_jobs, best, stagnation = jobs, current, 0
+        else:
+            stagnation += 1
+        if stagnation == cfg.stagnation_limit:
+            break
+    return Antibody(best_jobs) if best > start else ab
+
+
+def reference_evolve(pop, universe, sample, cfg, rng):
+    """The GA loop as it read before the unused-job memo and the hand-written
+    admission, with each operator written out: a tournament by randrange,
+    the replacement job found by counting past the sorted taken ids, and
+    admission by a stable sort of the four family members. Returns the
+    final job tuples, their fitnesses, the `--stats` text and the first
+    generation after which the population was one job tuple at the maximum
+    fitness (None if it never was)."""
+    size = pop.size
+    cur = [ab.jobs for ab in pop.antibodies]
+    cur_fit = list(pop.fitnesses)
+    best_jobs, best_fit = cur[0], cur_fit[0]
+    for jobs, fit in zip(cur, cur_fit):
+        if fit > best_fit:
+            best_jobs, best_fit = jobs, fit
+    stats = ["generation,best,mean,worst"]
+    frozen_at = None
+
+    def record(gen):
+        nonlocal frozen_at
+        mean = sum(cur_fit) / size
+        stats.append(f"{gen},{max(cur_fit)},{mean:.4f},{min(cur_fit)}")
+        frozen = len(set(cur)) == 1 and min(cur_fit) == max_fitness(sample.size)
+        if frozen and frozen_at is None:
+            frozen_at = gen
+
+    def select():
+        best = rng.randrange(size)
+        for _ in range(cfg.tournament_size - 1):
+            i = rng.randrange(size)
+            if cur_fit[i] > cur_fit[best] or (cur_fit[i] == cur_fit[best] and i < best):
+                best = i
+        return best
+
+    def nth_unused_job(jobs, n):
+        job = n + 1
+        for taken in sorted(jobs):
+            if taken <= job:
+                job += 1
+        return job
+
+    def mutate(jobs):
+        for posn in range(5):
+            if rng.random() < cfg.mutation_rate:
+                job = nth_unused_job(jobs, rng.randrange(10))
+                jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
+        return jobs
+
+    def fitness(jobs):
+        return antibody_fitness(Antibody(jobs), universe, sample)
+
+    record(0)
+    for gen in range(1, cfg.generations + 1):
+        new = []
+        while len(new) < size:
+            i1, i2 = select(), select()
+            p1, p2 = cur[i1], cur[i2]
+            if rng.random() < cfg.crossover_rate:
+                c1, c2 = order_crossover(p1, p2)
+            else:
+                c1, c2 = p1, p2
+            c1, c2 = mutate(c1), mutate(c2)
+            family = [(p1, cur_fit[i1]), (p2, cur_fit[i2]), (c1, fitness(c1)), (c2, fitness(c2))]
+            for jobs, fit in family[2:]:
+                if fit > best_fit:
+                    best_jobs, best_fit = jobs, fit
+            family.sort(key=lambda member: member[1], reverse=True)
+            new += family[:2]
+        del new[size:]
+        worst_fit = min(fit for _, fit in new)
+        if best_fit > worst_fit:
+            new[[fit for _, fit in new].index(worst_fit)] = (best_jobs, best_fit)
+        cur = [jobs for jobs, _ in new]
+        cur_fit = [fit for _, fit in new]
+        record(gen)
+    return cur, cur_fit, "\n".join(stats) + "\n", frozen_at

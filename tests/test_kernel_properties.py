@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from immunesched import (
-    ANTIBODY_LENGTH,
     JOB_COUNT,
     OFFSET_COUNT,
     POSITION_SCORE,
@@ -37,8 +36,7 @@ from immunesched import (
 from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
 from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
-
-JOB_IDS = range(1, JOB_COUNT + 1)
+from reference import JOB_IDS, reference_chain, sliding_counts
 
 antigens = st.permutations(JOB_IDS).map(lambda seq: Antigen(tuple(seq)))
 antibodies = st.lists(
@@ -58,14 +56,6 @@ moves = st.one_of(
         lambda move: move[1] != move[2]
     ),
 )
-
-
-def sliding_counts(antigen, antibody):
-    """Matching positions at every offset, by sliding the antibody along."""
-    return [
-        sum(job == antigen.sequence[offset + j] for j, job in enumerate(antibody.jobs))
-        for offset in range(OFFSET_COUNT)
-    ]
 
 
 def assert_valid(ab):
@@ -265,36 +255,6 @@ def test_draw_below_matches_randrange(seed, n, count):
     draw = draw_below(n, rng)
     assert [draw() for _ in range(count)] == [reference.randrange(n) for _ in range(count)]
     assert rng.getstate() == reference.getstate()
-
-
-def reference_chain(ab, universe, sample, cfg, rng):
-    """refine's untraced chain written plainly: each neighbour is a new
-    Antibody scored by antibody_fitness, its slots drawn by randrange (change)
-    or rng.sample (swap)."""
-    jobs = ab.jobs
-    start = current = best = antibody_fitness(ab, universe, sample)
-    best_jobs, target, stagnation = jobs, max_fitness(sample.size), 0
-    for level, _ in itertools.pairwise(cfg.levels(start, target)):
-        if best == target:
-            break
-        moved = list(jobs)
-        if cfg.operator is NeighborOperator.CHANGE_ONE_JOB:
-            slot = rng.randrange(ANTIBODY_LENGTH)
-            unused = sorted(set(JOB_IDS) - set(jobs))
-            moved[slot] = unused[rng.randrange(len(unused))]
-        else:
-            i, j = rng.sample(range(ANTIBODY_LENGTH), 2)
-            moved[i], moved[j] = moved[j], moved[i]
-        fit = antibody_fitness(Antibody(tuple(moved)), universe, sample)
-        if fit >= current or cfg.accepts_worse(fit, current, level, rng):
-            jobs, current = tuple(moved), fit
-        if current > best:
-            best_jobs, best, stagnation = jobs, current, 0
-        else:
-            stagnation += 1
-        if stagnation == cfg.stagnation_limit:
-            break
-    return Antibody(best_jobs) if best > start else ab
 
 
 @settings(max_examples=40)

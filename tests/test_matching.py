@@ -5,7 +5,6 @@ import pytest
 from immunesched import (
     JOB_COUNT,
     MAX_SCORE_PER_ANTIGEN,
-    OFFSET_COUNT,
     Antibody,
     Antigen,
     AntigenSample,
@@ -15,25 +14,12 @@ from immunesched import (
     generate_universe,
     max_fitness,
 )
+from reference import sliding_counts
 
 # Golden alignment case: three positions line up at offset 3 (score 15), one
 # position each at offsets 6 and 7 (score 5), nothing anywhere else.
 GOLDEN_ANTIGEN = Antigen((1, 2, 7, 4, 3, 9, 6, 8, 14, 5, 13, 12, 10, 11, 15))
 GOLDEN_ANTIBODY = Antibody((4, 3, 9, 5, 12))
-
-
-def brute_force_best(antigen, antibody):
-    """Independent oracle: scan every offset with a position-by-position count."""
-    best_count, best_offset = 0, 0
-    for offset in range(OFFSET_COUNT):
-        count = sum(
-            1
-            for j in range(len(antibody.jobs))
-            if antibody.jobs[j] == antigen.sequence[offset + j]
-        )
-        if count > best_count:
-            best_count, best_offset = count, offset
-    return best_count, best_offset
 
 
 def random_antigen(rng):
@@ -73,7 +59,9 @@ def test_best_match_agrees_with_brute_force():
     for _ in range(500):
         antigen, antibody = random_antigen(rng), random_antibody(rng)
         result = best_match(antigen, antibody)
-        count, offset = brute_force_best(antigen, antibody)
+        counts = sliding_counts(antigen, antibody)
+        count = max(counts)
+        offset = counts.index(count)  # ties go to the smallest offset
         assert (result.best_count, result.best_offset) == (count, offset)
         assert result.best_score == 5 * count
 
@@ -100,8 +88,7 @@ def test_fitness_equals_sum_of_brute_force_scores():
     for _ in range(100):
         antibody = random_antibody(rng)
         expected = sum(
-            5 * brute_force_best(universe.antigens[i], antibody)[0]
-            for i in sample.indices
+            5 * max(sliding_counts(universe.antigens[i], antibody)) for i in sample.indices
         )
         assert antibody_fitness(antibody, universe, sample) == expected
 
@@ -156,7 +143,7 @@ def test_one_sample_scored_against_two_universes_alternately():
         fits = []
         for universe in (first, second, first, second):
             expected = sum(
-                5 * brute_force_best(universe.antigens[i], antibody)[0]
+                5 * max(sliding_counts(universe.antigens[i], antibody))
                 for i in sample.indices
             )
             fits.append(antibody_fitness(antibody, universe, sample))

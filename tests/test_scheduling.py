@@ -280,6 +280,17 @@ def test_base_problem_invalid_job_line(tmp_path):
         load_base_problem(path)
 
 
+def test_base_problem_non_integer_field_names_the_token(tmp_path):
+    path = tmp_path / "bp.txt"
+    write_base_problem(default_base_problem(), path)
+    lines = path.read_text().splitlines()
+    lines[3] = "3 x 100 20"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_base_problem(path)
+    assert str(err.value) == f"{path}: line 4: invalid literal for int() with base 10: 'x'"
+
+
 def test_base_problem_duplicate_id_names_the_second_line(tmp_path):
     path = tmp_path / "bp.txt"
     write_base_problem(default_base_problem(), path)
