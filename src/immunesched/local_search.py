@@ -12,8 +12,9 @@ subtracts two entries and adds two; the sample's masks score its own lanes.
 The lane layout, the column table and the bit-count score are defined in
 the matching module. No antibody is built for a candidate.
 
-refine_population refines every member independently, each with its own
-derived generator, so serial and parallel execution would agree.
+refine_population maps `refine` over the members, each with its own
+derived generator, so serial and parallel execution would agree, and scores
+the refined members through `Population.evaluate`, as every phase does.
 """
 
 from __future__ import annotations
@@ -144,18 +145,6 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    return _chain(ab, universe, sample, cfg, rng, trace)[0]
-
-
-def _chain(
-    ab: Antibody,
-    universe: AntigenUniverse,
-    sample: AntigenSample,
-    cfg: SAConfig | GDConfig,
-    rng: random.Random,
-    trace: TextIO | None,
-) -> tuple[Antibody, int]:
-    """`refine`'s chain; returns the result and its fitness."""
     cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
@@ -222,9 +211,7 @@ def _chain(
             trace.write(f"{step},{next_level!r},{current_fit},{best_fit},{int(accepted)}\n")
         if stagnation == stagnation_limit:
             break
-    if best_fit > start_fit:
-        return Antibody.trusted(best_jobs), best_fit
-    return ab, start_fit
+    return Antibody.trusted(best_jobs) if best_fit > start_fit else ab
 
 
 def refine_population(
@@ -238,16 +225,14 @@ def refine_population(
     strict improvement, so total fitness cannot decrease.
 
     Each antibody gets its own generator seeded from `rng`, keeping results
-    independent of evaluation order. The universe's column table serves
-    every chain, and each chain's fitness becomes the refined population's.
+    independent of evaluation order. The refined members are scored by
+    `Population.evaluate`, the one population evaluator.
     """
     pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
-    seeds = [rng.getrandbits(64) for _ in pop.antibodies]
-    refined, fits = [], []
-    for ab, seed in zip(pop.antibodies, seeds):
-        best, fit = _chain(ab, universe, sample, cfg, random.Random(seed), None)
-        refined.append(best)
-        fits.append(fit)
-    return Population(refined, fits)
+    refined = [
+        refine(ab, universe, sample, cfg, random.Random(rng.getrandbits(64)))
+        for ab in pop.antibodies
+    ]
+    return Population(refined).evaluate(universe, sample)

@@ -5,12 +5,12 @@ every position where the two agree contributes five points. The best
 offset's score is the antibody's match against that antigen, and fitness
 over a sample of antigens is the sum of best scores.
 
-Every score in the package is read from one packed format, defined and
-built here. Antigens are permutations, so antibody slot j agrees at offset d
-exactly when its job sits at antigen position j + d. `pack_columns` builds a
-universe's column table straight from antigen positions: per slot and job
-id, one int with a 1 in the 4-bit field of that offset in antigen k's lane,
-at bit LANE_BITS * k. There is no per-antigen table. The sum of an
+Every fitness and coverage score is read from one packed format, defined
+and built here. Antigens are permutations, so antibody slot j agrees at
+offset d exactly when its job sits at antigen position j + d. `pack_columns`
+builds a universe's column table straight from antigen positions: per slot
+and job id, one int with a 1 in the 4-bit field of that offset in antigen
+k's lane, at bit LANE_BITS * k. There is no per-antigen table. The sum of an
 antibody's five column entries is all 11 offset counts against every
 antigen at once, one lane each. A field counts at most five slots, so none
 spills into the next, and the fields fill 44 of a lane's LANE_BITS = 45: no
@@ -21,10 +21,10 @@ table once (`AntigenUniverse.columns`), and it serves every sample.
 A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
 and no other. A lane's best count is its largest field, so it is the number
 of c in 1..5 that some field reaches. `_best_counts` sums it over the masked
-lanes with five masked adds and bit counts, whatever their number; a single
-antigen's lane is scored the same way with lane 0's masks. Coverage packs
-each distinct member's lanes once and scores a threshold with one OR over
-the members of one masked add each, and one bit count.
+lanes with five masked adds and bit counts, whatever their number. Coverage
+packs each distinct member's lanes once and scores a threshold with one OR
+over the members of one masked add each, and one bit count. `best_match`,
+which also reports the best offset, counts on the antigen's sequence.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 from typing import TYPE_CHECKING
 
 from .gene_library import Antibody
@@ -121,7 +122,6 @@ def _lane_masks(lanes: tuple[int, ...]) -> _Masks:
     return top - lane, top, 8 * ones, 6 * ones, 5 * ones, 4 * ones, 3 * ones
 
 
-_ONE_LANE = _lane_masks((0,))
 _ALL_LANES = _lane_masks(tuple(range(UNIVERSE_SIZE)))
 
 
@@ -136,7 +136,7 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     lane passes (two would hold six slots), so the set bits count lanes;
     for c = 2 two fields can, so each lane's flags are collapsed onto bit
     44 first. An unmasked lane has nothing added and every bit of it is
-    masked off. `local_search._chain` inlines this expression.
+    masked off. `local_search.refine` inlines this expression.
     """
     below_top, top, high, two, three, four, five = masks
     return (
@@ -149,13 +149,12 @@ def _best_counts(packed: int, masks: _Masks) -> int:
 
 
 def best_match(antigen: Antigen, antibody: Antibody) -> MatchResult:
-    """Best alignment over all offsets; ties go to the smallest offset."""
-    t0, t1, t2, t3, t4 = pack_columns((antigen,))
-    a, b, c, d, e = antibody.jobs
-    packed = t0[a] + t1[b] + t2[c] + t3[d] + t4[e]
-    count = _best_counts(packed, _ONE_LANE)
-    offset = next(d for d in range(OFFSET_COUNT) if (packed >> 4 * d) & 0xF == count)
-    return MatchResult(count, POSITION_SCORE * count, offset)
+    """Best alignment over all offsets, counted directly on the antigen's
+    sequence; ties go to the smallest offset."""
+    seq = antigen.sequence
+    counts = [sum(map(eq, antibody.jobs, seq[d:])) for d in range(OFFSET_COUNT)]
+    count = max(counts)
+    return MatchResult(count, POSITION_SCORE * count, counts.index(count))
 
 
 def antibody_fitness(

@@ -3,6 +3,7 @@ each written the obvious way, without the packed lanes, inline draws and
 memos of the code under test."""
 
 import itertools
+import random
 
 from immunesched import (
     ANTIBODY_LENGTH,
@@ -54,6 +55,18 @@ def reference_chain(ab, universe, sample, cfg, rng):
         if stagnation == cfg.stagnation_limit:
             break
     return Antibody(best_jobs) if best > start else ab
+
+
+def reference_refine_population(pop, universe, sample, cfg, rng):
+    """refine_population written plainly: each member's reference_chain runs
+    on its own generator, seeded by one 64-bit draw from `rng` in member
+    order, and each result is scored by antibody_fitness. Returns the
+    refined antibodies and their fitnesses."""
+    refined = []
+    for ab in pop.antibodies:
+        own = random.Random(rng.getrandbits(64))
+        refined.append(reference_chain(ab, universe, sample, cfg, own))
+    return refined, [antibody_fitness(ab, universe, sample) for ab in refined]
 
 
 def reference_evolve(pop, universe, sample, cfg, rng):

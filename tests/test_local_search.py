@@ -25,6 +25,7 @@ from immunesched import (
     refine_population,
     sample_initial,
 )
+from reference import reference_refine_population
 
 CHANGE = NeighborOperator.CHANGE_ONE_JOB
 SWAP = NeighborOperator.SWAP_TWO_JOBS
@@ -210,6 +211,27 @@ def test_refine_population_fitnesses_match_a_fresh_evaluation(setup, ag, cfg):
     assert refined.antibodies != pop.antibodies  # some chain improved its start
     fresh = Population(refined.antibodies).evaluate(universe, sample)
     assert refined.fitnesses == fresh.fitnesses
+
+
+@pytest.mark.parametrize("ag", [1, 8])
+@pytest.mark.parametrize(
+    "cfg",
+    [SAConfig(), SAConfig(operator=SWAP), GDConfig(), GDConfig(operator=SWAP)],
+    ids=["sa-change", "sa-swap", "gd-change", "gd-swap"],
+)
+def test_refine_population_matches_the_reference(setup, ag, cfg):
+    """Members and fitnesses equal the plain reference's: one derived
+    generator per member, in member order, each chain scored afresh. The
+    caller's generator ends where the reference leaves its own."""
+    universe, pool, _ = setup
+    sample = AntigenSample.draw(ag, random.Random(f"reference/{ag}"))
+    pop = sample_initial(pool, 12, random.Random(ag)).evaluate(universe, sample)
+    rng, reference = random.Random(ag), random.Random(ag)
+    refined = refine_population(pop, universe, sample, cfg, rng)
+    expected = reference_refine_population(pop, universe, sample, cfg, reference)
+    assert refined.antibodies != pop.antibodies  # some chain improved its start
+    assert (refined.antibodies, refined.fitnesses) == expected
+    assert rng.getstate() == reference.getstate()
 
 
 def test_refine_population_fixed_point_at_optimum(setup):
