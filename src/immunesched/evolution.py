@@ -173,10 +173,6 @@ def evolve(
             fc2 = f2 if c2 is p2 else memo_get(c2)
             if fc2 is None:
                 fc2 = score(c2)
-            if fc1 > best_fit:
-                best_jobs, best_fit = c1, fc1
-            if fc2 > best_fit:
-                best_jobs, best_fit = c2, fc2
             # The two fittest of (p1, p2, c1, c2), fittest first; an earlier
             # member wins a tie, so parents beat children of equal fitness.
             if f1 >= f2:
@@ -191,6 +187,9 @@ def evolve(
                 a, fa, b, fb = c2, fc2, a, fa
             elif fc2 > fb:
                 b, fb = c2, fc2
+            # No parent beats the elite, so a family best that does is a child.
+            if fa > best_fit:
+                best_jobs, best_fit = a, fa
             new += a, b
             new_fit += fa, fb
         del new[size:], new_fit[size:]

@@ -115,26 +115,17 @@ def generate_pool(
 
     Enumeration order is deterministic: library pair (i, j) with i < j,
     then component indices, then combine_components' order. The duplicate
-    policy is A: keep everything; B: keep the first occurrence of each
-    distinct job sequence globally; C: keep the first occurrence per
-    library pair, so equal sequences arising from different pairs survive.
+    policy is only a dedup scope, and a dedup keeps each antibody's first
+    occurrence: A dedups nothing; B dedups the whole pool; C dedups within
+    each library pair, so equal antibodies from different pairs survive.
     """
     if population_type not in POPULATION_TYPES:
         raise ValueError(f"population type must be one of {POPULATION_TYPES}")
-    antibodies: list[Antibody] = []
-    seen: set = set()
-    for i, j in itertools.combinations(range(LIBRARY_COUNT), 2):
-        for ci in libraries[i]:
-            for cj in libraries[j]:
-                for ab in combine_components(ci, cj):
-                    if population_type == "B":
-                        if ab.jobs in seen:
-                            continue
-                        seen.add(ab.jobs)
-                    elif population_type == "C":
-                        key = ((i, j), ab.jobs)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    antibodies.append(ab)
-    return tuple(antibodies)
+    pairs = [
+        [ab for ci in libraries[i] for cj in libraries[j] for ab in combine_components(ci, cj)]
+        for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
+    ]
+    if population_type == "C":
+        pairs = [dict.fromkeys(pair) for pair in pairs]
+    pool = itertools.chain.from_iterable(pairs)
+    return tuple(dict.fromkeys(pool) if population_type == "B" else pool)

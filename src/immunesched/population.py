@@ -54,8 +54,7 @@ def sample_initial(pool: tuple[Antibody, ...], size: int, rng: random.Random) ->
         raise ValueError(
             f"pool holds {len(pool)} antibodies, cannot sample {size}"
         )
-    indices = rng.sample(range(len(pool)), size)
-    return Population([pool[i] for i in indices])
+    return Population(rng.sample(pool, size))
 
 
 def save_population(pop: Population, path: str | Path) -> None:

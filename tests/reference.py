@@ -1,6 +1,6 @@
 """Plain reference implementations that tests compare the package with:
-each written the obvious way, without the packed lanes, inline draws and
-memos of the code under test."""
+each written the obvious way, without the packed lanes, inline draws,
+memos and dedup scopes of the code under test."""
 
 import itertools
 import random
@@ -8,15 +8,50 @@ import random
 from immunesched import (
     ANTIBODY_LENGTH,
     JOB_COUNT,
+    LIBRARY_COUNT,
     OFFSET_COUNT,
+    UNIVERSE_SIZE,
     Antibody,
+    AntigenSample,
     NeighborOperator,
+    Population,
     antibody_fitness,
+    default_base_problem,
+    generate_universe,
     max_fitness,
     order_crossover,
 )
 
 JOB_IDS = range(1, JOB_COUNT + 1)
+
+
+def reference_candidates(c1, c2):
+    """The concatenation with one job dropped, from the last position to the
+    first, keeping duplicate-free candidates; built without combine_components."""
+    concat = c1 + c2
+    dropped_one = (concat[:k] + concat[k + 1 :] for k in reversed(range(len(concat))))
+    return [jobs for jobs in dropped_one if len(set(jobs)) == len(jobs)]
+
+
+def reference_pool(libraries):
+    """(library pair, jobs) for every candidate in enumeration order: each
+    library pair in order, then each component pair, then its candidates."""
+    return [
+        ((i, j), jobs)
+        for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
+        for c1 in libraries[i]
+        for c2 in libraries[j]
+        for jobs in reference_candidates(c1, c2)
+    ]
+
+
+def first_occurrences(candidates, key):
+    seen, kept = set(), []
+    for candidate in candidates:
+        if key(candidate) not in seen:
+            seen.add(key(candidate))
+            kept.append(candidate)
+    return kept
 
 
 def sliding_counts(antigen, antibody):
@@ -145,3 +180,68 @@ def reference_evolve(pop, universe, sample, cfg, rng):
         cur_fit = [fit for _, fit in new]
         record(gen)
     return cur, cur_fit, "\n".join(stats) + "\n", frozen_at
+
+
+def reference_experiment(cfg):
+    """The coverage.csv and fitness.csv text of `run_experiment` on the
+    default base problem, written plainly: every generator seeded by its
+    "master/stage/..." path; the pool as `reference_pool`, kept whole (A) or
+    deduped by `first_occurrences` on the jobs (B) or on (pair, jobs) (C);
+    the initial population by sampling pool indices; phase one by
+    `reference_evolve`, phase two by `reference_refine_population`; and an
+    antigen matched at threshold t when some member's sliding count
+    reaches t."""
+
+    def derived(*parts):
+        return random.Random("/".join(str(p) for p in (cfg.master_seed, *parts)))
+
+    universe = generate_universe(default_base_problem(), derived("universe"))
+    libraries = [
+        [antigen.sequence[3 * slot : 3 * slot + 3] for antigen in universe.antigens]
+        for slot in range(LIBRARY_COUNT)
+    ]
+    candidates = reference_pool(libraries)
+    if cfg.population_type == "B":
+        candidates = first_occurrences(candidates, key=lambda c: c[1])
+    elif cfg.population_type == "C":
+        candidates = first_occurrences(candidates, key=lambda c: c)
+    pool = [Antibody(jobs) for _, jobs in candidates]
+    method = {"sa": cfg.sa, "gd": cfg.gd}.get(cfg.phase2)
+
+    unmatched = {(t, ag): 0 for t in cfg.thresholds for ag in cfg.ag_sample_sizes}
+    before, after = {}, {}
+    for ag in cfg.ag_sample_sizes:
+        for rep in range(cfg.replicates):
+            lanes = derived("sample", ag, rep).sample(range(UNIVERSE_SIZE), ag)
+            sample = AntigenSample(tuple(lanes))
+            indices = derived("init", ag, rep).sample(range(len(pool)), cfg.ga.population_size)
+            members = [pool[i] for i in indices]
+            fits = [antibody_fitness(ab, universe, sample) for ab in members]
+            jobs, fits, _, _ = reference_evolve(
+                Population(members, fits), universe, sample, cfg.ga, derived("ga", ag, rep)
+            )
+            members = [Antibody(j) for j in jobs]
+            before.setdefault(ag, []).append(sum(fits))
+            if method is not None:
+                members, fits = reference_refine_population(
+                    Population(members, fits), universe, sample, method, derived("refine", ag, rep)
+                )
+                after.setdefault(ag, []).append(sum(fits))
+            for antigen in universe.antigens:
+                best = max(max(sliding_counts(antigen, ab)) for ab in members)
+                for t in cfg.thresholds:
+                    unmatched[t, ag] += best < t
+
+    coverage = ["threshold," + ",".join(str(ag) for ag in cfg.ag_sample_sizes)]
+    for t in cfg.thresholds:
+        cells = [unmatched[t, ag] / cfg.replicates for ag in cfg.ag_sample_sizes]
+        coverage.append(f"{t}," + ",".join(f"{cell:.1f}" for cell in cells))
+    fitness = ["ag,phase1_total,phase2_total,improvement_pct"]
+    for ag in sorted(before):
+        total = sum(before[ag])
+        if ag in after:
+            pct = 100.0 * (sum(after[ag]) - total) / total
+            fitness.append(f"{ag},{total},{sum(after[ag])},{pct:.1f}")
+        else:
+            fitness.append(f"{ag},{total},,")
+    return "\n".join(coverage) + "\n", "\n".join(fitness) + "\n"

@@ -111,8 +111,21 @@ def test_sample_initial_deterministic(setup):
 
 def test_sample_initial_rejects_oversized_request(setup):
     _, pool, _ = setup
-    with pytest.raises(ValueError, match=f"{len(pool)}.*{len(pool) + 1}"):
+    message = f"^pool holds {len(pool)} antibodies, cannot sample {len(pool) + 1}$"
+    with pytest.raises(ValueError, match=message):
         sample_initial(pool, len(pool) + 1, random.Random(0))
+
+
+@pytest.mark.parametrize("pool_size, size", [(1, 1), (5, 3), (60, 20), (600, 100), (None, 100)])
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_sample_initial_picks_the_members_that_index_sampling_picks(setup, pool_size, size, seed):
+    """The same members, in the same order, as drawing `size` indices into
+    the pool, and the generator left in the same state."""
+    pool = setup[1][:pool_size]
+    rng, reference = random.Random(seed), random.Random(seed)
+    pop = sample_initial(pool, size, rng)
+    assert pop.antibodies == [pool[i] for i in reference.sample(range(len(pool)), size)]
+    assert rng.getstate() == reference.getstate()
 
 
 def test_tournament_k1_returns_the_single_draw():

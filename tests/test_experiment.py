@@ -32,6 +32,7 @@ from immunesched import (
     sample_initial,
 )
 from immunesched.experiment import draw_sample, evolve_replicate
+from reference import reference_experiment
 
 
 @pytest.fixture(scope="module")
@@ -531,3 +532,29 @@ def test_an_experiment_builds_its_universe_table_once(monkeypatch):
     _, report = run_experiment(cfg)
     assert [len(totals) for totals in report.after_totals.values()] == [2, 2, 2]
     assert builds == [resolve_universe(cfg)]
+
+
+FAST_SA = SAConfig(initial_temperature=20.0, final_temperature=0.5, cooling_factor=0.85)
+SWAP = NeighborOperator.SWAP_TWO_JOBS
+PHASE2_CASES = {
+    "none": {},
+    "sa-change": dict(phase2="sa", sa=FAST_SA),
+    "sa-swap": dict(phase2="sa", sa=dataclasses.replace(FAST_SA, operator=SWAP)),
+    "gd-change": dict(phase2="gd", gd=GDConfig(iterations=40)),
+    "gd-swap": dict(phase2="gd", gd=GDConfig(iterations=40, operator=SWAP)),
+}
+
+
+@pytest.mark.parametrize("phase2", PHASE2_CASES)
+@pytest.mark.parametrize("population_type", ["A", "B", "C"])
+def test_run_experiment_matches_the_reference(tmp_path, population_type, phase2):
+    """Both CSVs equal, byte for byte, those the plain reference writes from
+    the same seed paths: its own pool, index sampling, GA loop, chains and
+    sliding-window coverage."""
+    cfg = small_config(
+        population_type=population_type, ag_sample_sizes=(1, 8), **PHASE2_CASES[phase2]
+    )
+    table, report = run_experiment(cfg)
+    emit_reports(table, report, cfg, tmp_path)
+    written = tuple((tmp_path / name).read_text() for name in ("coverage.csv", "fitness.csv"))
+    assert written == reference_experiment(cfg)

@@ -15,6 +15,7 @@ from immunesched import (
     generate_pool,
     generate_universe,
 )
+from reference import first_occurrences, reference_candidates, reference_pool
 
 
 @pytest.fixture(scope="module")
@@ -25,35 +26,6 @@ def universe():
 @pytest.fixture(scope="module")
 def libraries(universe):
     return build_libraries(universe)
-
-
-def reference_candidates(c1, c2):
-    """The concatenation with one job dropped, from the last position to the
-    first, keeping duplicate-free candidates; built without combine_components."""
-    concat = c1 + c2
-    dropped_one = (concat[:k] + concat[k + 1 :] for k in reversed(range(len(concat))))
-    return [jobs for jobs in dropped_one if len(set(jobs)) == len(jobs)]
-
-
-def reference_pool(libraries):
-    """(library pair, jobs) for every candidate in enumeration order: each
-    library pair in order, then each component pair, then its candidates."""
-    return [
-        ((i, j), jobs)
-        for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
-        for c1 in libraries[i]
-        for c2 in libraries[j]
-        for jobs in reference_candidates(c1, c2)
-    ]
-
-
-def first_occurrences(candidates, key):
-    seen, kept = set(), []
-    for candidate in candidates:
-        if key(candidate) not in seen:
-            seen.add(key(candidate))
-            kept.append(candidate)
-    return kept
 
 
 def rotated_universe():
