@@ -122,10 +122,18 @@ def evolve(
     population), calling `antibody_fitness` only for a new one; antibodies
     are built only for the returned population.
 
-    Once every member is the same job tuple at the maximum fitness, no child
-    can beat its parents and no later generation can change the population:
-    the loop stops there and writes the remaining `--stats` rows as they
-    stand, so `rng` is left where the loop stopped.
+    In two states a generation skips work whose result its draws cannot
+    change; it still takes every draw of the full loop, in order, so the
+    outputs and `rng` are the full loop's.
+    - Every member is one tuple X: each tournament returns X and X crossed
+      with X is X, so a family takes its tournament draws without comparing
+      fitnesses and mutates X twice without crossing it.
+    - Every member is at the maximum fitness: admission needs a strict gain
+      over a parent, so a family admits its two parents and scores neither
+      child.
+    Both at once is the fixed point: no later generation can change the
+    population, so the loop stops there and writes the remaining `--stats`
+    rows as they stand, leaving `rng` where the loop stopped.
     """
     fitnesses = pop.require_evaluated()
     size = pop.size
@@ -136,6 +144,7 @@ def evolve(
     best_jobs, best_fit = max(zip(cur, cur_fit), key=itemgetter(1))
     memo_get = memo.get
     select = _tournament(size, cfg.tournament_size, rng)
+    draw_member, selection_draws = draw_below(size, rng), range(2 * cfg.tournament_size)
     mutate_jobs = _mutation(cfg.mutation_rate, rng)
     random_, crossover_rate = rng.random, cfg.crossover_rate
     ceiling = max_fitness(sample.size)
@@ -149,7 +158,9 @@ def evolve(
         _write_stats(stats_stream, 0, cur_fit)
 
     for gen in range(1, cfg.generations + 1):
-        if min(cur_fit) == ceiling and cur.count(cur[0]) == size:
+        one = cur.count(cur[0]) == size
+        full = min(cur_fit) == ceiling
+        if one and full:
             if stats_stream is not None:
                 for frozen_gen in range(gen, cfg.generations + 1):
                     _write_stats(stats_stream, frozen_gen, cur_fit)
@@ -157,16 +168,25 @@ def evolve(
         new: list[_Jobs] = []
         new_fit: list[int] = []
         while len(new) < size:
-            i1 = select(cur_fit)
-            i2 = select(cur_fit)
+            if one:  # every tournament returns a copy of the one tuple
+                for _ in selection_draws:
+                    draw_member()
+                i1 = i2 = 0
+            else:
+                i1 = select(cur_fit)
+                i2 = select(cur_fit)
             p1, f1 = cur[i1], cur_fit[i1]
             p2, f2 = cur[i2], cur_fit[i2]
-            if random_() < crossover_rate:
+            if random_() < crossover_rate and not one:
                 c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
             c1 = mutate_jobs(c1)
             c2 = mutate_jobs(c2)
+            if full:
+                new += p1, p2
+                new_fit += f1, f2
+                continue
             fc1 = f1 if c1 is p1 else memo_get(c1)
             if fc1 is None:
                 fc1 = score(c1)

@@ -52,7 +52,7 @@ class Antibody:
         files and callers goes through the validating constructor.
         """
         ab = object.__new__(cls)
-        ab.__dict__["jobs"] = jobs  # frozen: bypass __setattr__, as __init__ does
+        object.__setattr__(ab, "jobs", jobs)  # frozen: bypass __setattr__, as __init__ does
         return ab
 
 
@@ -99,12 +99,16 @@ def combine_components(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[Antibod
     The six concatenated jobs admit C(6,5) = 6 order-preserving
     subsequences, listed from the one that drops the last job to the one
     that drops the first; candidates containing a repeated job are
-    discarded.
+    discarded. The job ids are range-checked once, so the candidates, five
+    distinct in-range jobs each, skip the per-antibody validation.
     """
+    jobs = c1 + c2
+    if any(not 1 <= j <= JOB_COUNT for j in jobs):
+        raise ValueError("antibody job id out of range")
     return [
-        Antibody(jobs)
-        for jobs in itertools.combinations(c1 + c2, ANTIBODY_LENGTH)
-        if len(set(jobs)) == ANTIBODY_LENGTH
+        Antibody.trusted(candidate)
+        for candidate in itertools.combinations(jobs, ANTIBODY_LENGTH)
+        if len(set(candidate)) == ANTIBODY_LENGTH
     ]
 
 

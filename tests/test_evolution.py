@@ -20,6 +20,7 @@ from immunesched import (
     generate_pool,
     generate_universe,
     load_population,
+    max_fitness,
     order_crossover,
     sample_initial,
 )
@@ -362,6 +363,14 @@ def test_evolve_matches_the_reference_loop(
         population_size=len(members),
     )
     pop = Population([Antibody(jobs) for jobs in members]).evaluate(universe, sample)
+    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed)
+
+
+def assert_evolves_like_the_reference(pop, universe, sample, cfg, seed):
+    """`evolve` and the reference loop, from generators of equal seed, give
+    the same members, fitnesses and statistics, and leave the generators in
+    the same state unless the stop at the fixed point cut the run short.
+    Returns the generation after which the reference reached that point."""
     rng, reference_rng = random.Random(seed), random.Random(seed)
     stream = io.StringIO()
     final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
@@ -371,8 +380,63 @@ def test_evolve_matches_the_reference_loop(
     assert [ab.jobs for ab in final.antibodies] == jobs
     assert final.fitnesses == fitnesses
     assert stream.getvalue() == stats
-    stopped_early = frozen_at is not None and frozen_at < generations
+    stopped_early = frozen_at is not None and frozen_at < cfg.generations
     assert (rng.getstate() == reference_rng.getstate()) != stopped_early
+    return frozen_at
+
+
+shortcut_configs = pytest.mark.parametrize(
+    "size, tournament, crossover",
+    [
+        (size, tournament, crossover)
+        for size in (7, 8)
+        for tournament in (1, 2, 3)
+        for crossover in (0.0, 0.7, 1.0)
+    ],
+)
+
+
+@shortcut_configs
+def test_one_tuple_generations_match_the_reference(setup, size, tournament, crossover):
+    """A population of one job tuple below the maximum: the first generation
+    takes the one-tuple shortcut, and later ones take it whenever the
+    population collapses back to one tuple."""
+    universe, pool, sample = setup
+    x = next(ab for ab in pool if antibody_fitness(ab, universe, sample) < 20)
+    pop = Population([x] * size).evaluate(universe, sample)
+    cfg = GAConfig(
+        generations=20,
+        crossover_rate=crossover,
+        tournament_size=tournament,
+        population_size=size,
+    )
+    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size * tournament)
+
+
+@shortcut_configs
+@pytest.mark.parametrize("generations", [3, 30])
+def test_all_at_maximum_generations_match_the_reference(
+    setup, size, tournament, crossover, generations
+):
+    """Distinct members all at the maximum fitness: the sampled antigen's
+    five-job windows, each aligned with it at its own offset. Every
+    generation takes the all-at-maximum shortcut until the population is
+    one tuple, where the loop stops; three generations are too few for
+    that, so the generator states are compared."""
+    universe, _, sample = setup
+    sequence = universe.antigens[sample.indices[0]].sequence
+    windows = [Antibody(sequence[d : d + 5]) for d in range(size)]
+    pop = Population(windows).evaluate(universe, sample)
+    assert pop.fitnesses == [max_fitness(sample.size)] * size
+    cfg = GAConfig(
+        generations=generations,
+        crossover_rate=crossover,
+        tournament_size=tournament,
+        population_size=size,
+    )
+    frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size)
+    if generations == 3:
+        assert frozen_at is None
 
 
 def test_evolve_returns_a_frozen_population_without_drawing(setup):
@@ -402,14 +466,5 @@ def test_evolve_stops_at_the_fixed_point_with_the_reference_result(setup):
     universe, pool, sample = setup
     pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
     cfg = GAConfig()
-    rng, reference_rng = random.Random(0), random.Random(0)
-    stream = io.StringIO()
-    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
-    jobs, fitnesses, stats, frozen_at = reference_evolve(
-        pop, universe, sample, cfg, reference_rng
-    )
+    frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=0)
     assert frozen_at is not None and frozen_at < cfg.generations
-    assert [ab.jobs for ab in final.antibodies] == jobs
-    assert final.fitnesses == fitnesses
-    assert stream.getvalue() == stats
-    assert rng.getstate() != reference_rng.getstate()

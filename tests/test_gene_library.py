@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -76,6 +78,12 @@ def test_combine_six_distinct_jobs_gives_six_candidates():
     assert len(set(ab.jobs for ab in candidates)) == 6
 
 
+@pytest.mark.parametrize("c1, c2", [((1, 2, 0), (6, 8, 9)), ((1, 2, 7), (6, 8, 16))])
+def test_combine_rejects_an_out_of_range_job(c1, c2):
+    with pytest.raises(ValueError, match="^antibody job id out of range$"):
+        combine_components(c1, c2)
+
+
 def test_combine_discards_duplicate_jobs():
     candidates = combine_components((1, 2, 3), (3, 4, 5))
     assert len(candidates) == 2
@@ -145,3 +153,35 @@ def test_antibody_is_its_jobs(libraries):
     assert ab == Antibody(ab.jobs) == Antibody.trusted(ab.jobs)
     assert hash(ab) == hash(Antibody.trusted(ab.jobs))
     assert ab != Antibody(ab.jobs[::-1])
+
+
+def test_trusted_antibody_is_a_validated_one_and_stays_frozen():
+    jobs = (4, 3, 9, 5, 12)
+    ab = Antibody.trusted(jobs)
+    assert ab == Antibody(jobs) and hash(ab) == hash(Antibody(jobs))
+    assert ab.jobs is jobs
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ab.jobs = (1, 2, 3, 4, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ab.jobs
+    assert ab.jobs is jobs
+
+
+def test_trusted_antibody_takes_no_more_memory_than_a_validated_one():
+    """`trusted` sets its field the way the dataclass's own __init__ does,
+    so its instances get no dict of their own that validated ones lack.
+    Each count is the growth over 1000 instances, taken after batches
+    that absorb the one-time allocations of both paths and of tracemalloc."""
+    jobs = (4, 3, 9, 5, 12)
+    warm = [[make(jobs) for _ in range(1000)] for make in (Antibody.trusted, Antibody)]
+    tracemalloc.start()
+    try:
+        warm.append([Antibody(jobs) for _ in range(1000)])
+        before = tracemalloc.get_traced_memory()[0]
+        trusted = [Antibody.trusted(jobs) for _ in range(1000)]
+        middle = tracemalloc.get_traced_memory()[0]
+        validated = [Antibody(jobs) for _ in range(1000)]
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert middle - before <= after - middle
