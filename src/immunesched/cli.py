@@ -5,7 +5,8 @@ evaluate) plus the full `experiment` protocol. The stage subcommands run
 replicate 0 of `experiment` for the same seed and ag sample size. Every
 flag can also be supplied through a plain-text key=value config file
 (`--config`); file values take precedence over flags, so a saved config
-fully pins a run.
+fully pins a run. Flags shared by subcommands are declared once, in parent
+parsers; a run flag left unset keeps the default of its config class.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ _OPERATOR_CHOICES = tuple(op.value for op in NeighborOperator)
 _REFINE_CHOICES = tuple(m for m in PHASE2_CHOICES if m != "none")
 # The stage subcommands run this replicate of `experiment`.
 _REPLICATE = 0
+# Run flags and the ExperimentConfig fields they set.
+_FIELDS = {"universe": "universe_path", "base_problem": "base_problem_path",
+           "type": "population_type", "ag_sample": "ag_sample_sizes",
+           "replicates": "replicates", "phase2": "phase2", "seed": "master_seed"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,78 +65,66 @@ def _build_parser() -> argparse.ArgumentParser:
         "universe of disturbance schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed, stage, ga, operator = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    seed.add_argument("--seed", type=int)
+    stage.add_argument("--universe", required=True, help="universe file")
+    stage.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
+    ga.add_argument("--type")
+    ga.add_argument("--generations", type=int)
+    ga.add_argument("--crossover-rate", type=float)
+    ga.add_argument("--mutation-rate", type=float)
+    operator.add_argument("--operator", choices=_OPERATOR_CHOICES)
 
-    p = sub.add_parser("gen-universe", help="generate a ten-antigen universe file")
+    p = sub.add_parser("gen-universe", parents=[seed], help="generate a ten-antigen universe file")
     p.add_argument("--base-problem", help="base-problem file (default: built-in instance)")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--out", required=True, help="universe file to write")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_gen_universe)
+    _add_config_flag(p, _cmd_gen_universe)
 
-    p = sub.add_parser("evolve", help="run the evolutionary phase on a fresh population")
-    p.add_argument("--universe", required=True, help="universe file")
-    p.add_argument("--type", default=ExperimentConfig.population_type)
-    p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
-    p.add_argument("--generations", type=int, default=GAConfig.generations)
-    p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
-    p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
+    p = sub.add_parser("evolve", parents=[seed, stage, ga],
+                       help="run the evolutionary phase on a fresh population")
     p.add_argument("--out", required=True, help="population file to write")
     p.add_argument("--stats", help="optional per-generation statistics CSV")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_evolve)
+    _add_config_flag(p, _cmd_evolve)
 
-    p = sub.add_parser("refine", help="refine an evolved population (phase two)")
-    p.add_argument("--universe", required=True)
+    p = sub.add_parser("refine", parents=[seed, stage, operator],
+                       help="refine an evolved population (phase two)")
     p.add_argument("--population", required=True, help="population file to refine")
-    p.add_argument("--ag-sample", type=int, default=1, metavar="N", help=_AG_SAMPLE_HELP)
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     p.add_argument("--phase2", choices=_REFINE_CHOICES, required=True)
-    p.add_argument(
-        "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
-    )
     p.add_argument("--out", required=True)
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_refine)
+    _add_config_flag(p, _cmd_refine)
 
     p = sub.add_parser("evaluate", help="coverage of all ten antigens by a population")
     p.add_argument("--universe", required=True)
     p.add_argument("--population", required=True)
     p.add_argument("--out", help="optional CSV of unmatched counts per threshold")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_evaluate)
+    _add_config_flag(p, _cmd_evaluate)
 
-    p = sub.add_parser("experiment", help="full replicate protocol with CSV reports")
+    p = sub.add_parser("experiment", parents=[seed, ga, operator],
+                       help="full replicate protocol with CSV reports")
     p.add_argument("--universe", help="universe file (default: generate from base problem)")
     p.add_argument("--base-problem", help="base-problem file used when generating")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
-    p.add_argument("--type", default=ExperimentConfig.population_type)
     p.add_argument(
         "--ag-sample",
         type=int,
         action="append",
         metavar="N",
-        help=_AG_SAMPLE_HELP + "; repeatable (default: 1 4 8)",
+        help=f"{_AG_SAMPLE_HELP}; repeatable "
+        f"(default: {' '.join(map(str, ExperimentConfig.ag_sample_sizes))})",
     )
-    p.add_argument("--generations", type=int, default=GAConfig.generations)
-    p.add_argument("--crossover-rate", type=float, default=GAConfig.crossover_rate)
-    p.add_argument("--mutation-rate", type=float, default=GAConfig.mutation_rate)
-    p.add_argument("--phase2", choices=PHASE2_CHOICES, default=ExperimentConfig.phase2)
-    p.add_argument(
-        "--operator", choices=_OPERATOR_CHOICES, default=NeighborOperator.CHANGE_ONE_JOB
-    )
-    p.add_argument("--replicates", type=int, default=ExperimentConfig.replicates)
+    p.add_argument("--phase2", choices=PHASE2_CHOICES)
+    p.add_argument("--replicates", type=int)
     p.add_argument("--out", required=True, help="output directory for the reports")
-    _add_config_flag(p)
-    p.set_defaults(func=_cmd_experiment)
+    _add_config_flag(p, _cmd_experiment)
 
     return parser
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    """Add --config after the other flags: its entries take their flags' types."""
+def _add_config_flag(p: argparse.ArgumentParser, func) -> None:
+    """Give the subcommand its handler and a --config flag whose keys are
+    the other flags' names, each read by its flag's type."""
+    types = {action.dest: action.type for action in p._actions if action.dest != "help"}
     p.add_argument("--config", help="key=value file; values override flags")
-    p.set_defaults(flag_types={action.dest: action.type for action in p._actions})
+    p.set_defaults(func=func, flag_types=types)
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -141,8 +134,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     configuration was valid before it and invalid after it; an error the
     flags alone cause is left for the subcommand to report.
     """
-    path = getattr(args, "config", None)
-    if not path:
+    if not (path := args.config):
         return
     error = _config_error(args)
     for lineno, line in read_lines(path)[0]:
@@ -151,7 +143,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 raise ValueError("expected key=value")
             key, _, raw = (part.strip() for part in line.partition("="))
             attr = key.replace("-", "_")
-            if attr in ("config", "func", "command", "flag_types") or not hasattr(args, attr):
+            if attr not in args.flag_types:
                 raise ValueError(f"unknown config key {key!r} for '{args.command}'")
             setattr(args, attr, _coerce_config_value(attr, raw, args))
             valid_before, error = error is None, _config_error(args)
@@ -185,26 +177,20 @@ def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
 def _config(args: argparse.Namespace) -> ExperimentConfig:
     """The experiment configuration that a subcommand's flags describe.
 
-    Flags the subcommand lacks keep their ExperimentConfig defaults; a
-    stage subcommand's single --ag-sample becomes a one-size list.
+    Only the flags that are set reach the config classes, which supply
+    every default; a stage subcommand's single --ag-sample becomes a
+    one-size list.
     """
-    flags = vars(args)
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    fields = {field: flags[flag] for flag, field in _FIELDS.items() if flag in flags}
     ga = {k: flags[k] for k in ("generations", "crossover_rate", "mutation_rate") if k in flags}
-    operator = flags.get("operator", NeighborOperator.CHANGE_ONE_JOB)
-    ag = flags.get("ag_sample") or ExperimentConfig.ag_sample_sizes
+    operator = {"operator": flags["operator"]} if "operator" in flags else {}
+    if isinstance(ag := flags.get("ag_sample"), int):
+        fields["ag_sample_sizes"] = (ag,)
     if args.command == "refine" and flags["phase2"] not in _REFINE_CHOICES:
         raise ValueError(f"phase2 must be one of {_REFINE_CHOICES} for 'refine'")
     return ExperimentConfig(
-        universe_path=flags.get("universe"),
-        base_problem_path=flags.get("base_problem"),
-        population_type=flags.get("type", ExperimentConfig.population_type),
-        ag_sample_sizes=(ag,) if isinstance(ag, int) else tuple(ag),
-        replicates=flags.get("replicates", ExperimentConfig.replicates),
-        phase2=flags.get("phase2", ExperimentConfig.phase2),
-        ga=GAConfig(**ga),
-        sa=SAConfig(operator=operator),
-        gd=GDConfig(operator=operator),
-        master_seed=flags.get("seed", ExperimentConfig.master_seed),
+        **fields, ga=GAConfig(**ga), sa=SAConfig(**operator), gd=GDConfig(**operator)
     )
 
 
@@ -269,7 +255,3 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     for ag, pct in sorted(report.improvements.items()):
         print(f"fitness improvement (ag={ag}): {pct:.1f}%")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

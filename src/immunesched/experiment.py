@@ -51,7 +51,7 @@ def derived_rng(master_seed: int, *parts: object) -> random.Random:
     return random.Random("/".join(str(p) for p in (master_seed, *parts)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     universe_path: str | None = None
     base_problem_path: str | None = None
@@ -73,7 +73,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if type(self.population_type) is str:  # check_fields rejects any other kind
-            self.population_type = self.population_type.upper()
+            object.__setattr__(self, "population_type", self.population_type.upper())
         check_fields(self)
 
 
@@ -270,7 +270,7 @@ def emit_reports(
 def config_from_manifest(path: str | Path) -> ExperimentConfig:
     """Rebuild the configuration recorded in a run.json manifest. A key
     missing from a block, or unknown to it, fails by its name."""
-    manifest = json.loads(Path(path).read_text())
+    manifest = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise ValueError("missing key 'config'")
     if not isinstance(data := manifest["config"], dict):

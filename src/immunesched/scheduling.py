@@ -182,10 +182,11 @@ def save_universe(universe: AntigenUniverse, path: str | Path) -> None:
 def read_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
     """The content lines of a text input file, and the file's line count.
 
-    Each content line comes stripped, with its line number counted from 1;
-    blank lines and `#`-prefixed comment lines are skipped.
+    The file is UTF-8, with or without a byte-order mark. Each content line
+    comes stripped, with its line number counted from 1; blank lines and
+    `#`-prefixed comment lines are skipped.
     """
-    file_lines = Path(path).read_text().splitlines()
+    file_lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     lines = [
         (lineno, line)
         for lineno, raw in enumerate(file_lines, start=1)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,14 @@ import pytest
 from immunesched import (
     ExperimentConfig,
     GAConfig,
+    GDConfig,
+    SAConfig,
+    default_base_problem,
     load_population,
     load_universe,
     run_experiment,
 )
-from immunesched.cli import main
+from immunesched.cli import _build_parser, _config, main
 
 
 def run(*argv):
@@ -297,3 +301,111 @@ def test_experiment_config_file_sets_ag_list(tmp_path):
     assert manifest["config"]["ag_sample_sizes"] == [1, 4]
     assert manifest["config"]["replicates"] == 1
     assert manifest["master_seed"] == 4
+
+
+# Each subcommand's required flags, and the flags it reads into its config.
+REQUIRED = {
+    "gen-universe": ("--out", "u.txt"),
+    "evolve": ("--universe", "u.txt", "--out", "p.txt"),
+    "refine": ("--universe", "u.txt", "--population", "p.txt", "--phase2", "sa", "--out", "r.txt"),
+    "evaluate": ("--universe", "u.txt", "--population", "p.txt"),
+    "experiment": ("--out", "results"),
+}
+FLAGS = {
+    "gen-universe": {"seed", "base_problem", "out"},
+    "evolve": {"seed", "universe", "ag_sample", "type", "generations", "crossover_rate",
+               "mutation_rate", "out", "stats"},
+    "refine": {"seed", "universe", "ag_sample", "operator", "population", "phase2", "out"},
+    "evaluate": {"universe", "population", "out"},
+    "experiment": {"seed", "universe", "base_problem", "ag_sample", "type", "generations",
+                   "crossover_rate", "mutation_rate", "phase2", "operator", "replicates", "out"},
+}
+# Each run flag, a value other than its default, and the config it makes
+# from the config that the required flags alone make.
+RUN_FLAGS = {
+    "seed": ("7", lambda c: replace(c, master_seed=7)),
+    "universe": ("v.txt", lambda c: replace(c, universe_path="v.txt")),
+    "base_problem": ("b.txt", lambda c: replace(c, base_problem_path="b.txt")),
+    "ag_sample": ("4", lambda c: replace(c, ag_sample_sizes=(4,))),
+    "type": ("b", lambda c: replace(c, population_type="B")),
+    "generations": ("12", lambda c: replace(c, ga=replace(c.ga, generations=12))),
+    "crossover_rate": ("0.25", lambda c: replace(c, ga=replace(c.ga, crossover_rate=0.25))),
+    "mutation_rate": ("0.125", lambda c: replace(c, ga=replace(c.ga, mutation_rate=0.125))),
+    "phase2": ("gd", lambda c: replace(c, phase2="gd")),
+    "operator": ("swap", lambda c: replace(
+        c, sa=SAConfig(operator="swap"), gd=GDConfig(operator="swap"))),
+    "replicates": ("3", lambda c: replace(c, replicates=3)),
+}
+
+
+def parse(command, *flags):
+    return _build_parser().parse_args([command, *REQUIRED[command], *flags])
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_each_subcommand_reads_its_own_flags(command):
+    """A config key is valid exactly when it names one of these flags."""
+    assert set(parse(command).flag_types) == FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        ("gen-universe", ExperimentConfig()),
+        ("evolve", ExperimentConfig(universe_path="u.txt", ag_sample_sizes=(1,))),
+        ("refine", ExperimentConfig(universe_path="u.txt", ag_sample_sizes=(1,), phase2="sa")),
+        ("evaluate", ExperimentConfig(universe_path="u.txt")),
+        ("experiment", ExperimentConfig()),
+    ],
+)
+def test_required_flags_alone_build_the_default_config(command, expected):
+    assert _config(parse(command)) == expected
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command in FLAGS for flag in RUN_FLAGS if flag in FLAGS[command]],
+)
+def test_each_run_flag_sets_its_config_field(command, flag):
+    value, expected = RUN_FLAGS[flag]
+    option = "--" + flag.replace("_", "-")
+    assert _config(parse(command, option, value)) == expected(_config(parse(command)))
+
+
+@pytest.mark.parametrize("key", ["func", "command", "flag_types", "config", "help"])
+def test_namespace_entries_are_not_config_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "c.txt"
+    cfg.write_text(f"{key}=1\n")
+    assert run("gen-universe", "--config", cfg, "--out", tmp_path / "u.txt") == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 1: unknown config key '{key}' for 'gen-universe'\n"
+    )
+
+
+def test_input_files_read_the_same_with_a_byte_order_mark(tmp_path, capsys):
+    """Universe, base-problem, population and --config files saved with a
+    UTF-8 byte-order mark give the same result as without one."""
+
+    def assert_same_with_bom(command, flag, path, *argv):
+        marked = tmp_path / ("bom-" + path.name)
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        out, results = tmp_path / "out.txt", []
+        for given in (path, marked):
+            assert run(command, flag, given, *argv, "--out", out) == 0
+            results.append((out.read_bytes(), capsys.readouterr().out))
+        assert results[0] == results[1]
+
+    base, cfg = tmp_path / "base.txt", tmp_path / "run.cfg"
+    jobs = default_base_problem().jobs
+    base.write_text(f"jobs {len(jobs)}\n" + "".join(
+        f"{j.id} {j.processing_time} {j.due_date} {j.arrival_date}\n" for j in jobs
+    ))
+    cfg.write_text("seed=42\n")
+    universe, pop = tmp_path / "u.txt", tmp_path / "p.txt"
+    run("gen-universe", "--out", universe)
+    run("evolve", "--universe", universe, "--generations", 2, "--out", pop)
+    capsys.readouterr()
+    assert_same_with_bom("gen-universe", "--base-problem", base)
+    assert_same_with_bom("gen-universe", "--config", cfg)
+    assert_same_with_bom("evolve", "--universe", universe, "--generations", 2)
+    assert_same_with_bom("evaluate", "--population", pop, "--universe", universe)

@@ -398,6 +398,22 @@ def emit_config_only(cfg, out_dir):
     return out_dir / "run.json"
 
 
+def test_manifest_with_a_byte_order_mark_reads_the_same(tmp_path):
+    path = emit_config_only(small_config(phase2="gd"), tmp_path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert config_from_manifest(path) == small_config(phase2="gd")
+
+
+@pytest.mark.parametrize(
+    "cfg, name", [(ExperimentConfig(), "replicates"), (GAConfig(), "generations"),
+                  (SAConfig(), "cooling_factor"), (GDConfig(), "iterations")],
+)
+def test_configs_are_frozen(cfg, name):
+    """Assigning a field would skip the checks that the constructor runs."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, name, 0)
+
+
 def test_manifest_config_block_format_is_pinned(tmp_path):
     path = emit_config_only(ExperimentConfig(), tmp_path)
     assert path.read_text().startswith(DEFAULT_CONFIG_BLOCK)
