@@ -1,9 +1,9 @@
 """Phase-two refinement: simulated annealing and the great deluge.
 
 Both methods are one chain (`refine`) over the neighborhood of a single
-antibody (change one job, or swap two); the config supplies what differs:
-the level schedule (SA temperatures, GD boundaries), the rule for a worse
-candidate, the trace's level column and GD's stagnation stop.
+antibody (change one job, or swap two); the config supplies the level
+schedule (SA temperatures, GD boundaries), the trace's level column and
+GD's stagnation stop, and the chain writes both rules for a worse candidate.
 
 The chain scores a move by its delta on one int, the current antibody's
 lanes against every antigen in the universe's column table: changing slot
@@ -20,12 +20,14 @@ the refined members through `Population.evaluate`, as every phase does.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import insort
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import pairwise
+from functools import cached_property
+from itertools import accumulate, pairwise, repeat
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
@@ -57,18 +59,20 @@ class SAConfig:
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must lie strictly between 0 and 1")
 
-    def levels(self, start_fit: int, target: int) -> Iterator[float]:
+    @cached_property
+    def temperatures(self) -> tuple[float, ...]:
         """Geometric cooling: the initial temperature, then each cooled one
-        until it is no longer above the final temperature."""
+        until it is no longer above the final temperature. Cached on the
+        config, outside its fields: one float per level, 571 by default."""
         temperature = self.initial_temperature
-        yield temperature
+        temperatures = [temperature]
         while temperature > self.final_temperature:
             temperature *= self.cooling_factor
-            yield temperature
+            temperatures.append(temperature)
+        return tuple(temperatures)
 
-    def accepts_worse(self, fit: int, current: int, temperature: float, rng) -> bool:
-        """Metropolis rule: one draw, passing with probability exp(-delta/T)."""
-        return rng.random() < acceptance_probability(current - fit, temperature)
+    def levels(self, start_fit: int, target: int) -> Iterable[float]:
+        return self.temperatures
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,11 @@ class GDConfig:
     level_name = "boundary"  # a class attribute, not a field
     __post_init__ = check_fields
 
-    def levels(self, start_fit: int, target: int) -> Iterator[float]:
+    def levels(self, start_fit: int, target: int) -> Iterable[float]:
         """A boundary that starts at the start fitness and moves by a fixed
-        amount per iteration, reaching `target` after the last one."""
+        amount per iteration, reaching `target` after the last one (lazily)."""
         decay = decay_rate(start_fit, target, self.iterations)
-        boundary = float(start_fit)
-        yield boundary
-        for _ in range(self.iterations):
-            boundary -= decay
-            yield boundary
-
-    def accepts_worse(self, fit: int, current: int, boundary: float, rng) -> bool:
-        """At or above the boundary; draws nothing."""
-        return fit >= boundary
+        return accumulate(repeat(decay, self.iterations), operator.sub, initial=float(start_fit))
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
@@ -126,12 +122,13 @@ def refine(
     original, else the original.
 
     Each step draws one neighbor and accepts it when it is no worse, or when
-    `cfg.accepts_worse` passes it at the current level; then the level moves
-    on. SA cools geometrically from initial to final temperature (570 steps
-    by default) and passes a worse candidate with probability exp(-delta/T).
-    GD raises a boundary linearly from the start fitness to the maximum
-    fitness over `iterations` steps, passes a worse candidate at or above
-    it, and stops after `stagnation_limit` steps without a new best.
+    the config type's rule, written inline, passes it at the current level.
+    SA cools geometrically from initial to final temperature (570 steps by
+    default) and passes a worse candidate when one `rng.random()` is below
+    exp(-delta/T). GD raises a boundary linearly from the start fitness to
+    the maximum fitness over `iterations` steps, passes a worse candidate at
+    or above it without a draw, and stops after `stagnation_limit` steps
+    without a new best. Other config types raise TypeError.
 
     A candidate is scored by its delta on the current antibody's lanes in
     the universe's column table (see the matching module), to the value
@@ -145,6 +142,9 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
+    metropolis = isinstance(cfg, SAConfig)
+    if not metropolis and not isinstance(cfg, GDConfig):
+        raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
@@ -160,13 +160,13 @@ def refine(
     # when n == p (swap). These are randrange's and rng.sample(range(5), 2)'s
     # rejection loops, inline: the same values and generator state.
     second = UNUSED_JOB_COUNT if change else ANTIBODY_LENGTH - 1
-    getrandbits = rng.getrandbits
+    getrandbits, random_, exp = rng.getrandbits, rng.random, math.exp
     slot_bits, second_bits = ANTIBODY_LENGTH.bit_length(), second.bit_length()
-    accepts_worse, stagnation_limit = cfg.accepts_worse, cfg.stagnation_limit
-    stagnation = 0
+    stagnation_limit = cfg.stagnation_limit
+    stagnation = step = 0
     if trace is not None:
         trace.write(f"step,{cfg.level_name},current_fitness,best_fitness,accepted\n")
-    for step, (level, next_level) in enumerate(pairwise(cfg.levels(start_fit, target)), 1):
+    for level, next_level in pairwise(cfg.levels(start_fit, target)):
         if best_fit == ceiling:
             break
         p = getrandbits(slot_bits)
@@ -191,8 +191,9 @@ def refine(
             + ((candidate + four) & high).bit_count()
             + ((candidate + five) & high).bit_count()
         )
-        accepted = candidate_fit >= current_fit or accepts_worse(
-            candidate_fit, current_fit, level, rng
+        accepted = candidate_fit >= current_fit or (
+            random_() < exp((candidate_fit - current_fit) / level)
+            if metropolis else candidate_fit >= level
         )
         if accepted:
             packed, current_fit = candidate, candidate_fit
@@ -208,6 +209,7 @@ def refine(
         else:
             stagnation += 1
         if trace is not None:
+            step += 1
             trace.write(f"{step},{next_level!r},{current_fit},{best_fit},{int(accepted)}\n")
         if stagnation == stagnation_limit:
             break
@@ -229,8 +231,6 @@ def refine_population(
     `Population.evaluate`, the one population evaluator.
     """
     pop.require_evaluated()
-    if not isinstance(cfg, (SAConfig, GDConfig)):
-        raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     refined = [
         refine(ab, universe, sample, cfg, random.Random(rng.getrandbits(64)))
         for ab in pop.antibodies

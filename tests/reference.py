@@ -15,6 +15,8 @@ from immunesched import (
     AntigenSample,
     NeighborOperator,
     Population,
+    SAConfig,
+    acceptance_probability,
     antibody_fitness,
     default_base_problem,
     generate_universe,
@@ -62,15 +64,38 @@ def sliding_counts(antigen, antibody):
     ]
 
 
-def reference_chain(ab, universe, sample, cfg, rng):
-    """refine's untraced chain written plainly: each neighbour is a new
-    Antibody scored by antibody_fitness, its slots drawn by randrange (change)
-    or rng.sample (swap)."""
+def reference_levels(cfg, start, target):
+    """The chain's levels as a list: SA's temperatures, multiplied by the
+    cooling factor while above the final one; GD's boundaries, the start
+    fitness lowered by the same decay once per iteration."""
+    if isinstance(cfg, SAConfig):
+        levels = [cfg.initial_temperature]
+        while levels[-1] > cfg.final_temperature:
+            levels.append(levels[-1] * cfg.cooling_factor)
+    else:
+        decay = (start - target) / cfg.iterations
+        levels = [float(start)]
+        for _ in range(cfg.iterations):
+            levels.append(levels[-1] - decay)
+    return levels
+
+
+def reference_chain(ab, universe, sample, cfg, rng, trace=None):
+    """refine's chain written plainly: each neighbour is a new Antibody
+    scored by antibody_fitness, its slots drawn by randrange (change) or
+    rng.sample (swap). SA accepts a worse one when rng.random() is below
+    acceptance_probability, GD when it is at or above the boundary. With
+    `trace`, it writes refine's rows and does not stop at the maximum."""
+    sa = isinstance(cfg, SAConfig)
     jobs = ab.jobs
     start = current = best = antibody_fitness(ab, universe, sample)
     best_jobs, target, stagnation = jobs, max_fitness(sample.size), 0
-    for level, _ in itertools.pairwise(cfg.levels(start, target)):
-        if best == target:
+    levels = reference_levels(cfg, start, target)
+    if trace is not None:
+        level_name = "temperature" if sa else "boundary"
+        trace.write(f"step,{level_name},current_fitness,best_fitness,accepted\n")
+    for step, (level, next_level) in enumerate(itertools.pairwise(levels), 1):
+        if best == target and trace is None:
             break
         moved = list(jobs)
         if cfg.operator is NeighborOperator.CHANGE_ONE_JOB:
@@ -81,13 +106,21 @@ def reference_chain(ab, universe, sample, cfg, rng):
             i, j = rng.sample(range(ANTIBODY_LENGTH), 2)
             moved[i], moved[j] = moved[j], moved[i]
         fit = antibody_fitness(Antibody(tuple(moved)), universe, sample)
-        if fit >= current or cfg.accepts_worse(fit, current, level, rng):
+        if fit >= current:
+            accepted = True
+        elif sa:
+            accepted = rng.random() < acceptance_probability(current - fit, level)
+        else:
+            accepted = fit >= level
+        if accepted:
             jobs, current = tuple(moved), fit
         if current > best:
             best_jobs, best, stagnation = jobs, current, 0
         else:
             stagnation += 1
-        if stagnation == cfg.stagnation_limit:
+        if trace is not None:
+            trace.write(f"{step},{next_level!r},{current},{best},{int(accepted)}\n")
+        if not sa and stagnation == cfg.stagnation_limit:
             break
     return Antibody(best_jobs) if best > start else ab
 

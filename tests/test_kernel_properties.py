@@ -2,11 +2,12 @@
 lane-packed column table, of the sample's lane masks and the bit-count lane
 score they feed, of coverage over the universe's lanes, of the operators
 whose output skips Antibody validation, of the draws the operators and the
-refinement chain use in place of randrange and rng.sample, and of the great
-deluge's floor."""
+refinement chain use in place of randrange and rng.sample, of the chain's
+inline Metropolis probability, and of the great deluge's floor."""
 
 import io
 import itertools
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from immunesched import (
     NeighborOperator,
     Population,
     SAConfig,
+    acceptance_probability,
     antibody_fitness,
     best_match,
     coverage,
@@ -269,6 +271,17 @@ def test_chain_draws_match_randrange_and_sample(universe, sample, antibody, op, 
         expected = reference_chain(antibody, universe, sample, cfg, reference)
         assert refine(antibody, universe, sample, cfg, rng) == expected
         assert rng.getstate() == reference.getstate()
+
+
+@given(st.integers(0, 250), st.integers(1, 250))
+def test_inline_metropolis_probability_is_acceptance_probability(fit, delta):
+    """refine computes a worse candidate's acceptance probability inline,
+    as exp((fit - current) / T). It must equal acceptance_probability's
+    value at every temperature of the default schedule."""
+    current = fit + delta
+    for temperature in SAConfig().temperatures:
+        inline = math.exp((fit - current) / temperature)
+        assert inline == acceptance_probability(current - fit, temperature)
 
 
 @given(

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from immunesched import (
+    ANTIBODY_LENGTH,
+    JOB_COUNT,
     POSITION_SCORE,
     Antibody,
     Antigen,
@@ -26,7 +28,7 @@ from immunesched import (
     refine_population,
     sample_initial,
 )
-from reference import reference_refine_population, sliding_counts
+from reference import reference_chain, reference_refine_population, sliding_counts
 
 CHANGE = NeighborOperator.CHANGE_ONE_JOB
 SWAP = NeighborOperator.SWAP_TWO_JOBS
@@ -151,12 +153,23 @@ def test_gd_with_zero_decay_stays_at_optimum(setup):
     assert boundaries == {float(max_fitness(sample.size))}
 
 
-def test_gd_accepts_a_worse_candidate_at_the_boundary_without_drawing():
-    rng = random.Random(8)
-    state = rng.getstate()
-    assert GDConfig().accepts_worse(20, 25, 20.0, rng)
-    assert not GDConfig().accepts_worse(19, 25, 20.0, rng)
-    assert rng.getstate() == state
+def test_gd_accepts_a_worse_candidate_at_the_boundary_without_drawing(setup):
+    """From fitness 10 against one antigen, 15 iterations raise the boundary
+    by exactly 1 per step. Step 6 draws a candidate at 15 while the current
+    is at 20: it is worse, but on the boundary 15.0, so GD accepts it. Its
+    stagnation limit of 3 ends the chain there, and the generator is where
+    the six steps' move draws alone leave it: the boundary took no draw."""
+    universe, _, sample = setup
+    ab = Antibody((12, 9, 1, 13, 14))
+    assert antibody_fitness(ab, universe, sample) == 10
+    rng, trace = random.Random(4), io.StringIO()
+    refine(ab, universe, sample, GDConfig(iterations=15, stagnation_limit=3), rng, trace)
+    assert trace.getvalue().splitlines()[-2:] == ["5,15.0,20,20,1", "6,16.0,15,20,1"]
+    moves_only = random.Random(4)
+    for _ in range(6):
+        moves_only.randrange(ANTIBODY_LENGTH)
+        moves_only.randrange(JOB_COUNT - ANTIBODY_LENGTH)
+    assert rng.getstate() == moves_only.getstate()
 
 
 def test_gd_stagnation_stops_after_limit(setup):
@@ -239,6 +252,26 @@ def test_refine_population_matches_the_reference(setup, ag, cfg):
     assert rng.getstate() == reference.getstate()
 
 
+@pytest.mark.parametrize("ag", [1, 4, 8])
+@pytest.mark.parametrize(
+    "cfg",
+    [SAConfig(), SAConfig(operator=SWAP), GDConfig(), GDConfig(operator=SWAP)],
+    ids=["sa-change", "sa-swap", "gd-change", "gd-swap"],
+)
+def test_trace_matches_the_reference(setup, ag, cfg):
+    """A traced chain writes the plain reference chain's rows byte for byte,
+    returns its antibody and leaves the generator where it does."""
+    universe, pool, _ = setup
+    sample = AntigenSample.draw(ag, random.Random(f"trace/{ag}"))
+    ab = pool[ag * 31]
+    rng, reference = random.Random(ag), random.Random(ag)
+    trace, expected = io.StringIO(), io.StringIO()
+    out = refine(ab, universe, sample, cfg, rng, trace)
+    assert out == reference_chain(ab, universe, sample, cfg, reference, expected)
+    assert trace.getvalue() == expected.getvalue()
+    assert rng.getstate() == reference.getstate()
+
+
 def test_refine_population_fixed_point_at_optimum(setup):
     universe, pool, sample = setup
     ab = prefix_antibody(universe, sample)
@@ -266,6 +299,14 @@ def test_refine_population_requires_evaluation_and_config_type(setup):
     pop.evaluate(universe, sample)
     with pytest.raises(TypeError):
         refine_population(pop, universe, sample, object(), random.Random(0))
+
+
+def test_refine_rejects_other_config_types(setup):
+    """The chain picks its acceptance rule by config type, so any other
+    object is refused rather than run under GD's rule."""
+    universe, pool, sample = setup
+    with pytest.raises(TypeError, match="expected SAConfig or GDConfig, got object"):
+        refine(pool[0], universe, sample, object(), random.Random(0))
 
 
 def test_config_validation():
