@@ -1,9 +1,10 @@
 """Phase-two refinement: simulated annealing and the great deluge.
 
 Both methods are one chain (`refine`) over the neighborhood of a single
-antibody (change one job, or swap two); the config supplies the level
-schedule (SA temperatures, GD boundaries), the trace's level column and
-GD's stagnation stop, and the chain writes both rules for a worse candidate.
+antibody (change one job, or swap two). The configs hold settings only;
+one type branch in `refine` picks the level schedule (SA's cached
+temperatures, GD's boundaries), the trace's level column, GD's stagnation
+stop and the rule for a worse candidate, which the chain writes inline.
 
 The chain scores a move by its delta on one int, the current antibody's
 lanes against every antigen in the universe's column table: changing slot
@@ -23,7 +24,6 @@ import math
 import operator
 import random
 from bisect import insort
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -48,10 +48,6 @@ class SAConfig:
     cooling_factor: float = 0.98
     operator: NeighborOperator = NeighborOperator.CHANGE_ONE_JOB
 
-    # Class attributes, not fields: the trace's level column; no stagnation stop.
-    level_name = "temperature"
-    stagnation_limit = None
-
     def __post_init__(self) -> None:
         check_fields(self)
         if not 0.0 < self.final_temperature < self.initial_temperature:
@@ -71,9 +67,6 @@ class SAConfig:
             temperatures.append(temperature)
         return tuple(temperatures)
 
-    def levels(self, start_fit: int, target: int) -> Iterable[float]:
-        return self.temperatures
-
 
 @dataclass(frozen=True)
 class GDConfig:
@@ -81,14 +74,7 @@ class GDConfig:
     stagnation_limit: int | None = field(default=30, metadata={"range": (1, None)})
     operator: NeighborOperator = NeighborOperator.CHANGE_ONE_JOB
 
-    level_name = "boundary"  # a class attribute, not a field
     __post_init__ = check_fields
-
-    def levels(self, start_fit: int, target: int) -> Iterable[float]:
-        """A boundary that starts at the start fitness and moves by a fixed
-        amount per iteration, reaching `target` after the last one (lazily)."""
-        decay = decay_rate(start_fit, target, self.iterations)
-        return accumulate(repeat(decay, self.iterations), operator.sub, initial=float(start_fit))
 
 
 def acceptance_probability(delta: float, temperature: float) -> float:
@@ -142,9 +128,6 @@ def refine(
     the result is the same. A traced chain runs until its schedule ends or
     it stagnates.
     """
-    metropolis = isinstance(cfg, SAConfig)
-    if not metropolis and not isinstance(cfg, GDConfig):
-        raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
@@ -152,6 +135,15 @@ def refine(
     below_top, top, high, two, three, four, five = masks
     start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
     target = max_fitness(sample.size)
+    # The one SA/GD branch. GD's lazy boundary goes from start_fit to target.
+    if metropolis := isinstance(cfg, SAConfig):
+        levels, level_name, stagnation_limit = cfg.temperatures, "temperature", None
+    elif isinstance(cfg, GDConfig):
+        decay = decay_rate(start_fit, target, cfg.iterations)
+        levels = accumulate(repeat(decay, cfg.iterations), operator.sub, initial=float(start_fit))
+        level_name, stagnation_limit = "boundary", cfg.stagnation_limit
+    else:
+        raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     best_jobs = ab.jobs
     ceiling = target if trace is None else None
     change = cfg.operator is NeighborOperator.CHANGE_ONE_JOB
@@ -162,11 +154,10 @@ def refine(
     second = UNUSED_JOB_COUNT if change else ANTIBODY_LENGTH - 1
     getrandbits, random_, exp = rng.getrandbits, rng.random, math.exp
     slot_bits, second_bits = ANTIBODY_LENGTH.bit_length(), second.bit_length()
-    stagnation_limit = cfg.stagnation_limit
     stagnation = step = 0
     if trace is not None:
-        trace.write(f"step,{cfg.level_name},current_fitness,best_fitness,accepted\n")
-    for level, next_level in pairwise(cfg.levels(start_fit, target)):
+        trace.write(f"step,{level_name},current_fitness,best_fitness,accepted\n")
+    for level, next_level in pairwise(levels):
         if best_fit == ceiling:
             break
         p = getrandbits(slot_bits)
