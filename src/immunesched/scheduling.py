@@ -182,11 +182,16 @@ def save_universe(universe: AntigenUniverse, path: str | Path) -> None:
 def read_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
     """The content lines of a text input file, and the file's line count.
 
-    The file is UTF-8, with or without a byte-order mark. Each content line
-    comes stripped, with its line number counted from 1; blank lines and
-    `#`-prefixed comment lines are skipped.
+    The file is UTF-8, with or without a byte-order mark; a byte that is not
+    fails with the number of its line. Each content line comes stripped,
+    with its line number counted from 1; blank lines and `#`-prefixed
+    comment lines are skipped.
     """
-    file_lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    try:
+        file_lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as err:  # err.object: the bytes after any mark
+        with at_line(path, len(err.object[: err.end].decode(errors="replace").splitlines())):
+            raise ValueError(f"byte {err.object[err.start]:#04x} is not UTF-8 ({err.reason})")
     lines = [
         (lineno, line)
         for lineno, raw in enumerate(file_lines, start=1)

@@ -409,3 +409,31 @@ def test_input_files_read_the_same_with_a_byte_order_mark(tmp_path, capsys):
     assert_same_with_bom("gen-universe", "--config", cfg)
     assert_same_with_bom("evolve", "--universe", universe, "--generations", 2)
     assert_same_with_bom("evaluate", "--population", pop, "--universe", universe)
+
+
+def test_input_files_that_are_not_utf8_name_the_file_and_line(tmp_path, capsys):
+    """A universe, population, base-problem or --config file holding a byte
+    that is not UTF-8 fails with exit 2, naming the file and that byte's
+    line as read_lines counts lines: a byte-order mark adds none, CRLF ends
+    one, and a bad byte that starts a line is on that line."""
+    universe, pop, out = tmp_path / "u.txt", tmp_path / "p.txt", tmp_path / "out.txt"
+    run("gen-universe", "--out", universe)
+    run("evolve", "--universe", universe, "--generations", 1, "--out", pop)
+    capsys.readouterr()
+
+    def assert_named(data, lineno, message, *argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data)
+        assert run(*(bad if a is None else a for a in argv)) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line {lineno}: byte {message}\n"
+
+    start = "is not UTF-8 (invalid start byte)"
+    lines = universe.read_bytes().splitlines(keepends=True)
+    assert_named(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]), 3, f"0xff {start}",
+                 "evaluate", "--universe", None, "--population", pop)
+    assert_named(b"1 2 3 4 5\n# caf\xe9\n", 2, "0xe9 is not UTF-8 (invalid continuation byte)",
+                 "evaluate", "--universe", universe, "--population", None)
+    assert_named(b"\xef\xbb\xbfjobs 15\r\n\r\n\x80 2 30 0\r\n", 3, f"0x80 {start}",
+                 "gen-universe", "--base-problem", None, "--out", out)
+    assert_named(b"seed=4\xff2\n", 1, f"0xff {start}",
+                 "gen-universe", "--config", None, "--out", out)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import random
 import tracemalloc
@@ -171,9 +172,13 @@ def test_trusted_antibody_takes_no_more_memory_than_a_validated_one():
     """`trusted` sets its field the way the dataclass's own __init__ does,
     so its instances get no dict of their own that validated ones lack.
     Each count is the growth over 1000 instances, taken after batches
-    that absorb the one-time allocations of both paths and of tracemalloc."""
+    that absorb the one-time allocations of both paths and of tracemalloc.
+    Garbage collection is off meanwhile: a collection runs the gc callbacks
+    (hypothesis registers one), whose allocations would count in whichever
+    window the collection happened to fall."""
     jobs = (4, 3, 9, 5, 12)
     warm = [[make(jobs) for _ in range(1000)] for make in (Antibody.trusted, Antibody)]
+    gc.disable()
     tracemalloc.start()
     try:
         warm.append([Antibody(jobs) for _ in range(1000)])
@@ -184,4 +189,5 @@ def test_trusted_antibody_takes_no_more_memory_than_a_validated_one():
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert middle - before <= after - middle

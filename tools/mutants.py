@@ -1,0 +1,363 @@
+"""Rerun the catalogue of deliberate breaks that the test suite must catch.
+
+Each entry of CATALOGUE replaces one snippet of one file under
+src/immunesched/ and says what the editable suite (tests/ without
+tests/test_acceptance.py) must make of that mutant:
+
+- `killed`: some test fails;
+- `equivalent`: every test passes, because no test can tell the mutant
+  from the code; the entry's reason says why.
+
+The script takes no options:
+
+    python tools/mutants.py
+
+It copies src/, tests/, tools/ and pyproject.toml, without __pycache__ and
+without tests/test_mutants.py (which checks this catalogue against src/ and
+so would fail on every mutant), into a temporary directory. There it writes
+a root conftest.py that loads a hypothesis profile with derandomize=True,
+no example database, no shrinking and no deadline, so every run draws the
+same examples and a kill is never a matter of timing; the repository's own
+test configuration is not touched. The unmutated copy runs first and must
+pass. Then each mutant is written, tested with
+
+    PYTHONHASHSEED=0 PYTHONDONTWRITEBYTECODE=1 python -m pytest -x -q
+        -p no:cacheprovider tests --ignore=tests/test_acceptance.py
+
+and the file is restored. Two mutants run at a time, each in its own copy.
+Every run has a fixed timeout, and its whole process group is killed when
+it ends, however it ends, so no child process outlives it. One line per
+entry gives the outcome, the seconds the run took and the first failing
+test.
+
+pytest's exit code 1 means the mutant was killed and 0 that it survived;
+any other code (a collection or syntax error, a timeout) is a catalogue
+error.
+
+Exit codes: 0 when the unmutated copy passes, every `killed` entry is
+killed and every `equivalent` entry survives; 1 when an entry's outcome is
+not its expectation; 2 on a catalogue error: a snippet that does not occur
+exactly once in its file, a mutant or base run that errors or times out,
+a base run that fails, or any argument given.
+
+To add an entry, pick a snippet that occurs exactly once in its file (take
+in a neighbouring line if it does not), write the break, and run this
+script: a `killed` entry needs some test to fail on it, so a survivor
+means a test is missing. tests/test_mutants.py checks every entry against
+src/ in Tier-1, so a refactor that moves a snippet must update its entry.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import re
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path("src", "immunesched")
+COPIED = ("src", "tests", "tools", "pyproject.toml")
+CONFTEST = """\
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+settings.load_profile("mutants")
+"""
+COMMAND = (
+    sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests",
+    "--ignore=tests/test_acceptance.py",
+)
+ENV = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
+# The unmutated suite takes about 15 s on a 2-core machine.
+TIMEOUT_S = 180
+# One at a time, the catalogue took 4.5-6.6 min on a 2-core machine.
+WORKERS = 2
+
+KILLED, EQUIVALENT = "killed", "equivalent"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/immunesched/
+    old: str
+    new: str
+    expect: str = KILLED
+    reason: str = ""  # why an `equivalent` mutant cannot be told apart
+
+
+CATALOGUE = (
+    # Phase two: the chain's acceptance rules, schedules, stops and draws.
+    Mutant("gd-boundary-strict", "local_search.py",
+           "if metropolis else candidate_fit >= level",
+           "if metropolis else candidate_fit > level"),
+    Mutant("sa-metropolis-le", "local_search.py",
+           "random_() < exp(", "random_() <= exp(", EQUIVALENT,
+           "differs from < only when random() returns exactly the probability, "
+           "a 53-bit float, which no seeded chain draws"),
+    Mutant("sa-metropolis-gt", "local_search.py", "random_() < exp(", "random_() > exp("),
+    Mutant("sa-delta-sign", "local_search.py",
+           "exp((candidate_fit - current_fit) / level)",
+           "exp((current_fit - candidate_fit) / level)"),
+    Mutant("no-worse-strict", "local_search.py",
+           "accepted = candidate_fit >= current_fit or (",
+           "accepted = candidate_fit > current_fit or ("),
+    Mutant("trace-pre-step-level", "local_search.py",
+           'trace.write(f"{step},{next_level!r},', 'trace.write(f"{step},{level!r},'),
+    Mutant("sa-schedule-one-short", "local_search.py",
+           '= cfg.temperatures, "temperature", None',
+           '= cfg.temperatures[:-1], "temperature", None'),
+    Mutant("untraced-sa-stops-at-step-560", "local_search.py",
+           '= cfg.temperatures, "temperature", None',
+           '= cfg.temperatures[:561] if trace is None else cfg.temperatures, "temperature", None'),
+    Mutant("gd-schedule-one-short", "local_search.py",
+           "repeat(decay, cfg.iterations)", "repeat(decay, cfg.iterations - 1)"),
+    Mutant("gd-no-limit-read-as-90", "local_search.py",
+           'level_name, stagnation_limit = "boundary", cfg.stagnation_limit',
+           'level_name, stagnation_limit = "boundary", cfg.stagnation_limit or 90'),
+    Mutant("ceiling-exit-removed", "local_search.py",
+           "ceiling = target if trace is None else None", "ceiling = None"),
+    Mutant("untraced-stops-below-ceiling", "local_search.py",
+           "ceiling = target if trace is None else None",
+           "ceiling = target - POSITION_SCORE if trace is None else None"),
+    Mutant("swap-second-slot-below-5", "local_search.py",
+           "second = UNUSED_JOB_COUNT if change else ANTIBODY_LENGTH - 1",
+           "second = UNUSED_JOB_COUNT if change else ANTIBODY_LENGTH"),
+    Mutant("swap-stand-in-not-last-slot", "local_search.py",
+           "j = ANTIBODY_LENGTH - 1 if n == p else n", "j = ANTIBODY_LENGTH - 2 if n == p else n"),
+    Mutant("chain-two-lane-collapse-dropped", "local_search.py",
+           "+ ((((candidate + two) & high) + below_top) & top).bit_count()",
+           "+ ((candidate + two) & high).bit_count()"),
+    Mutant("refine-shared-generator", "local_search.py",
+           "refine(ab, universe, sample, cfg, random.Random(rng.getrandbits(64)))",
+           "refine(ab, universe, sample, cfg, rng)"),
+    Mutant("refine-seeds-of-32-bits", "local_search.py",
+           "random.Random(rng.getrandbits(64))", "random.Random(rng.getrandbits(32))"),
+    Mutant("refine-keeps-unrefined-fitnesses", "local_search.py",
+           "return Population(refined).evaluate(universe, sample)",
+           "return Population(refined, list(pop.fitnesses))"),
+    # Matching: the packed table, the lane masks and the best-count rule.
+    Mutant("best-counts-two-lane-collapse-dropped", "matching.py",
+           "+ ((((packed + two) & high) + below_top) & top).bit_count()",
+           "+ ((packed + two) & high).bit_count()"),
+    Mutant("masks-take-lower-unsampled-lanes", "matching.py",
+           "lane = sum(1 << LANE_BITS * k for k in lanes)",
+           "lane = sum(1 << LANE_BITS * k for k in range(max(lanes) + 1))"),
+    Mutant("pack-columns-drops-last-slot", "matching.py",
+           "min(p + 1, ANTIBODY_LENGTH))", "min(p + 1, ANTIBODY_LENGTH) - 1)"),
+    Mutant("best-match-last-tied-offset", "matching.py",
+           "counts.index(count)", "len(counts) - 1 - counts[::-1].index(count)"),
+    Mutant("coverage-lane-collapse-dropped", "matching.py",
+           "return UNIVERSE_SIZE - ((reached + below_top) & top).bit_count()",
+           "return UNIVERSE_SIZE - reached.bit_count()"),
+    Mutant("coverage-threshold-unclamped", "matching.py",
+           "t = min(max(threshold, 0), ANTIBODY_LENGTH + 1)", "t = max(threshold, 0)"),
+    # Phase one: pools, sampling, draws, mutation, admission and the elite.
+    Mutant("pool-c-deduped-globally", "gene_library.py",
+           'if population_type == "B" else pool', 'if population_type != "A" else pool'),
+    Mutant("pool-b-deduped-per-pair-only", "gene_library.py",
+           'if population_type == "C":\n'
+           "        pairs = [dict.fromkeys(pair) for pair in pairs]\n"
+           "    pool = itertools.chain.from_iterable(pairs)\n"
+           '    return tuple(dict.fromkeys(pool) if population_type == "B" else pool)',
+           'if population_type != "A":\n'
+           "        pairs = [dict.fromkeys(pair) for pair in pairs]\n"
+           "    pool = itertools.chain.from_iterable(pairs)\n"
+           "    return tuple(pool)"),
+    Mutant("pool-a-deduped", "gene_library.py",
+           'if population_type == "B" else pool', 'if population_type != "C" else pool'),
+    Mutant("trusted-antibody-gets-a-dict", "gene_library.py",
+           'object.__setattr__(ab, "jobs", jobs)', 'ab.__dict__["jobs"] = jobs'),
+    Mutant("draw-below-bits-of-n-minus-1", "gene_library.py",
+           "k = n.bit_length()", "k = (n - 1).bit_length()"),
+    Mutant("sample-initial-reversed-pool", "population.py",
+           "rng.sample(pool, size)", "rng.sample(pool[::-1], size)"),
+    Mutant("init-seed-path-without-ag", "experiment.py",
+           '"init", sample.size, rep)', '"init", rep)'),
+    Mutant("universe-rebuilt-per-replicate", "experiment.py",
+           "                sample = draw_sample(cfg, ag, rep)\n",
+           "                universe = resolve_universe(cfg)\n"
+           "                sample = draw_sample(cfg, ag, rep)\n"),
+    Mutant("mutation-skips-slot-0", "evolution.py",
+           "_SLOTS = range(ANTIBODY_LENGTH)", "_SLOTS = range(1, ANTIBODY_LENGTH)"),
+    Mutant("mutation-second-hit-reads-old-tuple", "evolution.py",
+           "                else:\n                    key = tuple(out)",
+           "                else:\n                    key = jobs"),
+    Mutant("mutation-never-draws-last-unused-job", "evolution.py",
+           "draw = draw_below(UNUSED_JOB_COUNT, rng)",
+           "draw = draw_below(UNUSED_JOB_COUNT - 1, rng)"),
+    Mutant("children-win-ties", "evolution.py",
+           "            if fc1 > fa:\n"
+           "                a, fa, b, fb = c1, fc1, a, fa\n"
+           "            elif fc1 > fb:\n"
+           "                b, fb = c1, fc1\n"
+           "            if fc2 > fa:\n"
+           "                a, fa, b, fb = c2, fc2, a, fa\n"
+           "            elif fc2 > fb:\n",
+           "            if fc1 >= fa:\n"
+           "                a, fa, b, fb = c1, fc1, a, fa\n"
+           "            elif fc1 >= fb:\n"
+           "                b, fb = c1, fc1\n"
+           "            if fc2 >= fa:\n"
+           "                a, fa, b, fb = c2, fc2, a, fa\n"
+           "            elif fc2 >= fb:\n"),
+    Mutant("elite-update-removed", "evolution.py",
+           "                best_jobs, best_fit = a, fa\n", "                pass\n"),
+    Mutant("elite-update-on-ties", "evolution.py",
+           "if fa > best_fit:", "if fa >= best_fit:"),
+    Mutant("elite-from-family-second", "evolution.py",
+           "best_jobs, best_fit = a, fa", "best_jobs, best_fit = b, fb"),
+    # Phase one's shortcut generations (N1-N7 where they were first written).
+    Mutant("one-tuple-half-the-tournament-draws", "evolution.py",
+           "range(2 * cfg.tournament_size)", "range(cfg.tournament_size)"),
+    Mutant("one-tuple-skips-crossover-draw", "evolution.py",
+           "if random_() < crossover_rate and not one:",
+           "if not one and random_() < crossover_rate:"),
+    Mutant("all-at-maximum-admits-swapped-parents", "evolution.py",
+           "new += p1, p2\n                new_fit += f1, f2",
+           "new += p2, p1\n                new_fit += f2, f1"),
+    Mutant("all-at-maximum-skips-mutations", "evolution.py",
+           "            c1 = mutate_jobs(c1)\n            c2 = mutate_jobs(c2)\n",
+           "            if not full:\n"
+           "                c1 = mutate_jobs(c1)\n"
+           "                c2 = mutate_jobs(c2)\n"),
+    Mutant("all-at-maximum-skips-crossover-draw", "evolution.py",
+           "if random_() < crossover_rate and not one:",
+           "if not full and random_() < crossover_rate and not one:"),
+    Mutant("all-but-one-equal-is-one-tuple", "evolution.py",
+           "one = cur.count(cur[0]) == size", "one = cur.count(cur[0]) >= size - 1"),
+    Mutant("any-at-maximum-is-all-at-maximum", "evolution.py",
+           "full = min(cur_fit) == ceiling", "full = max(cur_fit) == ceiling"),
+    # Input files: the line a bad byte is blamed on.
+    Mutant("non-utf8-byte-blamed-on-line-before", "scheduling.py",
+           "err.object[: err.end]", "err.object[: err.start]"),
+)
+
+
+def applied(m: Mutant, text: str) -> str:
+    """`text` with the mutant's one replacement; ValueError, naming the
+    entry, unless its snippet occurs exactly once."""
+    if (found := text.count(m.old)) != 1:
+        raise ValueError(f"{m.name}: snippet occurs {found} times in {PACKAGE / m.file}")
+    return text.replace(m.old, m.new)
+
+
+def make_copy(copy: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", "test_mutants.py")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, copy / name, ignore=skip)
+        else:
+            shutil.copy2(source, copy / name)
+    (copy / "conftest.py").write_text(CONFTEST)
+
+
+def run_suite(copy: Path, live: set[subprocess.Popen]) -> tuple[str, float, str]:
+    """Run the suite in `copy`: `killed`, `survived` or `error`, the seconds
+    it took, and the first failing test or what went wrong. The run is in
+    `live` while it lasts."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        COMMAND, cwd=copy, env=ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
+    live.add(proc)
+    try:
+        out, _ = proc.communicate(timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        kill_group(proc)
+        proc.communicate()
+        return "error", time.perf_counter() - start, f"timed out after {TIMEOUT_S} s"
+    finally:
+        kill_group(proc)  # however the run ends, with any subprocess a test started
+        live.discard(proc)
+    seconds = time.perf_counter() - start
+    if proc.returncode not in (0, 1):
+        last = out.strip().splitlines()[-1:] or [""]
+        return "error", seconds, f"pytest exit {proc.returncode}: {last[0]}"
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", out, re.MULTILINE)
+    return ("killed" if proc.returncode else "survived"), seconds, failed[1] if failed else ""
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def main() -> int:
+    if sys.argv[1:]:
+        print("usage: python tools/mutants.py (it takes no options)", file=sys.stderr)
+        return 2
+    sources = {m.file: (ROOT / PACKAGE / m.file).read_text() for m in CATALOGUE}
+    bad = []
+    for m in CATALOGUE:
+        try:
+            applied(m, sources[m.file])
+        except ValueError as err:
+            bad.append(str(err))
+    if bad:
+        print("catalogue error:", *bad, sep="\n  ", file=sys.stderr)
+        return 2
+
+    started, live = time.perf_counter(), set()
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        copies: queue.SimpleQueue[Path] = queue.SimpleQueue()
+        for i in range(WORKERS):
+            make_copy(Path(tmp, str(i)))
+            copies.put(Path(tmp, str(i)))
+        outcome, seconds, note = run_suite(Path(tmp, "0"), live)
+        print(f"unmutated copy: {outcome} in {seconds:.1f} s {note}".rstrip(), flush=True)
+        if outcome != "survived":
+            print("error: the unmutated copy must pass", file=sys.stderr)
+            return 2
+
+        def judge(m: Mutant) -> tuple[str, float, str]:
+            copy = copies.get()
+            path = copy / PACKAGE / m.file
+            try:
+                path.write_text(applied(m, sources[m.file]))
+                return run_suite(copy, live)
+            finally:
+                path.write_text(sources[m.file])
+                copies.put(copy)
+
+        width = max(len(m.name) for m in CATALOGUE)
+        tally = Counter()
+        with ThreadPoolExecutor(WORKERS) as pool:
+            try:
+                for m, (outcome, seconds, note) in zip(CATALOGUE, pool.map(judge, CATALOGUE)):
+                    wanted = "survived" if m.expect == EQUIVALENT else "killed"
+                    verdict = ("ok" if outcome == wanted
+                               else "ERROR" if outcome == "error" else "UNEXPECTED")
+                    tally[verdict] += 1
+                    print(f"{verdict:<10} {m.name:<{width}} {m.expect:<10} {outcome:<8} "
+                          f"{seconds:5.1f} s  {note or m.reason}", flush=True)
+            except BaseException:  # an interrupt: stop the runs, then re-raise
+                pool.shutdown(cancel_futures=True)
+                for proc in list(live):
+                    kill_group(proc)
+                raise
+    print(f"{len(CATALOGUE)} mutants in {time.perf_counter() - started:.0f} s: "
+          f"{tally['UNEXPECTED']} unexpected, {tally['ERROR']} errors")
+    return 2 if tally["ERROR"] else 1 if tally["UNEXPECTED"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
