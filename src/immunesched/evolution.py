@@ -55,33 +55,6 @@ def _tournament(n: int, k: int, rng: random.Random) -> Callable[[list[int]], int
     return select
 
 
-def _mutation(rate: float, rng: random.Random) -> Callable[[_Jobs], _Jobs]:
-    """Independently replace each position, with probability `rate`, by a job
-    not currently in the tuple (the exclusion set updates left to right):
-    draw n picks its n-th smallest unused job id. Returns its argument itself
-    when no position mutates. The unused ids of each tuple met are kept, as
-    a converging population mutates the same few tuples over and over."""
-    random_ = rng.random
-    draw = draw_below(UNUSED_JOB_COUNT, rng)
-    unused: dict[_Jobs, _Jobs] = {}
-
-    def mutate_jobs(jobs: _Jobs) -> _Jobs:
-        out = None
-        for posn in _SLOTS:
-            if random_() < rate:
-                if out is None:
-                    key, out = jobs, list(jobs)
-                else:
-                    key = tuple(out)
-                free = unused.get(key)
-                if free is None:
-                    free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
-                out[posn] = free[draw()]
-        return jobs if out is None else tuple(out)
-
-    return mutate_jobs
-
-
 def order_crossover(j1: _Jobs, j2: _Jobs) -> tuple[_Jobs, _Jobs]:
     """Reorder each parent's shared jobs to follow the other parent.
 
@@ -122,6 +95,14 @@ def evolve(
     population), calling `antibody_fitness` only for a new one; antibodies
     are built only for the returned population.
 
+    Mutation is written out in the family loop, once per child: each
+    position in turn, with probability `mutation_rate`, takes a job the
+    tuple (as mutated so far) leaves out, the n-th smallest for a draw n
+    below UNUSED_JOB_COUNT, drawn as `rng.randrange` would. A child with no
+    hit is its parent's tuple itself. Each tuple's ascending unused job ids
+    are kept for the whole call, as a converging population mutates the
+    same few tuples over and over.
+
     In two states a generation skips work whose result its draws cannot
     change; it still takes every draw of the full loop, in order, so the
     outputs and `rng` are the full loop's.
@@ -145,8 +126,11 @@ def evolve(
     memo_get = memo.get
     select = _tournament(size, cfg.tournament_size, rng)
     draw_member, selection_draws = draw_below(size, rng), range(2 * cfg.tournament_size)
-    mutate_jobs = _mutation(cfg.mutation_rate, rng)
-    random_, crossover_rate = rng.random, cfg.crossover_rate
+    random_, getrandbits = rng.random, rng.getrandbits
+    crossover_rate, rate = cfg.crossover_rate, cfg.mutation_rate
+    unused: dict[_Jobs, _Jobs] = {}
+    unused_get, unused_bits = unused.get, UNUSED_JOB_COUNT.bit_length()
+    families = range((size + 1) // 2)
     ceiling = max_fitness(sample.size)
 
     def score(jobs: _Jobs) -> int:
@@ -167,7 +151,7 @@ def evolve(
             break
         new: list[_Jobs] = []
         new_fit: list[int] = []
-        while len(new) < size:
+        for _ in families:
             if one:  # every tournament returns a copy of the one tuple
                 for _ in selection_draws:
                     draw_member()
@@ -181,8 +165,39 @@ def evolve(
                 c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
-            c1 = mutate_jobs(c1)
-            c2 = mutate_jobs(c2)
+            # The mutation, written out once per child: a call per child cost 10 %.
+            out = None
+            for posn in _SLOTS:
+                if random_() < rate:
+                    if out is None:
+                        key, out = c1, list(c1)
+                    else:
+                        key = tuple(out)
+                    free = unused_get(key)
+                    if free is None:
+                        free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
+                    n = getrandbits(unused_bits)
+                    while n >= UNUSED_JOB_COUNT:
+                        n = getrandbits(unused_bits)
+                    out[posn] = free[n]
+            if out is not None:
+                c1 = tuple(out)
+            out = None
+            for posn in _SLOTS:
+                if random_() < rate:
+                    if out is None:
+                        key, out = c2, list(c2)
+                    else:
+                        key = tuple(out)
+                    free = unused_get(key)
+                    if free is None:
+                        free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
+                    n = getrandbits(unused_bits)
+                    while n >= UNUSED_JOB_COUNT:
+                        n = getrandbits(unused_bits)
+                    out[posn] = free[n]
+            if out is not None:
+                c2 = tuple(out)
             if full:
                 new += p1, p2
                 new_fit += f1, f2

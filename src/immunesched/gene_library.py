@@ -61,9 +61,9 @@ def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
     the same state, without randrange's argument handling per call.
 
     This is CPython's own algorithm for it: draw `n.bit_length()` random
-    bits until the value is below `n`. Phase one's operators draw their
-    slots, members and unused-job indices with it; the refinement chain
-    writes the same loop inline.
+    bits until the value is below `n`. Phase one's tournaments draw their
+    members with it; phase one's mutation and the refinement chain write
+    the same loop inline.
     """
     if n < 1:
         raise ValueError(f"cannot draw below {n}: the range is empty")

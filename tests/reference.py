@@ -137,14 +137,34 @@ def reference_refine_population(pop, universe, sample, cfg, rng):
     return refined, [antibody_fitness(ab, universe, sample) for ab in refined]
 
 
+def nth_unused_job(jobs, n):
+    """The n-th smallest job id (from 0) that `jobs` leaves out, found by
+    counting past the sorted taken ids."""
+    job = n + 1
+    for taken in sorted(jobs):
+        if taken <= job:
+            job += 1
+    return job
+
+
+def reference_mutation(jobs, rate, rng):
+    """Phase one's mutation written plainly: each position in turn, when
+    rng.random() is below `rate`, takes the job that rng.randrange(10)
+    indexes among the jobs the tuple, as mutated so far, leaves out."""
+    for posn in range(ANTIBODY_LENGTH):
+        if rng.random() < rate:
+            job = nth_unused_job(jobs, rng.randrange(JOB_COUNT - ANTIBODY_LENGTH))
+            jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
+    return jobs
+
+
 def reference_evolve(pop, universe, sample, cfg, rng):
     """The GA loop as it read before the unused-job memo and the hand-written
     admission, with each operator written out: a tournament by randrange,
-    the replacement job found by counting past the sorted taken ids, and
-    admission by a stable sort of the four family members. Returns the
-    final job tuples, their fitnesses, the `--stats` text and the first
-    generation after which the population was one job tuple at the maximum
-    fitness (None if it never was)."""
+    mutation by `reference_mutation`, and admission by a stable sort of the
+    four family members. Returns the final job tuples, their fitnesses, the
+    `--stats` text and the first generation after which the population was
+    one job tuple at the maximum fitness (None if it never was)."""
     size = pop.size
     cur = [ab.jobs for ab in pop.antibodies]
     cur_fit = list(pop.fitnesses)
@@ -171,20 +191,6 @@ def reference_evolve(pop, universe, sample, cfg, rng):
                 best = i
         return best
 
-    def nth_unused_job(jobs, n):
-        job = n + 1
-        for taken in sorted(jobs):
-            if taken <= job:
-                job += 1
-        return job
-
-    def mutate(jobs):
-        for posn in range(5):
-            if rng.random() < cfg.mutation_rate:
-                job = nth_unused_job(jobs, rng.randrange(10))
-                jobs = jobs[:posn] + (job,) + jobs[posn + 1 :]
-        return jobs
-
     def fitness(jobs):
         return antibody_fitness(Antibody(jobs), universe, sample)
 
@@ -198,7 +204,8 @@ def reference_evolve(pop, universe, sample, cfg, rng):
                 c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
-            c1, c2 = mutate(c1), mutate(c2)
+            c1 = reference_mutation(c1, cfg.mutation_rate, rng)
+            c2 = reference_mutation(c2, cfg.mutation_rate, rng)
             family = [(p1, cur_fit[i1]), (p2, cur_fit[i2]), (c1, fitness(c1)), (c2, fitness(c2))]
             for jobs, fit in family[2:]:
                 if fit > best_fit:

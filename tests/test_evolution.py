@@ -24,7 +24,7 @@ from immunesched import (
     order_crossover,
     sample_initial,
 )
-from immunesched.evolution import _mutation, _tournament
+from immunesched.evolution import _tournament
 from immunesched.gene_library import draw_below
 from reference import reference_evolve
 
@@ -197,27 +197,70 @@ def test_crossover_preserves_job_sets_and_shared_order():
         assert [j for j in c2 if j in shared] == [j for j in p1 if j in shared]
 
 
-def test_mutate_rate_zero_is_identity():
-    jobs = (4, 3, 9, 5, 12)
-    mutate_jobs = _mutation(0.0, random.Random(0))
-    assert mutate_jobs(jobs) is jobs
+def scored_children(universe, sample, members, cfg, rng, monkeypatch):
+    """The job tuples `evolve` scores through the module seam, in order."""
+    scored = []
+
+    def counted(ab, universe, sample):
+        scored.append(ab.jobs)
+        return antibody_fitness(ab, universe, sample)
+
+    pop = Population(members).evaluate(universe, sample)
+    monkeypatch.setattr(immunesched.evolution, "antibody_fitness", counted)
+    final = evolve(pop, universe, sample, cfg, rng)
+    return scored, final
 
 
-def test_mutate_rate_one_replaces_every_position():
-    jobs = (4, 3, 9, 5, 12)
-    for seed in range(1000):
-        out = _mutation(1.0, random.Random(seed))(jobs)
-        assert len(set(out)) == 5
-        assert all(1 <= j <= 15 for j in out)
-        assert all(out[i] != jobs[i] for i in range(5))
+def test_evolve_at_mutation_rate_zero_scores_no_child(setup, monkeypatch):
+    """Without crossover or mutation every child is its parent's own tuple:
+    none is scored, and every final member is an initial tuple itself."""
+    universe, pool, sample = setup
+    members = list(sample_initial(pool, 30, random.Random(4)).antibodies)
+    cfg = GAConfig(generations=20, crossover_rate=0.0, mutation_rate=0.0, population_size=30)
+    scored, final = scored_children(universe, sample, members, cfg, random.Random(0), monkeypatch)
+    assert scored == []
+    initial = [ab.jobs for ab in members]
+    assert all(any(ab.jobs is jobs for jobs in initial) for ab in final.antibodies)
 
 
-def test_mutate_single_position_never_duplicates():
-    jobs = (4, 3, 9, 5, 12)
-    # Only position 2 mutates; the replacement draw picks index 0 of the
-    # ascending eligible jobs (1, 2, 6, 7, 8, 10, 11, 13, 14, 15) -> job 1.
-    rng = ScriptedRng(randoms=[0.9, 0.9, 0.0, 0.9, 0.9], randranges=[0])
-    assert _mutation(0.5, rng)(jobs) == (4, 3, 1, 5, 12)
+def test_evolve_at_mutation_rate_one_scores_children_new_in_every_slot(setup, monkeypatch):
+    """A population of one tuple X, one generation, no crossover: every
+    child is X with every position replaced, so each scored child differs
+    from both its parents, X and X, in every slot and holds five distinct
+    in-range jobs."""
+    universe, pool, sample = setup
+    x = (4, 3, 9, 5, 12)
+    assert antibody_fitness(Antibody(x), universe, sample) < max_fitness(sample.size)
+    cfg = GAConfig(generations=1, crossover_rate=0.0, mutation_rate=1.0, population_size=100)
+    children = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        scored, _ = scored_children(universe, sample, [Antibody(x)] * 100, cfg, rng, monkeypatch)
+        assert scored
+        for out in scored:
+            assert len(set(out)) == 5
+            assert all(1 <= j <= 15 for j in out)
+            assert all(out[i] != x[i] for i in range(5))
+        children.update(scored)
+    assert len(children) > 100
+
+
+def test_evolve_mutates_a_single_position_without_duplicating(setup, monkeypatch):
+    """One family of two copies of X: the tournaments' two member draws,
+    the crossover draw, then child one's five mutation draws, of which only
+    position 2 hits, with unused-job draw 0, and child two's five, none of
+    which hits. Draw 0 picks the smallest job X leaves out, from (1, 2, 6,
+    7, 8, 10, 11, 13, 14, 15), so the one scored child is X with job 1 at
+    position 2. The stub runs dry on any further draw."""
+    universe, _, sample = setup
+    x = (4, 3, 9, 5, 12)
+    rng = ScriptedRng(
+        randoms=[0.9, 0.9, 0.9, 0.0, 0.9, 0.9, *[0.9] * 5], randranges=[0, 0, 0]
+    )
+    cfg = GAConfig(generations=1, tournament_size=1, mutation_rate=0.5, population_size=2)
+    scored, _ = scored_children(universe, sample, [Antibody(x)] * 2, cfg, rng, monkeypatch)
+    assert scored == [(4, 3, 1, 5, 12)]
+    assert rng.randoms == rng.randranges == []
 
 
 def test_evolve_zero_generations_returns_population_unchanged(setup):

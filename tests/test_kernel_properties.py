@@ -9,11 +9,13 @@ import io
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import immunesched.evolution
 from immunesched import (
     JOB_COUNT,
     OFFSET_COUNT,
@@ -23,6 +25,7 @@ from immunesched import (
     Antigen,
     AntigenSample,
     AntigenUniverse,
+    GAConfig,
     GDConfig,
     NeighborOperator,
     Population,
@@ -31,14 +34,20 @@ from immunesched import (
     antibody_fitness,
     best_match,
     coverage,
+    evolve,
     max_fitness,
     order_crossover,
     refine,
 )
-from immunesched.evolution import _mutation
 from immunesched.gene_library import draw_below
 from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
-from reference import JOB_IDS, reference_chain, sliding_counts
+from reference import (
+    JOB_IDS,
+    reference_chain,
+    reference_evolve,
+    reference_mutation,
+    sliding_counts,
+)
 
 antigens = st.permutations(JOB_IDS).map(lambda seq: Antigen(tuple(seq)))
 antibodies = st.lists(
@@ -215,9 +224,7 @@ def test_only_the_sampled_lanes_score(keys, indices):
 
 
 class OneHitRng:
-    """Stub generator: mutates only position `posn`, with replacement draw `n`
-    (a draw takes random bits until they fall below its range, so `n`,
-    which lies in that range, is returned by getrandbits as it is)."""
+    """Stub generator: mutates only position `posn`, with replacement draw `n`."""
 
     def __init__(self, posn, n):
         self.randoms = [0.0 if i == posn else 0.99 for i in range(5)]
@@ -226,7 +233,8 @@ class OneHitRng:
     def random(self):
         return self.randoms.pop(0)
 
-    def getrandbits(self, k):
+    def randrange(self, stop):
+        assert 0 <= self.n < stop
         return self.n
 
 
@@ -235,13 +243,47 @@ class OneHitRng:
     st.integers(0, 4),
     st.integers(0, 9),
 )
-def test_mutation_replacement_indexes_the_complement(jobs, posn, n):
-    """Draw n replaces the hit position by the n-th smallest unused job."""
+def test_reference_mutation_replacement_indexes_the_complement(jobs, posn, n):
+    """Draw n replaces the hit position by the n-th smallest unused job.
+    test_evolve_mutation_draws_match_the_reference carries this to evolve."""
     jobs = tuple(jobs)
     complement = [job for job in JOB_IDS if job not in jobs]
-    out = _mutation(0.5, OneHitRng(posn, n))(jobs)
+    out = reference_mutation(jobs, 0.5, OneHitRng(posn, n))
     assert out[posn] == complement[n]
     assert out[:posn] + out[posn + 1 :] == jobs[:posn] + jobs[posn + 1 :]
+
+
+@settings(max_examples=60)
+@given(
+    universes,
+    samples,
+    st.lists(antibodies, min_size=1, max_size=8),
+    st.sampled_from([0.0, 0.7, 1.0]),
+    st.integers(0, 4),
+    seeds,
+)
+def test_evolve_mutation_draws_match_the_reference(
+    universe, sample, members, crossover, generations, seed
+):
+    """evolve draws each unused-job index inline. At mutation rate 1 every
+    slot of every child draws one, so the draws' values show in the final
+    members: they must be the reference loop's, whose indices come from
+    randrange, and both generators must end in the same state unless the
+    stop at the fixed point cut evolve short."""
+    cfg = GAConfig(
+        generations=generations,
+        crossover_rate=crossover,
+        mutation_rate=1.0,
+        population_size=len(members),
+    )
+    pop = Population(members).evaluate(universe, sample)
+    rng, reference = random.Random(seed), random.Random(seed)
+    final = evolve(pop, universe, sample, cfg, rng)
+    jobs, fitnesses, _, frozen_at = reference_evolve(pop, universe, sample, cfg, reference)
+    assert [ab.jobs for ab in final.antibodies] == jobs
+    assert final.fitnesses == fitnesses
+    stopped_early = frozen_at is not None and frozen_at < generations
+    assert (rng.getstate() == reference.getstate()) != stopped_early
 
 
 @given(
@@ -324,10 +366,24 @@ def test_refine_output_is_valid_and_scored_like_antibody_fitness(
     assert antibody_fitness(out, universe, sample) == best_fitness
 
 
-@given(antibodies, st.floats(0.0, 1.0), seeds)
-def test_mutate_output_is_valid(antibody, rate, seed):
-    jobs = _mutation(rate, random.Random(seed))(antibody.jobs)
-    assert_valid(Antibody.trusted(jobs))
+@settings(max_examples=60)
+@given(st.lists(antibodies, min_size=1, max_size=8), st.floats(0.0, 1.0), seeds)
+def test_evolve_scores_only_valid_children(members, rate, seed):
+    """Children skip Antibody validation. Without crossover each scored
+    child is a mutated member, and each must pass that validation."""
+    universe = AntigenUniverse(tuple(Antigen(tuple(JOB_IDS)) for _ in range(UNIVERSE_SIZE)))
+    sample = AntigenSample((0,))
+    cfg = GAConfig(
+        generations=3, crossover_rate=0.0, mutation_rate=rate, population_size=len(members)
+    )
+    pop = Population(members).evaluate(universe, sample)
+
+    def checked(ab, universe, sample):
+        assert_valid(ab)
+        return antibody_fitness(ab, universe, sample)
+
+    with mock.patch.object(immunesched.evolution, "antibody_fitness", checked):
+        evolve(pop, universe, sample, cfg, random.Random(seed))
 
 
 @settings(max_examples=200)

@@ -194,12 +194,42 @@ CATALOGUE = (
            "                sample = draw_sample(cfg, ag, rep)\n"),
     Mutant("mutation-skips-slot-0", "evolution.py",
            "_SLOTS = range(ANTIBODY_LENGTH)", "_SLOTS = range(1, ANTIBODY_LENGTH)"),
-    Mutant("mutation-second-hit-reads-old-tuple", "evolution.py",
-           "                else:\n                    key = tuple(out)",
-           "                else:\n                    key = jobs"),
-    Mutant("mutation-never-draws-last-unused-job", "evolution.py",
-           "draw = draw_below(UNUSED_JOB_COUNT, rng)",
-           "draw = draw_below(UNUSED_JOB_COUNT - 1, rng)"),
+    # Each child's mutation is written out in evolve: one entry per copy.
+    *(
+        Mutant(name + suffix, "evolution.py", old.replace("c1", child), new.replace("c1", child))
+        for suffix, child in (("", "c1"), ("-in-child-2", "c2"))
+        for name, old, new in (
+            ("mutation-second-hit-reads-old-tuple",
+             "key, out = c1, list(c1)\n"
+             "                    else:\n"
+             "                        key = tuple(out)",
+             "key, out = c1, list(c1)\n"
+             "                    else:\n"
+             "                        key = c1"),
+            ("mutation-never-draws-last-unused-job",
+             "                    while n >= UNUSED_JOB_COUNT:\n"
+             "                        n = getrandbits(unused_bits)\n"
+             "                    out[posn] = free[n]\n"
+             "            if out is not None:\n"
+             "                c1 = tuple(out)",
+             "                    while n >= UNUSED_JOB_COUNT - 1:\n"
+             "                        n = getrandbits(unused_bits)\n"
+             "                    out[posn] = free[n]\n"
+             "            if out is not None:\n"
+             "                c1 = tuple(out)"),
+            ("all-at-maximum-skips-mutations",
+             "            for posn in _SLOTS:\n"
+             "                if random_() < rate:\n"
+             "                    if out is None:\n"
+             "                        key, out = c1, list(c1)",
+             "            for posn in () if full else _SLOTS:\n"
+             "                if random_() < rate:\n"
+             "                    if out is None:\n"
+             "                        key, out = c1, list(c1)"),
+        )
+    ),
+    Mutant("odd-size-one-family-short", "evolution.py",
+           "families = range((size + 1) // 2)", "families = range(size // 2)"),
     Mutant("children-win-ties", "evolution.py",
            "            if fc1 > fa:\n"
            "                a, fa, b, fb = c1, fc1, a, fa\n"
@@ -230,11 +260,6 @@ CATALOGUE = (
     Mutant("all-at-maximum-admits-swapped-parents", "evolution.py",
            "new += p1, p2\n                new_fit += f1, f2",
            "new += p2, p1\n                new_fit += f2, f1"),
-    Mutant("all-at-maximum-skips-mutations", "evolution.py",
-           "            c1 = mutate_jobs(c1)\n            c2 = mutate_jobs(c2)\n",
-           "            if not full:\n"
-           "                c1 = mutate_jobs(c1)\n"
-           "                c2 = mutate_jobs(c2)\n"),
     Mutant("all-at-maximum-skips-crossover-draw", "evolution.py",
            "if random_() < crossover_rate and not one:",
            "if not full and random_() < crossover_rate and not one:"),
