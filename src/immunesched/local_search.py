@@ -13,9 +13,10 @@ subtracts two entries and adds two; the sample's masks score its own lanes.
 The lane layout, the column table and the bit-count score are defined in
 the matching module. No antibody is built for a candidate.
 
-refine_population maps `refine` over the members, each with its own
-derived generator, so serial and parallel execution would agree, and scores
-the refined members through `Population.evaluate`, as every phase does.
+refine_population takes one seed draw per member, in member order, so
+serial and parallel execution would agree. A member at the maximum fitness
+gets no generator and no chain, as its chain would return it without a
+draw; only a member the chain changed is scored again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import accumulate, pairwise, repeat
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
-from .matching import POSITION_SCORE, AntigenSample, _best_counts, max_fitness
+from .matching import POSITION_SCORE, AntigenSample, _best_counts, antibody_fitness, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
@@ -215,15 +216,27 @@ def refine_population(
     rng: random.Random,
 ) -> Population:
     """Refine every antibody independently; members are replaced only on
-    strict improvement, so total fitness cannot decrease.
+    strict improvement, so total fitness cannot decrease. `pop` must be
+    evaluated against `sample`: its fitnesses are kept where nothing changed.
 
-    Each antibody gets its own generator seeded from `rng`, keeping results
-    independent of evaluation order. The refined members are scored by
-    `Population.evaluate`, the one population evaluator.
+    Every member takes one 64-bit seed draw from `rng`, in member order,
+    keeping results independent of evaluation order. A member below the
+    maximum fitness refines on a generator of its seed; a member at the
+    maximum is kept without one, since its untraced chain would stop before
+    its first draw. Only a member the chain returns changed is scored.
+    Other config types raise TypeError, as `refine` does.
     """
-    pop.require_evaluated()
-    refined = [
-        refine(ab, universe, sample, cfg, random.Random(rng.getrandbits(64)))
-        for ab in pop.antibodies
-    ]
-    return Population(refined).evaluate(universe, sample)
+    fitnesses = pop.require_evaluated()
+    if not isinstance(cfg, (SAConfig, GDConfig)):
+        raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
+    ceiling = max_fitness(sample.size)
+    refined, scores = [], []
+    for ab, fit in zip(pop.antibodies, fitnesses):
+        seed = rng.getrandbits(64)
+        if fit < ceiling:
+            new = refine(ab, universe, sample, cfg, random.Random(seed))
+            if new is not ab:
+                ab, fit = new, antibody_fitness(new, universe, sample)
+        refined.append(ab)
+        scores.append(fit)
+    return Population(refined, scores)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import immunesched.local_search
 from immunesched import (
     ANTIBODY_LENGTH,
     JOB_COUNT,
@@ -44,6 +45,26 @@ def setup():
 
 def prefix_antibody(universe, sample):
     return Antibody(universe.antigens[sample.indices[0]].sequence[:5])
+
+
+def ceiling_mix(members, universe, sample):
+    """`members` with every fourth one, from the first, replaced by
+    `prefix_antibody`, at the maximum against a one-antigen sample, and
+    every fourth one, from the third, by a distinct change-one-job
+    neighbour of it one step below the maximum."""
+    top = prefix_antibody(universe, sample)
+    below = max_fitness(sample.size) - POSITION_SCORE
+    moved = (
+        Antibody(top.jobs[:slot] + (job,) + top.jobs[slot + 1 :])
+        for slot in range(ANTIBODY_LENGTH)
+        for job in range(1, JOB_COUNT + 1)
+        if job not in top.jobs
+    )
+    neighbours = [ab for ab in moved if antibody_fitness(ab, universe, sample) == below]
+    mixed = list(members)
+    mixed[0::4] = [top] * len(mixed[0::4])
+    mixed[2::4] = neighbours[: len(mixed[2::4])]
+    return mixed
 
 
 def test_acceptance_probability_boundary_and_formula():
@@ -231,25 +252,71 @@ def test_refine_population_fitnesses_match_a_fresh_evaluation(setup, ag, cfg):
     assert refined.fitnesses == fresh
 
 
-@pytest.mark.parametrize("ag", [1, 8])
+@pytest.mark.parametrize("ag, mixed", [(1, False), (8, False), (1, True)], ids=["1", "8", "1-ceiling"])
 @pytest.mark.parametrize(
     "cfg",
     [SAConfig(), SAConfig(operator=SWAP), GDConfig(), GDConfig(operator=SWAP)],
     ids=["sa-change", "sa-swap", "gd-change", "gd-swap"],
 )
-def test_refine_population_matches_the_reference(setup, ag, cfg):
+def test_refine_population_matches_the_reference(setup, ag, mixed, cfg):
     """Members and fitnesses equal the plain reference's: one derived
-    generator per member, in member order, each chain scored afresh. The
-    caller's generator ends where the reference leaves its own."""
+    generator per member, in member order, every chain run and scored
+    afresh. The caller's generator ends where the reference leaves its own,
+    also when some members start at the maximum or one step below it."""
     universe, pool, _ = setup
     sample = AntigenSample.draw(ag, random.Random(f"reference/{ag}"))
-    pop = sample_initial(pool, 12, random.Random(ag)).evaluate(universe, sample)
+    pop = sample_initial(pool, 12, random.Random(ag))
+    if mixed:
+        pop = Population(ceiling_mix(pop.antibodies, universe, sample))
+    pop.evaluate(universe, sample)
+    if mixed:
+        assert pop.fitnesses[0::4] == [max_fitness(ag)] * 3
+        assert pop.fitnesses[2::4] == [max_fitness(ag) - POSITION_SCORE] * 3
     rng, reference = random.Random(ag), random.Random(ag)
     refined = refine_population(pop, universe, sample, cfg, rng)
     expected = reference_refine_population(pop, universe, sample, cfg, reference)
     assert refined.antibodies != pop.antibodies  # some chain improved its start
     assert (refined.antibodies, refined.fitnesses) == expected
     assert rng.getstate() == reference.getstate()
+
+
+def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, monkeypatch):
+    """`refine` runs once per member below the maximum, in member order, and
+    `antibody_fitness` once per member that its chain changed. A population
+    all at the maximum runs no chain and comes back as it was. Either way
+    the caller's generator advances by one 64-bit draw per member."""
+    universe, pool, sample = setup
+    chains, scored = [], []
+
+    def counting_refine(ab, *args):
+        chains.append(ab)
+        return refine(ab, *args)
+
+    def counting_fitness(ab, *args):
+        scored.append(ab)
+        return antibody_fitness(ab, *args)
+
+    monkeypatch.setattr(immunesched.local_search, "refine", counting_refine)
+    monkeypatch.setattr(immunesched.local_search, "antibody_fitness", counting_fitness)
+    ceiling = max_fitness(sample.size)
+    top = prefix_antibody(universe, sample)
+    for members in (ceiling_mix(pool[:12], universe, sample), [top] * 10):
+        pop = Population(members).evaluate(universe, sample)
+        chains.clear()
+        scored.clear()
+        rng, expected = random.Random(5), random.Random(5)
+        refined = refine_population(pop, universe, sample, GDConfig(), rng)
+        for _ in members:
+            expected.getrandbits(64)
+        assert rng.getstate() == expected.getstate()
+        assert chains == [ab for ab, fit in zip(members, pop.fitnesses) if fit < ceiling]
+        assert scored == [new for new, ab in zip(refined.antibodies, members) if new is not ab]
+        assert bool(scored) == bool(chains)  # some chain changed its member
+        assert refined.fitnesses == [antibody_fitness(ab, universe, sample) for ab in refined.antibodies]
+    assert chains == [] and scored == []
+    assert refined is not pop
+    assert refined.antibodies == pop.antibodies
+    assert refined.fitnesses == pop.fitnesses
 
 
 @pytest.mark.parametrize("ag", [1, 4, 8])
@@ -297,8 +364,11 @@ def test_refine_population_requires_evaluation_and_config_type(setup):
     with pytest.raises(ValueError, match="evaluated"):
         refine_population(pop, universe, sample, GDConfig(), random.Random(0))
     pop.evaluate(universe, sample)
-    with pytest.raises(TypeError):
-        refine_population(pop, universe, sample, object(), random.Random(0))
+    # All at the maximum, a population runs no chain to check the type.
+    at_maximum = Population([prefix_antibody(universe, sample)] * 5).evaluate(universe, sample)
+    for members in (pop, at_maximum):
+        with pytest.raises(TypeError, match="expected SAConfig or GDConfig, got object"):
+            refine_population(members, universe, sample, object(), random.Random(0))
 
 
 def test_refine_rejects_other_config_types(setup):

@@ -142,14 +142,22 @@ CATALOGUE = (
     Mutant("chain-two-lane-collapse-dropped", "local_search.py",
            "+ ((((candidate + two) & high) + below_top) & top).bit_count()",
            "+ ((candidate + two) & high).bit_count()"),
+    # refine_population: one seed draw per member, no chain at the maximum,
+    # and a score only for a changed member.
     Mutant("refine-shared-generator", "local_search.py",
-           "refine(ab, universe, sample, cfg, random.Random(rng.getrandbits(64)))",
+           "refine(ab, universe, sample, cfg, random.Random(seed))",
            "refine(ab, universe, sample, cfg, rng)"),
     Mutant("refine-seeds-of-32-bits", "local_search.py",
-           "random.Random(rng.getrandbits(64))", "random.Random(rng.getrandbits(32))"),
+           "seed = rng.getrandbits(64)", "seed = rng.getrandbits(32)"),
     Mutant("refine-keeps-unrefined-fitnesses", "local_search.py",
-           "return Population(refined).evaluate(universe, sample)",
-           "return Population(refined, list(pop.fitnesses))"),
+           "ab, fit = new, antibody_fitness(new, universe, sample)", "ab = new"),
+    Mutant("ceiling-skip-draws-no-seed", "local_search.py",
+           "        seed = rng.getrandbits(64)\n"
+           "        if fit < ceiling:\n",
+           "        if fit < ceiling:\n"
+           "            seed = rng.getrandbits(64)\n"),
+    Mutant("ceiling-skip-below-maximum", "local_search.py",
+           "if fit < ceiling:", "if fit < ceiling - POSITION_SCORE:"),
     # Matching: the packed table, the lane masks and the best-count rule.
     Mutant("best-counts-two-lane-collapse-dropped", "matching.py",
            "+ ((((packed + two) & high) + below_top) & top).bit_count()",
