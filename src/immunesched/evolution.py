@@ -1,10 +1,12 @@
 """Genetic evolution of an antibody population (phase one).
 
-Each generation fills a fresh population pairwise: two tournament-selected
-parents either cross over or are copied, both offspring are mutated and
-evaluated, and the two fittest of the four family members are admitted.
-Children must therefore beat their parents to enter. A single global-elite
-slot guarantees the best fitness ever seen never leaves the population.
+Each generation fills a fresh population pairwise: two parents, each
+chosen by a binary tournament (the fitter of two uniform draws, ties to
+the lower index), either cross over or are copied, both offspring are
+mutated and evaluated, and the two fittest of the four family members are
+admitted. Children must therefore beat their parents to enter. A single
+global-elite slot guarantees the best fitness ever seen never leaves the
+population.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TextIO
 
-from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody, draw_below
+from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
 from .matching import AntigenSample, antibody_fitness, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
@@ -23,6 +25,7 @@ from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 _Jobs = tuple[int, ...]
 _SLOTS = range(ANTIBODY_LENGTH)
 _JOB_IDS = range(1, JOB_COUNT + 1)
+_TOURNAMENT_DRAWS = range(4)  # a family's two tournaments, two member draws each
 
 
 @dataclass(frozen=True)
@@ -30,27 +33,42 @@ class GAConfig:
     generations: int = field(default=250, metadata={"range": (0, None)})
     crossover_rate: float = field(default=0.7, metadata={"range": (0.0, 1.0)})
     mutation_rate: float = field(default=0.2, metadata={"range": (0.0, 1.0)})
-    tournament_size: int = field(default=2, metadata={"range": (1, None)})
     population_size: int = field(default=100, metadata={"range": (1, None)})
 
     __post_init__ = check_fields
 
 
-def _tournament(n: int, k: int, rng: random.Random) -> Callable[[list[int]], int]:
-    """Selection over `n` fitnesses: the index of the fittest among k uniform
-    draws (with replacement), ties broken toward the lowest index."""
-    draw = draw_below(n, rng)
-    rest = range(k - 1)
+def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
+    """A draw that returns what `rng.randrange(n)` would and leaves `rng` in
+    the same state, without randrange's argument handling per call.
+
+    This is CPython's own algorithm for it: draw `n.bit_length()` random
+    bits until the value is below `n`. The tournaments draw their members
+    with it; evolve's mutation and the refinement chain write the same
+    loop inline.
+    """
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}: the range is empty")
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return draw
+
+
+def _tournament(draw: Callable[[], int]) -> Callable[[list[int]], int]:
+    """Binary tournament selection over fitnesses indexed by `draw`'s
+    values: the index of the fitter of two draws, ties to the lower index."""
 
     def select(fitnesses: list[int]) -> int:
-        best = draw()
-        best_fit = fitnesses[best]
-        for _ in rest:
-            i = draw()
-            fit = fitnesses[i]
-            if fit > best_fit or (fit == best_fit and i < best):
-                best, best_fit = i, fit
-        return best
+        i, j = draw(), draw()
+        fi, fj = fitnesses[i], fitnesses[j]
+        return j if fj > fi or (fj == fi and j < i) else i
 
     return select
 
@@ -124,8 +142,8 @@ def evolve(
     # The elite starts as the first of the fittest members (max keeps the first).
     best_jobs, best_fit = max(zip(cur, cur_fit), key=itemgetter(1))
     memo_get = memo.get
-    select = _tournament(size, cfg.tournament_size, rng)
-    draw_member, selection_draws = draw_below(size, rng), range(2 * cfg.tournament_size)
+    draw_member = draw_below(size, rng)
+    select = _tournament(draw_member)
     random_, getrandbits = rng.random, rng.getrandbits
     crossover_rate, rate = cfg.crossover_rate, cfg.mutation_rate
     unused: dict[_Jobs, _Jobs] = {}
@@ -152,8 +170,8 @@ def evolve(
         new: list[_Jobs] = []
         new_fit: list[int] = []
         for _ in families:
-            if one:  # every tournament returns a copy of the one tuple
-                for _ in selection_draws:
+            if one:  # both tournaments return a copy of the one tuple
+                for _ in _TOURNAMENT_DRAWS:
                     draw_member()
                 i1 = i2 = 0
             else:

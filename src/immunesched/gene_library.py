@@ -13,8 +13,6 @@ since neither phase reads it.
 from __future__ import annotations
 
 import itertools
-import random
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .scheduling import ANTIBODY_LENGTH, JOB_COUNT, AntigenUniverse
@@ -54,29 +52,6 @@ class Antibody:
         ab = object.__new__(cls)
         object.__setattr__(ab, "jobs", jobs)  # frozen: bypass __setattr__, as __init__ does
         return ab
-
-
-def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
-    """A draw that returns what `rng.randrange(n)` would and leaves `rng` in
-    the same state, without randrange's argument handling per call.
-
-    This is CPython's own algorithm for it: draw `n.bit_length()` random
-    bits until the value is below `n`. Phase one's tournaments draw their
-    members with it; phase one's mutation and the refinement chain write
-    the same loop inline.
-    """
-    if n < 1:
-        raise ValueError(f"cannot draw below {n}: the range is empty")
-    getrandbits = rng.getrandbits
-    k = n.bit_length()
-
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    return draw
 
 
 def build_libraries(universe: AntigenUniverse) -> tuple[tuple[tuple[int, ...], ...], ...]:

@@ -160,11 +160,12 @@ def reference_mutation(jobs, rate, rng):
 
 def reference_evolve(pop, universe, sample, cfg, rng):
     """The GA loop as it read before the unused-job memo and the hand-written
-    admission, with each operator written out: a tournament by randrange,
-    mutation by `reference_mutation`, and admission by a stable sort of the
-    four family members. Returns the final job tuples, their fitnesses, the
-    `--stats` text and the first generation after which the population was
-    one job tuple at the maximum fitness (None if it never was)."""
+    admission, with each operator written out: a binary tournament by two
+    randrange draws, mutation by `reference_mutation`, and admission by a
+    stable sort of the four family members. Returns the final job tuples,
+    their fitnesses, the `--stats` text and the first generation after which
+    the population was one job tuple at the maximum fitness (None if it
+    never was)."""
     size = pop.size
     cur = [ab.jobs for ab in pop.antibodies]
     cur_fit = list(pop.fitnesses)
@@ -184,12 +185,10 @@ def reference_evolve(pop, universe, sample, cfg, rng):
             frozen_at = gen
 
     def select():
-        best = rng.randrange(size)
-        for _ in range(cfg.tournament_size - 1):
-            i = rng.randrange(size)
-            if cur_fit[i] > cur_fit[best] or (cur_fit[i] == cur_fit[best] and i < best):
-                best = i
-        return best
+        i, j = rng.randrange(size), rng.randrange(size)
+        if cur_fit[j] > cur_fit[i] or (cur_fit[j] == cur_fit[i] and j < i):
+            return j
+        return i
 
     def fitness(jobs):
         return antibody_fitness(Antibody(jobs), universe, sample)

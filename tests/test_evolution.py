@@ -24,8 +24,7 @@ from immunesched import (
     order_crossover,
     sample_initial,
 )
-from immunesched.evolution import _tournament
-from immunesched.gene_library import draw_below
+from immunesched.evolution import _tournament, draw_below
 from reference import reference_evolve
 
 
@@ -129,27 +128,23 @@ def test_sample_initial_picks_the_members_that_index_sampling_picks(setup, pool_
     assert rng.getstate() == reference.getstate()
 
 
-def test_tournament_k1_returns_the_single_draw():
-    pop = evaluated_population([5, 10, 15, 20])
-    f = pop.fitnesses
-    assert _tournament(len(f), 1, ScriptedRng(randranges=[2]))(f) == 2
-
-
-def test_tournament_full_draw_returns_global_best():
-    pop = evaluated_population([5, 40, 15, 20])
-    rng = ScriptedRng(randranges=[0, 1, 2, 3])
-    assert _tournament(len(pop.fitnesses), 4, rng)(pop.fitnesses) == 1
+def test_tournament_returns_the_fitter_of_two_draws():
+    """The fitter index wins whether it is drawn first or second, and a
+    tournament takes exactly two draws: the stub runs dry on a third."""
+    f = evaluated_population([5, 40, 15, 20]).fitnesses
+    for draws in ([1, 2], [2, 1]):
+        rng = ScriptedRng(randranges=draws)
+        assert _tournament(draw_below(len(f), rng))(f) == 1
+        assert rng.randranges == []
 
 
 def test_tournament_tie_breaks_to_lowest_index():
-    pop = evaluated_population([7, 7, 7])
-    f = pop.fitnesses
-    assert _tournament(len(f), 2, ScriptedRng(randranges=[2, 1]))(f) == 1
+    f = evaluated_population([7, 7, 7]).fitnesses
+    for draws in ([2, 1], [1, 2]):
+        assert _tournament(draw_below(len(f), ScriptedRng(randranges=draws)))(f) == 1
 
 
 def test_draws_over_an_empty_range_are_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        _tournament(0, 2, random.Random(0))
     for n in (0, -3):
         with pytest.raises(ValueError, match="empty"):
             draw_below(n, random.Random(0))
@@ -158,7 +153,7 @@ def test_draws_over_an_empty_range_are_rejected():
 def test_tournament_prefers_fitter_over_many_draws():
     pop = evaluated_population([1, 50, 10, 10])
     rng = random.Random(123)
-    select = _tournament(len(pop.fitnesses), 2, rng)
+    select = _tournament(draw_below(len(pop.fitnesses), rng))
     counts = [0, 0, 0, 0]
     for _ in range(10000):
         counts[select(pop.fitnesses)] += 1
@@ -246,18 +241,18 @@ def test_evolve_at_mutation_rate_one_scores_children_new_in_every_slot(setup, mo
 
 
 def test_evolve_mutates_a_single_position_without_duplicating(setup, monkeypatch):
-    """One family of two copies of X: the tournaments' two member draws,
-    the crossover draw, then child one's five mutation draws, of which only
-    position 2 hits, with unused-job draw 0, and child two's five, none of
-    which hits. Draw 0 picks the smallest job X leaves out, from (1, 2, 6,
-    7, 8, 10, 11, 13, 14, 15), so the one scored child is X with job 1 at
-    position 2. The stub runs dry on any further draw."""
+    """One family of two copies of X: the two tournaments' four member
+    draws, the crossover draw, then child one's five mutation draws, of
+    which only position 2 hits, with unused-job draw 0, and child two's
+    five, none of which hits. Draw 0 picks the smallest job X leaves out,
+    from (1, 2, 6, 7, 8, 10, 11, 13, 14, 15), so the one scored child is X
+    with job 1 at position 2. The stub runs dry on any further draw."""
     universe, _, sample = setup
     x = (4, 3, 9, 5, 12)
     rng = ScriptedRng(
-        randoms=[0.9, 0.9, 0.9, 0.0, 0.9, 0.9, *[0.9] * 5], randranges=[0, 0, 0]
+        randoms=[0.9, 0.9, 0.9, 0.0, 0.9, 0.9, *[0.9] * 5], randranges=[0, 0, 0, 0, 0]
     )
-    cfg = GAConfig(generations=1, tournament_size=1, mutation_rate=0.5, population_size=2)
+    cfg = GAConfig(generations=1, mutation_rate=0.5, population_size=2)
     scored, _ = scored_children(universe, sample, [Antibody(x)] * 2, cfg, rng, monkeypatch)
     assert scored == [(4, 3, 1, 5, 12)]
     assert rng.randoms == rng.randranges == []
@@ -355,10 +350,10 @@ def test_ga_config_validation():
     with pytest.raises(ValueError):
         GAConfig(generations=-1)
     with pytest.raises(ValueError):
-        GAConfig(tournament_size=0)
+        GAConfig(population_size=0)
 
 
-@pytest.mark.parametrize("field", ["generations", "tournament_size", "population_size"])
+@pytest.mark.parametrize("field", ["generations", "population_size"])
 @pytest.mark.parametrize("value", [2.5, 3.0, "3", True, None])
 def test_ga_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
@@ -374,7 +369,6 @@ rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     st.lists(st.permutations(range(1, 16)), min_size=10, max_size=10),
     st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
     st.lists(job_tuples, min_size=1, max_size=12),
-    st.integers(1, 4),
     rates,
     rates,
     st.integers(0, 15),
@@ -382,7 +376,7 @@ rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     st.one_of(st.just(0), st.integers(1, 12)),
 )
 def test_evolve_matches_the_reference_loop(
-    sequences, indices, members, tournament, crossover, mutation, generations, seed, planted
+    sequences, indices, members, crossover, mutation, generations, seed, planted
 ):
     """Same members, fitnesses and statistics as the loop written out without
     the unused-job memo, the top-two admission and the stop at the fixed
@@ -402,7 +396,6 @@ def test_evolve_matches_the_reference_loop(
         generations=generations,
         crossover_rate=crossover,
         mutation_rate=mutation,
-        tournament_size=tournament,
         population_size=len(members),
     )
     pop = Population([Antibody(jobs) for jobs in members]).evaluate(universe, sample)
@@ -429,38 +422,25 @@ def assert_evolves_like_the_reference(pop, universe, sample, cfg, seed):
 
 
 shortcut_configs = pytest.mark.parametrize(
-    "size, tournament, crossover",
-    [
-        (size, tournament, crossover)
-        for size in (7, 8)
-        for tournament in (1, 2, 3)
-        for crossover in (0.0, 0.7, 1.0)
-    ],
+    "size, crossover", [(size, crossover) for size in (7, 8) for crossover in (0.0, 0.7, 1.0)]
 )
 
 
 @shortcut_configs
-def test_one_tuple_generations_match_the_reference(setup, size, tournament, crossover):
+def test_one_tuple_generations_match_the_reference(setup, size, crossover):
     """A population of one job tuple below the maximum: the first generation
     takes the one-tuple shortcut, and later ones take it whenever the
     population collapses back to one tuple."""
     universe, pool, sample = setup
     x = next(ab for ab in pool if antibody_fitness(ab, universe, sample) < 20)
     pop = Population([x] * size).evaluate(universe, sample)
-    cfg = GAConfig(
-        generations=20,
-        crossover_rate=crossover,
-        tournament_size=tournament,
-        population_size=size,
-    )
-    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size * tournament)
+    cfg = GAConfig(generations=20, crossover_rate=crossover, population_size=size)
+    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size * 2)
 
 
 @shortcut_configs
 @pytest.mark.parametrize("generations", [3, 30])
-def test_all_at_maximum_generations_match_the_reference(
-    setup, size, tournament, crossover, generations
-):
+def test_all_at_maximum_generations_match_the_reference(setup, size, crossover, generations):
     """Distinct members all at the maximum fitness: the sampled antigen's
     five-job windows, each aligned with it at its own offset. Every
     generation takes the all-at-maximum shortcut until the population is
@@ -471,12 +451,7 @@ def test_all_at_maximum_generations_match_the_reference(
     windows = [Antibody(sequence[d : d + 5]) for d in range(size)]
     pop = Population(windows).evaluate(universe, sample)
     assert pop.fitnesses == [max_fitness(sample.size)] * size
-    cfg = GAConfig(
-        generations=generations,
-        crossover_rate=crossover,
-        tournament_size=tournament,
-        population_size=size,
-    )
+    cfg = GAConfig(generations=generations, crossover_rate=crossover, population_size=size)
     frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size)
     if generations == 3:
         assert frozen_at is None

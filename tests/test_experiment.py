@@ -270,7 +270,6 @@ FIELD_KINDS = {
         "generations": "int",
         "crossover_rate": "float",
         "mutation_rate": "float",
-        "tournament_size": "int",
         "population_size": "int",
     },
     SAConfig: {
@@ -371,7 +370,6 @@ DEFAULT_CONFIG_BLOCK = """{
       "generations": 250,
       "crossover_rate": 0.7,
       "mutation_rate": 0.2,
-      "tournament_size": 2,
       "population_size": 100
     },
     "sa": {
@@ -446,12 +444,24 @@ def edit_manifest(tmp_path, section, edit):
     return path
 
 
-@pytest.mark.parametrize("section", [(), ("ga",), ("sa",), ("gd",)])
-def test_manifest_unknown_key_is_named(tmp_path, section):
+UNKNOWN_KEYS = [
+    ((), "typo"),
+    (("ga",), "typo"),
+    (("sa",), "typo"),
+    (("gd",), "typo"),
+    # A run.json written while selection had a tournament size.
+    (("ga",), "tournament_size"),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key", UNKNOWN_KEYS, ids=[f"section{i}" for i in range(len(UNKNOWN_KEYS))]
+)
+def test_manifest_unknown_key_is_named(tmp_path, section, key):
     """A key the config does not declare fails by its name, not by a bare
     TypeError from the constructor."""
-    path = edit_manifest(tmp_path, section, lambda block: block.update(typo=1))
-    name = ".".join((*section, "typo"))
+    path = edit_manifest(tmp_path, section, lambda block: block.update({key: 2}))
+    name = ".".join((*section, key))
     with pytest.raises(ValueError, match=f"^unknown key '{name}'$"):
         config_from_manifest(path)
 

@@ -39,7 +39,7 @@ from immunesched import (
     order_crossover,
     refine,
 )
-from immunesched.gene_library import draw_below
+from immunesched.evolution import draw_below
 from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
 from reference import (
     JOB_IDS,

@@ -190,8 +190,10 @@ CATALOGUE = (
            'if population_type == "B" else pool', 'if population_type != "C" else pool'),
     Mutant("trusted-antibody-gets-a-dict", "gene_library.py",
            'object.__setattr__(ab, "jobs", jobs)', 'ab.__dict__["jobs"] = jobs'),
-    Mutant("draw-below-bits-of-n-minus-1", "gene_library.py",
+    Mutant("draw-below-bits-of-n-minus-1", "evolution.py",
            "k = n.bit_length()", "k = (n - 1).bit_length()"),
+    Mutant("binary-tournament-ties-to-later-draw", "evolution.py",
+           "return j if fj > fi or (fj == fi and j < i) else i", "return j if fj >= fi else i"),
     Mutant("sample-initial-reversed-pool", "population.py",
            "rng.sample(pool, size)", "rng.sample(pool[::-1], size)"),
     Mutant("init-seed-path-without-ag", "experiment.py",
@@ -261,7 +263,7 @@ CATALOGUE = (
            "best_jobs, best_fit = a, fa", "best_jobs, best_fit = b, fb"),
     # Phase one's shortcut generations (N1-N7 where they were first written).
     Mutant("one-tuple-half-the-tournament-draws", "evolution.py",
-           "range(2 * cfg.tournament_size)", "range(cfg.tournament_size)"),
+           "_TOURNAMENT_DRAWS = range(4)", "_TOURNAMENT_DRAWS = range(2)"),
     Mutant("one-tuple-skips-crossover-draw", "evolution.py",
            "if random_() < crossover_rate and not one:",
            "if not one and random_() < crossover_rate:"),
