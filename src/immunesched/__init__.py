@@ -7,6 +7,9 @@ great deluge algorithm. See the experiment module for the end-to-end
 protocol and the cli module for the command-line harness.
 """
 
+# Before the imports: the experiment module records it in run.json.
+__version__ = "0.1.0"
+
 from .evolution import GAConfig, evolve, order_crossover
 from .experiment import (
     CoverageTable,
@@ -70,5 +73,3 @@ from .scheduling import (
     save_universe,
     schedule_scenario,
 )
-
-__version__ = "0.1.0"

@@ -15,6 +15,7 @@ replicate 0.
 from __future__ import annotations
 
 import json
+import platform
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -22,6 +23,7 @@ from itertools import pairwise
 from pathlib import Path
 from typing import TextIO
 
+from . import __version__
 from .evolution import GAConfig, evolve
 from .gene_library import POPULATION_TYPES, Antibody, build_libraries, generate_pool
 from .local_search import GDConfig, SAConfig, refine_population
@@ -236,7 +238,8 @@ def emit_reports(
     """Write coverage.csv, fitness.csv and the run.json manifest.
 
     The CSVs are deterministic for a fixed configuration and master seed;
-    wall-clock timings live only in the manifest.
+    wall-clock timings, and the package and Python versions that wrote the
+    run, live only in the manifest.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,6 +265,8 @@ def emit_reports(
     manifest = {
         "config": asdict(cfg),
         "master_seed": cfg.master_seed,
+        "immunesched_version": __version__,
+        "python_version": platform.python_version(),
         "report": asdict(report),
     }
     (out / MANIFEST_JSON).write_text(json.dumps(manifest, indent=2) + "\n")

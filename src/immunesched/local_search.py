@@ -13,10 +13,17 @@ subtracts two entries and adds two; the sample's masks score its own lanes.
 The lane layout, the column table and the bit-count score are defined in
 the matching module. No antibody is built for a candidate.
 
+Before scoring, the chain reads the candidate's entry in a score table, a
+bytearray indexed by the antibody's code `Σ job << 4·slot` (job ids 1..15
+fit 4 bits). An entry holds fitness + 1, so 0 means not scored yet; the
+largest fitness, 250, fits a byte. An entry depends only on the antibody,
+so one table serves every chain of one (universe, sample) and no other.
+
 refine_population takes one seed draw per member, in member order, so
 serial and parallel execution would agree. A member at the maximum fitness
 gets no generator and no chain, as its chain would return it without a
-draw; only a member the chain changed is scored again.
+draw; only a member the chain changed is scored again. Its chains share one
+score table, since they often start from the same antibody.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
 from .matching import POSITION_SCORE, AntigenSample, _best_counts, antibody_fitness, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
+
+# An antibody's code is `Σ job << CODE_BITS·slot`: job ids 1..15 fit 4 bits,
+# so every code indexes a score table of 2**20 bytes.
+CODE_BITS = JOB_COUNT.bit_length()
+SCORE_TABLE_SIZE = 1 << CODE_BITS * ANTIBODY_LENGTH
 
 
 class NeighborOperator(str, Enum):
@@ -103,6 +115,8 @@ def refine(
     cfg: SAConfig | GDConfig,
     rng: random.Random,
     trace: TextIO | None = None,
+    *,
+    scores: bytearray | None = None,
 ) -> Antibody:
     """Refine `ab` by simulated annealing (SAConfig) or the great deluge
     (GDConfig); return the best antibody visited if it strictly beats the
@@ -117,10 +131,17 @@ def refine(
     or above it without a draw, and stops after `stagnation_limit` steps
     without a new best. Other config types raise TypeError.
 
-    A candidate is scored by its delta on the current antibody's lanes in
-    the universe's column table (see the matching module), to the value
-    `antibody_fitness` gives the moved antibody; only the returned antibody
-    is built.
+    `scores`, a bytearray of SCORE_TABLE_SIZE bytes, is a score table for
+    this (universe, sample) that other chains on the same pair may share;
+    without one the chain makes its own. The chain keeps the current
+    antibody's code, so a candidate's key is the code plus the move's job
+    differences at their slots. A nonzero entry (a hit) is the candidate's
+    fitness + 1. On a miss the candidate is scored by its delta on the
+    current antibody's lanes in the universe's column table (see the
+    matching module), to the value `antibody_fitness` gives the moved
+    antibody, and its entry is stored; a hit that is accepted builds the
+    accepted move's lanes then. The table changes no draw, acceptance,
+    trace row or result; only the returned antibody is built.
 
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
     <level> being `temperature` or `boundary` after the step. Untraced, the
@@ -133,6 +154,9 @@ def refine(
     jobs = list(ab.jobs)
     unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
     packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
+    code = sum(job << CODE_BITS * slot for slot, job in enumerate(jobs))
+    if scores is None:
+        scores = bytearray(SCORE_TABLE_SIZE)
     below_top, top, high, two, three, four, five = masks
     start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
     target = max_fitness(sample.size)
@@ -169,26 +193,38 @@ def refine(
             n = getrandbits(second_bits)
         if change:
             old, new = jobs[p], unused[n]
-            col = cols[p]
-            candidate = packed - col[old] + col[new]
+            key = code + (new - old << CODE_BITS * p)
         else:
             j = ANTIBODY_LENGTH - 1 if n == p else n
             a, b = jobs[p], jobs[j]
-            col_p, col_j = cols[p], cols[j]
-            candidate = packed - col_p[a] - col_j[b] + col_p[b] + col_j[a]
-        candidate_fit = POSITION_SCORE * (  # _best_counts(candidate, masks)
-            ((candidate + below_top) & top).bit_count()
-            + ((((candidate + two) & high) + below_top) & top).bit_count()
-            + ((candidate + three) & high).bit_count()
-            + ((candidate + four) & high).bit_count()
-            + ((candidate + five) & high).bit_count()
-        )
+            key = code + (b - a << CODE_BITS * p) + (a - b << CODE_BITS * j)
+        if candidate_fit := scores[key]:
+            candidate_fit -= 1
+            candidate = None
+        else:
+            candidate = (
+                packed - cols[p][old] + cols[p][new] if change
+                else packed - cols[p][a] - cols[j][b] + cols[p][b] + cols[j][a]
+            )
+            candidate_fit = POSITION_SCORE * (  # _best_counts(candidate, masks)
+                ((candidate + below_top) & top).bit_count()
+                + ((((candidate + two) & high) + below_top) & top).bit_count()
+                + ((candidate + three) & high).bit_count()
+                + ((candidate + four) & high).bit_count()
+                + ((candidate + five) & high).bit_count()
+            )
+            scores[key] = candidate_fit + 1
         accepted = candidate_fit >= current_fit or (
             random_() < exp((candidate_fit - current_fit) / level)
             if metropolis else candidate_fit >= level
         )
         if accepted:
-            packed, current_fit = candidate, candidate_fit
+            if candidate is None:  # a hit: build the accepted move's lanes
+                candidate = (
+                    packed - cols[p][old] + cols[p][new] if change
+                    else packed - cols[p][a] - cols[j][b] + cols[p][b] + cols[j][a]
+                )
+            packed, code, current_fit = candidate, key, candidate_fit
             if change:
                 jobs[p] = new
                 del unused[n]
@@ -223,18 +259,20 @@ def refine_population(
     keeping results independent of evaluation order. A member below the
     maximum fitness refines on a generator of its seed; a member at the
     maximum is kept without one, since its untraced chain would stop before
-    its first draw. Only a member the chain returns changed is scored.
+    its first draw. Only a member the chain returns changed is scored. The
+    chains share one score table, made for this call.
     Other config types raise TypeError, as `refine` does.
     """
     fitnesses = pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     ceiling = max_fitness(sample.size)
+    table = bytearray(SCORE_TABLE_SIZE)
     refined, scores = [], []
     for ab, fit in zip(pop.antibodies, fitnesses):
         seed = rng.getrandbits(64)
         if fit < ceiling:
-            new = refine(ab, universe, sample, cfg, random.Random(seed))
+            new = refine(ab, universe, sample, cfg, random.Random(seed), scores=table)
             if new is not ab:
                 ab, fit = new, antibody_fitness(new, universe, sample)
         refined.append(ab)

@@ -3,10 +3,12 @@ import dataclasses
 import functools
 import json
 import math
+import platform
 import random
 
 import pytest
 
+import immunesched
 from immunesched import (
     Antibody,
     AntigenUniverse,
@@ -416,6 +418,20 @@ def test_manifest_config_block_format_is_pinned(tmp_path):
     path = emit_config_only(ExperimentConfig(), tmp_path)
     assert path.read_text().startswith(DEFAULT_CONFIG_BLOCK)
     assert config_from_manifest(path) == ExperimentConfig()
+
+
+def test_manifest_names_the_code_that_wrote_it_and_still_roundtrips(tmp_path):
+    """run.json carries the package and Python versions beside the master
+    seed, outside the config block, so config_from_manifest reads it back."""
+    cfg = small_config(phase2="gd", master_seed=7)
+    path = emit_config_only(cfg, tmp_path)
+    manifest = json.loads(path.read_text())
+    assert list(manifest) == [
+        "config", "master_seed", "immunesched_version", "python_version", "report"
+    ]
+    assert manifest["immunesched_version"] == immunesched.__version__
+    assert manifest["python_version"] == platform.python_version()
+    assert config_from_manifest(path) == cfg
 
 
 def test_manifest_roundtrips_non_default_config(tmp_path):

@@ -2,8 +2,9 @@
 lane-packed column table, of the sample's lane masks and the bit-count lane
 score they feed, of coverage over the universe's lanes, of the operators
 whose output skips Antibody validation, of the draws the operators and the
-refinement chain use in place of randrange and rng.sample, of the chain's
-inline Metropolis probability, and of the great deluge's floor."""
+refinement chain use in place of randrange and rng.sample, of the score
+table that refinement chains share, of the chain's inline Metropolis
+probability, and of the great deluge's floor."""
 
 import io
 import itertools
@@ -40,6 +41,7 @@ from immunesched import (
     refine,
 )
 from immunesched.evolution import draw_below
+from immunesched.local_search import SCORE_TABLE_SIZE
 from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
 from reference import (
     JOB_IDS,
@@ -313,6 +315,56 @@ def test_chain_draws_match_randrange_and_sample(universe, sample, antibody, op, 
         expected = reference_chain(antibody, universe, sample, cfg, reference)
         assert refine(antibody, universe, sample, cfg, rng) == expected
         assert rng.getstate() == reference.getstate()
+
+
+def decode(code):
+    """The antibody whose code is `code`: 4 bits per slot, slot 0 lowest."""
+    return Antibody(tuple(code >> 4 * slot & 0xF for slot in range(5)))
+
+
+# Every example reuses these two tables, zeroed: hypothesis keeps the
+# exception of each failing example it caches, and with it every frame's
+# locals, so a table made per example could pile up a megabyte per failure.
+SHARED_TABLE, FRESH_TABLE = bytearray(SCORE_TABLE_SIZE), bytearray(SCORE_TABLE_SIZE)
+# (index of the start among the drawn starts, method, operator, seed, traced)
+chains = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from([SAConfig, GDConfig]),
+    st.sampled_from(list(NeighborOperator)),
+    seeds,
+    st.booleans(),
+)
+
+
+@settings(max_examples=40)
+@given(
+    universes,
+    samples,
+    st.lists(antibodies, min_size=1, max_size=3),
+    st.lists(chains, min_size=1, max_size=6),
+)
+def test_chains_sharing_a_score_table_run_as_with_a_fresh_one(universe, sample, starts, runs):
+    """Several chains of one (universe, sample), some from the same start,
+    share one score table. Each must return what it returns with a table of
+    its own, write the same trace and leave its generator in the same
+    state; and every entry they stored must be the decoded antibody's
+    fitness + 1."""
+    table, fresh = SHARED_TABLE, FRESH_TABLE
+    table[:] = bytes(SCORE_TABLE_SIZE)
+    for index, method, op, seed, traced in runs:
+        start, cfg = starts[index % len(starts)], method(operator=op)
+        shared_rng, fresh_rng = random.Random(seed), random.Random(seed)
+        shared_trace, fresh_trace = (io.StringIO(), io.StringIO()) if traced else (None, None)
+        fresh[:] = bytes(SCORE_TABLE_SIZE)
+        shared = refine(start, universe, sample, cfg, shared_rng, shared_trace, scores=table)
+        expected = refine(start, universe, sample, cfg, fresh_rng, fresh_trace, scores=fresh)
+        assert shared == expected
+        assert shared_rng.getstate() == fresh_rng.getstate()
+        if traced:
+            assert shared_trace.getvalue() == fresh_trace.getvalue()
+    for code in itertools.compress(range(SCORE_TABLE_SIZE), table):
+        entry, antibody = table[code], decode(code)
+        assert entry == antibody_fitness(antibody, universe, sample) + 1
 
 
 @given(st.integers(0, 250), st.integers(1, 250))

@@ -288,9 +288,9 @@ def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, m
     universe, pool, sample = setup
     chains, scored = [], []
 
-    def counting_refine(ab, *args):
+    def counting_refine(ab, *args, **kwargs):
         chains.append(ab)
-        return refine(ab, *args)
+        return refine(ab, *args, **kwargs)
 
     def counting_fitness(ab, *args):
         scored.append(ab)
@@ -345,6 +345,29 @@ def test_refine_population_fixed_point_at_optimum(setup):
     pop = Population([ab] * 10).evaluate(universe, sample)
     refined = refine_population(pop, universe, sample, GDConfig(), random.Random(8))
     assert refined.antibodies == pop.antibodies
+
+
+def test_refine_population_chains_share_one_table_per_call(setup, monkeypatch):
+    """Every chain of one call gets the same score table, and each call a
+    new one, since an entry holds for one (universe, sample) only."""
+    universe, pool, sample = setup
+    tables = []
+
+    def recording_refine(ab, *args, scores):
+        tables.append(scores)
+        return refine(ab, *args, scores=scores)
+
+    monkeypatch.setattr(immunesched.local_search, "refine", recording_refine)
+    pop = sample_initial(pool, 12, random.Random(3)).evaluate(universe, sample)
+    chains = sum(fit < max_fitness(sample.size) for fit in pop.fitnesses)
+    for seed in (1, 2):
+        refine_population(pop, universe, sample, GDConfig(), random.Random(seed))
+    first, second = tables[:chains], tables[chains:]
+    assert chains > 1 and len(second) == chains
+    assert all(table is first[0] for table in first)
+    assert all(table is second[0] for table in second)
+    assert first[0] is not second[0]
+    assert any(first[0])
 
 
 def test_refine_population_deterministic(setup):

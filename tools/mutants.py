@@ -142,11 +142,28 @@ CATALOGUE = (
     Mutant("chain-two-lane-collapse-dropped", "local_search.py",
            "+ ((((candidate + two) & high) + below_top) & top).bit_count()",
            "+ ((candidate + two) & high).bit_count()"),
+    # The score table that chains share: its key, its sentinel and the hit path.
+    Mutant("score-key-three-bits-per-slot", "local_search.py",
+           "CODE_BITS = JOB_COUNT.bit_length()\n"
+           "SCORE_TABLE_SIZE = 1 << CODE_BITS * ANTIBODY_LENGTH\n",
+           "CODE_BITS = 3\n"
+           "SCORE_TABLE_SIZE = 1 << 4 * ANTIBODY_LENGTH\n"),
+    Mutant("score-entry-without-sentinel", "local_search.py",
+           "scores[key] = candidate_fit + 1", "scores[key] = candidate_fit"),
+    Mutant("swap-key-signs-flipped", "local_search.py",
+           "key = code + (b - a << CODE_BITS * p) + (a - b << CODE_BITS * j)",
+           "key = code + (a - b << CODE_BITS * p) + (b - a << CODE_BITS * j)"),
+    Mutant("accepted-hit-keeps-old-lanes", "local_search.py",
+           "                candidate = (\n"
+           "                    packed - cols[p][old] + cols[p][new] if change\n"
+           "                    else packed - cols[p][a] - cols[j][b] + cols[p][b] + cols[j][a]\n"
+           "                )\n",
+           "                candidate = packed\n"),
     # refine_population: one seed draw per member, no chain at the maximum,
     # and a score only for a changed member.
     Mutant("refine-shared-generator", "local_search.py",
-           "refine(ab, universe, sample, cfg, random.Random(seed))",
-           "refine(ab, universe, sample, cfg, rng)"),
+           "refine(ab, universe, sample, cfg, random.Random(seed), scores=table)",
+           "refine(ab, universe, sample, cfg, rng, scores=table)"),
     Mutant("refine-seeds-of-32-bits", "local_search.py",
            "seed = rng.getrandbits(64)", "seed = rng.getrandbits(32)"),
     Mutant("refine-keeps-unrefined-fitnesses", "local_search.py",
