@@ -7,6 +7,12 @@ mutated and evaluated, and the two fittest of the four family members are
 admitted. Children must therefore beat their parents to enter. A single
 global-elite slot guarantees the best fitness ever seen never leaves the
 population.
+
+A mutation is drawn as a key before any child is built, since its draws
+do not depend on the tuple it mutates, and `_mutant` applies the key. A
+population of one tuple, the state that phase one collapses into, looks
+its children's fitnesses up by key and builds only children it has not
+scored.
 """
 
 from __future__ import annotations
@@ -23,9 +29,12 @@ from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
 _Jobs = tuple[int, ...]
-_SLOTS = range(ANTIBODY_LENGTH)
 _JOB_IDS = range(1, JOB_COUNT + 1)
 _TOURNAMENT_DRAWS = range(4)  # a family's two tournaments, two member draws each
+# A mutation key holds n + 1 for position p's draw n in bits 4p to 4p + 3.
+_KEY_BITS = UNUSED_JOB_COUNT.bit_length()
+_KEY_MASK = (1 << _KEY_BITS) - 1
+_KEY_SHIFTS = range(0, _KEY_BITS * ANTIBODY_LENGTH, _KEY_BITS)
 
 
 @dataclass(frozen=True)
@@ -113,23 +122,26 @@ def evolve(
     population), calling `antibody_fitness` only for a new one; antibodies
     are built only for the returned population.
 
-    Mutation is written out in the family loop, once per child: each
-    position in turn, with probability `mutation_rate`, takes a job the
-    tuple (as mutated so far) leaves out, the n-th smallest for a draw n
-    below UNUSED_JOB_COUNT, drawn as `rng.randrange` would. A child with no
-    hit is its parent's tuple itself. Each tuple's ascending unused job ids
-    are kept for the whole call, as a converging population mutates the
-    same few tuples over and over.
+    Mutation takes two steps. A child's draws do not depend on its tuple,
+    so the family loop, written out once per child, only draws the child's
+    key: each position p in turn, with probability `mutation_rate`, draws n
+    below UNUSED_JOB_COUNT as `rng.randrange` would and adds `n + 1 << 4p`.
+    `_mutant` then applies a nonzero key to the tuple; a child whose key is
+    0 is its parent's tuple itself.
 
     In two states a generation skips work whose result its draws cannot
     change; it still takes every draw of the full loop, in order, so the
     outputs and `rng` are the full loop's.
     - Every member is one tuple X: each tournament returns X and X crossed
       with X is X, so a family takes its tournament draws without comparing
-      fitnesses and mutates X twice without crossing it.
+      fitnesses and draws two keys for X. A table of X's keys, started
+      afresh whenever the population turns into one tuple, holds each key's
+      fitness, so a child is built only for a key new to the table, and
+      again for admission if it beats X. X is the elite, so a generation in
+      which no child beats it leaves the population as it is.
     - Every member is at the maximum fitness: admission needs a strict gain
-      over a parent, so a family admits its two parents and scores neither
-      child.
+      over a parent, so a family takes its crossover draw and its keys and
+      admits its two parents without crossing them or building a child.
     Both at once is the fixed point: no later generation can change the
     population, so the loop stops there and writes the remaining `--stats`
     rows as they stand, leaving `rng` where the loop stopped.
@@ -141,35 +153,42 @@ def evolve(
     memo = dict(zip(cur, cur_fit))
     # The elite starts as the first of the fittest members (max keeps the first).
     best_jobs, best_fit = max(zip(cur, cur_fit), key=itemgetter(1))
-    memo_get = memo.get
     draw_member = draw_below(size, rng)
     select = _tournament(draw_member)
     random_, getrandbits = rng.random, rng.getrandbits
     crossover_rate, rate = cfg.crossover_rate, cfg.mutation_rate
     unused: dict[_Jobs, _Jobs] = {}
-    unused_get, unused_bits = unused.get, UNUSED_JOB_COUNT.bit_length()
+    unused_bits = UNUSED_JOB_COUNT.bit_length()
     families = range((size + 1) // 2)
     ceiling = max_fitness(sample.size)
 
     def score(jobs: _Jobs) -> int:
-        fit = memo[jobs] = antibody_fitness(Antibody.trusted(jobs), universe, sample)
+        fit = memo.get(jobs)
+        if fit is None:
+            fit = memo[jobs] = antibody_fitness(Antibody.trusted(jobs), universe, sample)
         return fit
 
     if stats_stream is not None:
         stats_stream.write("generation,best,mean,worst\n")
         _write_stats(stats_stream, 0, cur_fit)
 
+    changed = True
     for gen in range(1, cfg.generations + 1):
-        one = cur.count(cur[0]) == size
-        full = min(cur_fit) == ceiling
-        if one and full:
-            if stats_stream is not None:
-                for frozen_gen in range(gen, cfg.generations + 1):
-                    _write_stats(stats_stream, frozen_gen, cur_fit)
-            break
-        new: list[_Jobs] = []
+        if changed:
+            one = cur.count(cur[0]) == size
+            full = min(cur_fit) == ceiling
+            if one and full:
+                if stats_stream is not None:
+                    for frozen_gen in range(gen, cfg.generations + 1):
+                        _write_stats(stats_stream, frozen_gen, cur_fit)
+                break
+            if one:  # the one tuple's key table, with key 0 for the tuple itself
+                keyed = {0: cur_fit[0]}
+                keyed_get = keyed.get
+        # A one-tuple generation builds `new` at its first winning family.
+        new: list[_Jobs] | None = None if one else []
         new_fit: list[int] = []
-        for _ in families:
+        for fam in families:
             if one:  # both tournaments return a copy of the one tuple
                 for _ in _TOURNAMENT_DRAWS:
                     draw_member()
@@ -179,53 +198,51 @@ def evolve(
                 i2 = select(cur_fit)
             p1, f1 = cur[i1], cur_fit[i1]
             p2, f2 = cur[i2], cur_fit[i2]
-            if random_() < crossover_rate and not one:
+            if random_() < crossover_rate and not (one or full):
                 c1, c2 = order_crossover(p1, p2)
             else:
                 c1, c2 = p1, p2
-            # The mutation, written out once per child: a call per child cost 10 %.
-            out = None
-            for posn in _SLOTS:
+            # The key draws, written out once per child: a call per child cost 10 %.
+            k1 = 0
+            for shift in _KEY_SHIFTS:
                 if random_() < rate:
-                    if out is None:
-                        key, out = c1, list(c1)
-                    else:
-                        key = tuple(out)
-                    free = unused_get(key)
-                    if free is None:
-                        free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
                     n = getrandbits(unused_bits)
                     while n >= UNUSED_JOB_COUNT:
                         n = getrandbits(unused_bits)
-                    out[posn] = free[n]
-            if out is not None:
-                c1 = tuple(out)
-            out = None
-            for posn in _SLOTS:
+                    k1 += n + 1 << shift
+            k2 = 0
+            for shift in _KEY_SHIFTS:
                 if random_() < rate:
-                    if out is None:
-                        key, out = c2, list(c2)
-                    else:
-                        key = tuple(out)
-                    free = unused_get(key)
-                    if free is None:
-                        free = unused[key] = tuple([j for j in _JOB_IDS if j not in key])
                     n = getrandbits(unused_bits)
                     while n >= UNUSED_JOB_COUNT:
                         n = getrandbits(unused_bits)
-                    out[posn] = free[n]
-            if out is not None:
-                c2 = tuple(out)
+                    k2 += n + 1 << shift
             if full:
                 new += p1, p2
                 new_fit += f1, f2
                 continue
-            fc1 = f1 if c1 is p1 else memo_get(c1)
-            if fc1 is None:
-                fc1 = score(c1)
-            fc2 = f2 if c2 is p2 else memo_get(c2)
-            if fc2 is None:
-                fc2 = score(c2)
+            if one:
+                fc1 = keyed_get(k1)
+                if fc1 is None:
+                    fc1 = keyed[k1] = score(_mutant(p1, k1, unused))
+                fc2 = keyed_get(k2)
+                if fc2 is None:
+                    fc2 = keyed[k2] = score(_mutant(p1, k2, unused))
+                if new is None:
+                    if fc1 <= f1 and fc2 <= f1:
+                        continue  # the family admits the one tuple twice
+                    new, new_fit = [p1] * (2 * fam), [f1] * (2 * fam)
+                if fc1 > f1:
+                    c1 = _mutant(p1, k1, unused)
+                if fc2 > f1:
+                    c2 = _mutant(p1, k2, unused)
+            else:
+                if k1:
+                    c1 = _mutant(c1, k1, unused)
+                if k2:
+                    c2 = _mutant(c2, k2, unused)
+                fc1 = f1 if c1 is p1 else score(c1)
+                fc2 = f2 if c2 is p2 else score(c2)
             # The two fittest of (p1, p2, c1, c2), fittest first; an earlier
             # member wins a tie, so parents beat children of equal fitness.
             if f1 >= f2:
@@ -245,18 +262,39 @@ def evolve(
                 best_jobs, best_fit = a, fa
             new += a, b
             new_fit += fa, fb
-        del new[size:], new_fit[size:]
-
-        worst_fit = min(new_fit)
-        if best_fit > worst_fit:
-            worst_i = new_fit.index(worst_fit)
-            new[worst_i] = best_jobs
-            new_fit[worst_i] = best_fit
-        cur, cur_fit = new, new_fit
+        changed = new is not None
+        if changed:
+            del new[size:], new_fit[size:]
+            worst_fit = min(new_fit)
+            if best_fit > worst_fit:
+                worst_i = new_fit.index(worst_fit)
+                new[worst_i] = best_jobs
+                new_fit[worst_i] = best_fit
+            cur, cur_fit = new, new_fit
         if stats_stream is not None:
             _write_stats(stats_stream, gen, cur_fit)
 
     return Population([Antibody.trusted(jobs) for jobs in cur], cur_fit)
+
+
+def _mutant(jobs: _Jobs, key: int, unused: dict[_Jobs, _Jobs]) -> _Jobs:
+    """`jobs` mutated as `key` says. Position p, whose 4-bit field of the key
+    holds n + 1, takes the n-th smallest job (from 0) that the tuple, as
+    mutated so far, leaves out; a field of 0 leaves its position alone.
+    `unused` keeps each tuple's ascending unused job ids, as a converging
+    population mutates the same few tuples over and over."""
+    out, posn = list(jobs), 0
+    while key:
+        n = key & _KEY_MASK
+        if n:
+            free = unused.get(jobs)
+            if free is None:
+                free = unused[jobs] = tuple([j for j in _JOB_IDS if j not in jobs])
+            out[posn] = free[n - 1]
+            jobs = tuple(out)
+        key >>= _KEY_BITS
+        posn += 1
+    return jobs
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

@@ -2,10 +2,11 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import immunesched.evolution
+import reference
 from immunesched import (
     Antibody,
     Antigen,
@@ -25,7 +26,7 @@ from immunesched import (
     sample_initial,
 )
 from immunesched.evolution import _tournament, draw_below
-from reference import reference_evolve
+from reference import reference_evolve, reference_mutation
 
 
 class ScriptedRng:
@@ -455,6 +456,106 @@ def test_all_at_maximum_generations_match_the_reference(setup, size, crossover, 
     frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size)
     if generations == 3:
         assert frozen_at is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.permutations(range(1, 16)), min_size=10, max_size=10),
+    st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True),
+    job_tuples,
+    st.integers(1, 12),
+    rates,
+    st.integers(1, 25),
+    st.integers(0, 2**32),
+)
+def test_one_tuple_populations_match_the_reference_loop(
+    sequences, indices, x, size, crossover, generations, seed
+):
+    """Every member starts as one tuple X below the maximum, so the first
+    generation already looks its children up in X's key table. A child that
+    beats X, in any family, ends the one-tuple state; a later collapse to
+    another tuple must start a table of its own. Members, fitnesses,
+    statistics and generator state must be the plain loop's."""
+    universe = AntigenUniverse(tuple(Antigen(tuple(seq)) for seq in sequences))
+    sample = AntigenSample(tuple(indices))
+    pop = Population([Antibody(x)] * size).evaluate(universe, sample)
+    assume(pop.fitnesses[0] < max_fitness(sample.size))
+    cfg = GAConfig(
+        generations=generations, crossover_rate=crossover, mutation_rate=0.2, population_size=size
+    )
+    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed)
+
+
+def counted_builds(monkeypatch):
+    """The (tuple, child) of every `_mutant` call and the job tuples scored
+    through the module seam, in order, as `evolve` makes them."""
+    builds, scored = [], []
+    mutant = immunesched.evolution._mutant
+
+    def counted_mutant(jobs, key, unused):
+        child = mutant(jobs, key, unused)
+        builds.append((jobs, child))
+        return child
+
+    def counted_fitness(ab, universe, sample):
+        scored.append(ab.jobs)
+        return antibody_fitness(ab, universe, sample)
+
+    monkeypatch.setattr(immunesched.evolution, "_mutant", counted_mutant)
+    monkeypatch.setattr(immunesched.evolution, "antibody_fitness", counted_fitness)
+    return builds, scored
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_one_tuple_generation_builds_a_child_once_per_new_key(setup, monkeypatch, seed):
+    """One generation of 100 copies of X: the reference loop shows every
+    mutated child it makes, repeats included, and distinct keys give
+    distinct children. `evolve` builds each of them from X, and builds a
+    child a second time only for one that beats X, to admit it; it scores
+    each new tuple once."""
+    universe, pool, sample = setup
+    x = next(ab for ab in pool if antibody_fitness(ab, universe, sample) < 20)
+    fx = antibody_fitness(x, universe, sample)
+    pop = Population([x] * 100).evaluate(universe, sample)
+    cfg = GAConfig(generations=1)
+    mutated = []
+
+    def recorded(jobs, rate, rng):
+        child = reference_mutation(jobs, rate, rng)
+        if child != jobs:
+            mutated.append(child)
+        return child
+
+    monkeypatch.setattr(reference, "reference_mutation", recorded)
+    reference_evolve(pop, universe, sample, cfg, random.Random(seed))
+    assert len(mutated) > len(set(mutated))  # some keys repeat
+    builds, scored = counted_builds(monkeypatch)
+    evolve(pop, universe, sample, cfg, random.Random(seed))
+    assert all(jobs == x.jobs for jobs, _ in builds)
+    children = [child for _, child in builds]
+    assert set(children) == set(mutated)
+    repeats = {child for child in children if children.count(child) > 1}
+    assert all(antibody_fitness(Antibody(child), universe, sample) > fx for child in repeats)
+    assert len(scored) == len(set(scored)) == len(set(mutated))
+
+
+def test_an_all_at_maximum_generation_builds_no_child(setup, monkeypatch):
+    """Distinct members all at the maximum: three generations draw every
+    key and every crossover, but cross, build and score no child."""
+    universe, _, sample = setup
+    sequence = universe.antigens[sample.indices[0]].sequence
+    pop = Population([Antibody(sequence[d : d + 5]) for d in range(8)]).evaluate(universe, sample)
+    builds, scored = counted_builds(monkeypatch)
+    crossed = []
+
+    def counted_crossover(p1, p2):
+        crossed.append((p1, p2))
+        return order_crossover(p1, p2)
+
+    monkeypatch.setattr(immunesched.evolution, "order_crossover", counted_crossover)
+    cfg = GAConfig(generations=3, crossover_rate=1.0, mutation_rate=0.5, population_size=8)
+    evolve(pop, universe, sample, cfg, random.Random(1))
+    assert builds == scored == crossed == []
 
 
 def test_evolve_returns_a_frozen_population_without_drawing(setup):

@@ -303,6 +303,13 @@ def test_draw_below_matches_randrange(seed, n, count):
     assert rng.getstate() == reference.getstate()
 
 
+# Every example that refines reuses these two tables, zeroed: hypothesis
+# keeps the exception of each failing example it caches, and with it every
+# frame's locals, so a table made per example could pile up a megabyte per
+# failure.
+SHARED_TABLE, FRESH_TABLE = bytearray(SCORE_TABLE_SIZE), bytearray(SCORE_TABLE_SIZE)
+
+
 @settings(max_examples=40)
 @given(universes, samples, antibodies, st.sampled_from(list(NeighborOperator)), seeds)
 def test_chain_draws_match_randrange_and_sample(universe, sample, antibody, op, seed):
@@ -310,10 +317,11 @@ def test_chain_draws_match_randrange_and_sample(universe, sample, antibody, op, 
     randrange and rng.sample would, and leave the generator where they
     would: refine returns the reference chain's antibody, and the two
     generators end in the same state."""
+    SHARED_TABLE[:] = bytes(SCORE_TABLE_SIZE)
     for cfg in (SAConfig(operator=op), GDConfig(operator=op, stagnation_limit=None)):
         rng, reference = random.Random(seed), random.Random(seed)
         expected = reference_chain(antibody, universe, sample, cfg, reference)
-        assert refine(antibody, universe, sample, cfg, rng) == expected
+        assert refine(antibody, universe, sample, cfg, rng, scores=SHARED_TABLE) == expected
         assert rng.getstate() == reference.getstate()
 
 
@@ -322,10 +330,6 @@ def decode(code):
     return Antibody(tuple(code >> 4 * slot & 0xF for slot in range(5)))
 
 
-# Every example reuses these two tables, zeroed: hypothesis keeps the
-# exception of each failing example it caches, and with it every frame's
-# locals, so a table made per example could pile up a megabyte per failure.
-SHARED_TABLE, FRESH_TABLE = bytearray(SCORE_TABLE_SIZE), bytearray(SCORE_TABLE_SIZE)
 # (index of the start among the drawn starts, method, operator, seed, traced)
 chains = st.tuples(
     st.integers(0, 2),
@@ -391,7 +395,8 @@ def test_gd_never_falls_below_its_start(universe, sample, antibody, op, limit, s
     accepted move takes the current fitness below the start's."""
     trace = io.StringIO()
     cfg = GDConfig(stagnation_limit=limit, operator=op)
-    refine(antibody, universe, sample, cfg, random.Random(seed), trace)
+    SHARED_TABLE[:] = bytes(SCORE_TABLE_SIZE)
+    refine(antibody, universe, sample, cfg, random.Random(seed), trace, scores=SHARED_TABLE)
     start = antibody_fitness(antibody, universe, sample)
     rows = trace.getvalue().splitlines()[1:]
     assert rows
@@ -412,7 +417,9 @@ def test_refine_output_is_valid_and_scored_like_antibody_fitness(
     """The chain scores moves by their delta on packed counts; the antibody
     it returns must be valid and have the best fitness it traced."""
     trace = io.StringIO()
-    out = refine(antibody, universe, sample, method(operator=op), random.Random(seed), trace)
+    cfg, rng = method(operator=op), random.Random(seed)
+    SHARED_TABLE[:] = bytes(SCORE_TABLE_SIZE)
+    out = refine(antibody, universe, sample, cfg, rng, trace, scores=SHARED_TABLE)
     assert_valid(out)
     best_fitness = int(trace.getvalue().splitlines()[-1].split(",")[3])
     assert antibody_fitness(out, universe, sample) == best_fitness

@@ -220,39 +220,36 @@ CATALOGUE = (
            "                universe = resolve_universe(cfg)\n"
            "                sample = draw_sample(cfg, ag, rep)\n"),
     Mutant("mutation-skips-slot-0", "evolution.py",
-           "_SLOTS = range(ANTIBODY_LENGTH)", "_SLOTS = range(1, ANTIBODY_LENGTH)"),
-    # Each child's mutation is written out in evolve: one entry per copy.
+           "_KEY_SHIFTS = range(0, _KEY_BITS * ANTIBODY_LENGTH, _KEY_BITS)",
+           "_KEY_SHIFTS = range(_KEY_BITS, _KEY_BITS * ANTIBODY_LENGTH, _KEY_BITS)"),
+    Mutant("key-slots-of-3-bits", "evolution.py",
+           "_KEY_BITS = UNUSED_JOB_COUNT.bit_length()", "_KEY_BITS = 3"),
+    Mutant("mutation-second-hit-reads-old-tuple", "evolution.py",
+           "            jobs = tuple(out)\n"
+           "        key >>= _KEY_BITS\n"
+           "        posn += 1\n"
+           "    return jobs\n",
+           "        key >>= _KEY_BITS\n"
+           "        posn += 1\n"
+           "    return tuple(out)\n"),
+    # Each child's key draws are written out in evolve: one entry per copy.
     *(
-        Mutant(name + suffix, "evolution.py", old.replace("c1", child), new.replace("c1", child))
-        for suffix, child in (("", "c1"), ("-in-child-2", "c2"))
+        Mutant(name + suffix, "evolution.py", old.replace("k1", key), new.replace("k1", key))
+        for suffix, key in (("", "k1"), ("-in-child-2", "k2"))
         for name, old, new in (
-            ("mutation-second-hit-reads-old-tuple",
-             "key, out = c1, list(c1)\n"
-             "                    else:\n"
-             "                        key = tuple(out)",
-             "key, out = c1, list(c1)\n"
-             "                    else:\n"
-             "                        key = c1"),
             ("mutation-never-draws-last-unused-job",
              "                    while n >= UNUSED_JOB_COUNT:\n"
              "                        n = getrandbits(unused_bits)\n"
-             "                    out[posn] = free[n]\n"
-             "            if out is not None:\n"
-             "                c1 = tuple(out)",
+             "                    k1 += n + 1 << shift",
              "                    while n >= UNUSED_JOB_COUNT - 1:\n"
              "                        n = getrandbits(unused_bits)\n"
-             "                    out[posn] = free[n]\n"
-             "            if out is not None:\n"
-             "                c1 = tuple(out)"),
+             "                    k1 += n + 1 << shift"),
             ("all-at-maximum-skips-mutations",
-             "            for posn in _SLOTS:\n"
-             "                if random_() < rate:\n"
-             "                    if out is None:\n"
-             "                        key, out = c1, list(c1)",
-             "            for posn in () if full else _SLOTS:\n"
-             "                if random_() < rate:\n"
-             "                    if out is None:\n"
-             "                        key, out = c1, list(c1)"),
+             "            k1 = 0\n"
+             "            for shift in _KEY_SHIFTS:",
+             "            k1 = 0\n"
+             "            for shift in () if full else _KEY_SHIFTS:"),
+            ("key-offset-by-one", "k1 += n + 1 << shift", "k1 += n << shift"),
         )
     ),
     Mutant("odd-size-one-family-short", "evolution.py",
@@ -282,14 +279,22 @@ CATALOGUE = (
     Mutant("one-tuple-half-the-tournament-draws", "evolution.py",
            "_TOURNAMENT_DRAWS = range(4)", "_TOURNAMENT_DRAWS = range(2)"),
     Mutant("one-tuple-skips-crossover-draw", "evolution.py",
-           "if random_() < crossover_rate and not one:",
-           "if not one and random_() < crossover_rate:"),
+           "if random_() < crossover_rate and not (one or full):",
+           "if not one and random_() < crossover_rate and not full:"),
     Mutant("all-at-maximum-admits-swapped-parents", "evolution.py",
            "new += p1, p2\n                new_fit += f1, f2",
            "new += p2, p1\n                new_fit += f2, f1"),
     Mutant("all-at-maximum-skips-crossover-draw", "evolution.py",
-           "if random_() < crossover_rate and not one:",
+           "if random_() < crossover_rate and not (one or full):",
            "if not full and random_() < crossover_rate and not one:"),
+    Mutant("all-at-maximum-crosses-its-parents", "evolution.py",
+           "if random_() < crossover_rate and not (one or full):",
+           "if random_() < crossover_rate and not one:"),
+    Mutant("key-table-kept-across-one-tuples", "evolution.py",
+           "keyed = {0: cur_fit[0]}", 'keyed = locals().get("keyed") or {0: cur_fit[0]}'),
+    Mutant("one-tuple-win-written-at-family-index", "evolution.py",
+           "new, new_fit = [p1] * (2 * fam), [f1] * (2 * fam)",
+           "new, new_fit = [p1] * fam, [f1] * fam"),
     Mutant("all-but-one-equal-is-one-tuple", "evolution.py",
            "one = cur.count(cur[0]) == size", "one = cur.count(cur[0]) >= size - 1"),
     Mutant("any-at-maximum-is-all-at-maximum", "evolution.py",
