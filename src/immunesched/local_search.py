@@ -5,6 +5,9 @@ antibody (change one job, or swap two). The configs hold settings only;
 one type branch in `refine` picks the level schedule (SA's cached
 temperatures, GD's boundaries), the trace's level column, GD's stagnation
 stop and the rule for a worse candidate, which the chain writes inline.
+The chain walks only the level before each step, SA's temperatures but
+the last or GD's `iterations` boundaries; a traced step alone works out
+the level after it. A missing stagnation stop is a limit no count reaches.
 
 The chain scores a move by its delta on one int, the current antibody's
 lanes against every antigen in the universe's column table: changing slot
@@ -35,7 +38,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, repeat
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
@@ -143,12 +146,15 @@ def refine(
     accepted move's lanes then. The table changes no draw, acceptance,
     trace row or result; only the returned antibody is built.
 
+    The loop walks each step's level before the step: SA's temperatures but
+    the last, GD's boundaries from the start fitness, `iterations` of them.
     Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
-    <level> being `temperature` or `boundary` after the step. Untraced, the
-    chain stops once the best reaches the maximum fitness: only a strict
-    improvement replaces the best and the generator is the chain's own, so
-    the result is the same. A traced chain runs until its schedule ends or
-    it stagnates.
+    <level> being `temperature` or `boundary` after the step, which only a
+    traced step works out: `temperatures[step]`, or the level less the
+    decay. Untraced, the chain stops once the best reaches the maximum
+    fitness: only a strict improvement replaces the best and the generator
+    is the chain's own, so the result is the same. A traced chain runs
+    until its schedule ends or it stagnates.
     """
     cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
@@ -160,13 +166,18 @@ def refine(
     below_top, top, high, two, three, four, five = masks
     start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
     target = max_fitness(sample.size)
-    # The one SA/GD branch. GD's lazy boundary goes from start_fit to target.
+    # The one SA/GD branch: each step's level, before the step. GD's lazy
+    # boundary goes from start_fit towards target. A count never reaches a
+    # stagnation limit of -1: SA has no stagnation stop, nor GD without one.
     if metropolis := isinstance(cfg, SAConfig):
-        levels, level_name, stagnation_limit = cfg.temperatures, "temperature", None
+        temperatures = cfg.temperatures
+        levels, level_name, stagnation_limit = temperatures[:-1], "temperature", -1
     elif isinstance(cfg, GDConfig):
         decay = decay_rate(start_fit, target, cfg.iterations)
-        levels = accumulate(repeat(decay, cfg.iterations), operator.sub, initial=float(start_fit))
-        level_name, stagnation_limit = "boundary", cfg.stagnation_limit
+        levels = accumulate(
+            repeat(decay, cfg.iterations - 1), operator.sub, initial=float(start_fit)
+        )
+        level_name, stagnation_limit = "boundary", cfg.stagnation_limit or -1
     else:
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     best_jobs = ab.jobs
@@ -182,7 +193,7 @@ def refine(
     stagnation = step = 0
     if trace is not None:
         trace.write(f"step,{level_name},current_fitness,best_fitness,accepted\n")
-    for level, next_level in pairwise(levels):
+    for level in levels:
         if best_fit == ceiling:
             break
         p = getrandbits(slot_bits)
@@ -208,9 +219,9 @@ def refine(
             )
             candidate_fit = POSITION_SCORE * (  # _best_counts(candidate, masks)
                 ((candidate + below_top) & top).bit_count()
-                + ((((candidate + two) & high) + below_top) & top).bit_count()
+                + (((candidate & two) + below_top) & top).bit_count()
                 + ((candidate + three) & high).bit_count()
-                + ((candidate + four) & high).bit_count()
+                + (candidate & four).bit_count()
                 + ((candidate + five) & high).bit_count()
             )
             scores[key] = candidate_fit + 1
@@ -218,6 +229,7 @@ def refine(
             random_() < exp((candidate_fit - current_fit) / level)
             if metropolis else candidate_fit >= level
         )
+        stagnation += 1
         if accepted:
             if candidate is None:  # a hit: build the accepted move's lanes
                 candidate = (
@@ -231,13 +243,12 @@ def refine(
                 insort(unused, old)
             else:
                 jobs[p], jobs[j] = b, a
-        if current_fit > best_fit:
-            best_jobs, best_fit = tuple(jobs), current_fit
-            stagnation = 0
-        else:
-            stagnation += 1
+            if current_fit > best_fit:  # only an accepted move can be a new best
+                best_jobs, best_fit = tuple(jobs), current_fit
+                stagnation = 0
         if trace is not None:
             step += 1
+            next_level = temperatures[step] if metropolis else level - decay
             trace.write(f"{step},{next_level!r},{current_fit},{best_fit},{int(accepted)}\n")
         if stagnation == stagnation_limit:
             break

@@ -21,10 +21,11 @@ table once (`AntigenUniverse.columns`), and it serves every sample.
 A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
 and no other. A lane's best count is its largest field, so it is the number
 of c in 1..5 that some field reaches. `_best_counts` sums it over the masked
-lanes with five masked adds and bit counts, whatever their number. Coverage
-packs each distinct member's lanes once and scores a threshold with one OR
-over the members of one masked add each, and one bit count. `best_match`,
-which also reports the best offset, counts on the antigen's sequence.
+lanes with ten additions and ANDs and five bit counts, whatever their
+number. Coverage packs each distinct member's lanes once and scores a
+threshold with one OR over the members of one masked add each, and one bit
+count. `best_match`, which also reports the best offset, counts on the
+antigen's sequence.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def pack_columns(antigens: Sequence[Antigen]) -> tuple[tuple[int, ...], ...]:
 def _lane_masks(lanes: tuple[int, ...]) -> _Masks:
     """The constants that score the given lanes and no other, in
     `_best_counts`' order: 2**44 - 1 in each lane, bit 44 of each lane,
-    bit 3 of each field, then 8 - c in each field for c = 2, 3, 4 and 5."""
+    bit 3 of each field, then 8 - c in each field for c = 2, 3, 4 and 5.
+    As masks, 6 is bits 1 and 2 of a field and 4 its bit 2."""
     lane = sum(1 << LANE_BITS * k for k in lanes)  # bit 0 of each lane
     top = lane << LANE_BITS - 1
     ones = lane * sum(1 << 4 * d for d in range(OFFSET_COUNT))  # bit 0 of each field
@@ -130,20 +132,24 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     `AntigenUniverse.columns`; a lane outside the masks adds nothing.
 
     Adding 2**44 - 1 to a lane sets its bit 44 exactly when the lane is
-    non-zero: that is c = 1. For c >= 2, adding 8 - c to every field sets
-    the field's bit 3 exactly when it is >= c, and no field passes 15,
-    since the fields sum to at most 5. For c >= 3 at most one field per
-    lane passes (two would hold six slots), so the set bits count lanes;
-    for c = 2 two fields can, so each lane's flags are collapsed onto bit
-    44 first. An unmasked lane has nothing added and every bit of it is
-    masked off. `local_search.refine` inlines this expression.
+    non-zero: that is c = 1. For c = 3 and 5, adding 8 - c to every field
+    sets the field's bit 3 exactly when it is >= c, and no field passes
+    15, since the fields sum to at most 5. No field exceeds 5 either, so a
+    field is >= 4 exactly when its bit 2 is set: c = 4 is one AND with
+    that bit of every field. A field is >= 2 exactly when bit 1 or bit 2
+    is set: c = 2 keeps those two bits of every field and, as two fields
+    of a lane can pass, collapses them onto bit 44 as c = 1 does. For
+    c >= 3 at most one field per lane passes (two would hold six slots),
+    so the set bits count lanes. That is ten operations on the packed int
+    and five bit counts. An unmasked lane has nothing added and every bit
+    of it is masked off. `local_search.refine` inlines this expression.
     """
     below_top, top, high, two, three, four, five = masks
     return (
         ((packed + below_top) & top).bit_count()
-        + ((((packed + two) & high) + below_top) & top).bit_count()
+        + (((packed & two) + below_top) & top).bit_count()
         + ((packed + three) & high).bit_count()
-        + ((packed + four) & high).bit_count()
+        + (packed & four).bit_count()
         + ((packed + five) & high).bit_count()
     )
 

@@ -322,12 +322,23 @@ def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, m
 @pytest.mark.parametrize("ag", [1, 4, 8])
 @pytest.mark.parametrize(
     "cfg",
-    [SAConfig(), SAConfig(operator=SWAP), GDConfig(), GDConfig(operator=SWAP)],
-    ids=["sa-change", "sa-swap", "gd-change", "gd-swap"],
+    [
+        SAConfig(),
+        SAConfig(operator=SWAP),
+        GDConfig(),
+        GDConfig(operator=SWAP),
+        SAConfig(initial_temperature=1.0, final_temperature=0.6, cooling_factor=0.5),
+        GDConfig(iterations=1),
+        GDConfig(iterations=2, stagnation_limit=None),
+    ],
+    ids=["sa-change", "sa-swap", "gd-change", "gd-swap", "sa-one-step", "gd-one-step",
+         "gd-two-steps-no-limit"],
 )
 def test_trace_matches_the_reference(setup, ag, cfg):
     """A traced chain writes the plain reference chain's rows byte for byte,
-    returns its antibody and leaves the generator where it does."""
+    returns its antibody and leaves the generator where it does. The short
+    schedules pin both ends of the chain's walk over its levels: a two-level
+    SA schedule runs one step, GD of one and two iterations one and two."""
     universe, pool, _ = setup
     sample = AntigenSample.draw(ag, random.Random(f"trace/{ag}"))
     ab = pool[ag * 31]

@@ -118,17 +118,25 @@ CATALOGUE = (
            "accepted = candidate_fit > current_fit or ("),
     Mutant("trace-pre-step-level", "local_search.py",
            'trace.write(f"{step},{next_level!r},', 'trace.write(f"{step},{level!r},'),
+    Mutant("sa-trace-pre-step-temperature", "local_search.py",
+           "next_level = temperatures[step] if", "next_level = temperatures[step - 1] if"),
+    Mutant("gd-trace-pre-step-boundary", "local_search.py",
+           "if metropolis else level - decay", "if metropolis else level"),
     Mutant("sa-schedule-one-short", "local_search.py",
-           '= cfg.temperatures, "temperature", None',
-           '= cfg.temperatures[:-1], "temperature", None'),
+           '= temperatures[:-1], "temperature", -1', '= temperatures[:-2], "temperature", -1'),
     Mutant("untraced-sa-stops-at-step-560", "local_search.py",
-           '= cfg.temperatures, "temperature", None',
-           '= cfg.temperatures[:561] if trace is None else cfg.temperatures, "temperature", None'),
+           '= temperatures[:-1], "temperature", -1',
+           '= temperatures[:560] if trace is None else temperatures[:-1], "temperature", -1'),
     Mutant("gd-schedule-one-short", "local_search.py",
-           "repeat(decay, cfg.iterations)", "repeat(decay, cfg.iterations - 1)"),
+           "repeat(decay, cfg.iterations - 1)", "repeat(decay, cfg.iterations - 2)"),
+    Mutant("gd-schedule-one-long", "local_search.py",
+           "repeat(decay, cfg.iterations - 1)", "repeat(decay, cfg.iterations)"),
     Mutant("gd-no-limit-read-as-90", "local_search.py",
-           'level_name, stagnation_limit = "boundary", cfg.stagnation_limit',
-           'level_name, stagnation_limit = "boundary", cfg.stagnation_limit or 90'),
+           '"boundary", cfg.stagnation_limit or -1', '"boundary", cfg.stagnation_limit or 90'),
+    Mutant("improvement-keeps-stagnation-count", "local_search.py",
+           "                best_jobs, best_fit = tuple(jobs), current_fit\n"
+           "                stagnation = 0\n",
+           "                best_jobs, best_fit = tuple(jobs), current_fit\n"),
     Mutant("ceiling-exit-removed", "local_search.py",
            "ceiling = target if trace is None else None", "ceiling = None"),
     Mutant("untraced-stops-below-ceiling", "local_search.py",
@@ -140,8 +148,12 @@ CATALOGUE = (
     Mutant("swap-stand-in-not-last-slot", "local_search.py",
            "j = ANTIBODY_LENGTH - 1 if n == p else n", "j = ANTIBODY_LENGTH - 2 if n == p else n"),
     Mutant("chain-two-lane-collapse-dropped", "local_search.py",
-           "+ ((((candidate + two) & high) + below_top) & top).bit_count()",
-           "+ ((candidate + two) & high).bit_count()"),
+           "+ (((candidate & two) + below_top) & top).bit_count()",
+           "+ (candidate & two).bit_count()"),
+    Mutant("chain-two-mask-loses-bit-2", "local_search.py",
+           "(candidate & two)", "(candidate & two - four)"),
+    Mutant("chain-four-read-through-high", "local_search.py",
+           "(candidate & four)", "(candidate & high)"),
     # The score table that chains share: its key, its sentinel and the hit path.
     Mutant("score-key-three-bits-per-slot", "local_search.py",
            "CODE_BITS = JOB_COUNT.bit_length()\n"
@@ -177,8 +189,12 @@ CATALOGUE = (
            "if fit < ceiling:", "if fit < ceiling - POSITION_SCORE:"),
     # Matching: the packed table, the lane masks and the best-count rule.
     Mutant("best-counts-two-lane-collapse-dropped", "matching.py",
-           "+ ((((packed + two) & high) + below_top) & top).bit_count()",
-           "+ ((packed + two) & high).bit_count()"),
+           "+ (((packed & two) + below_top) & top).bit_count()",
+           "+ (packed & two).bit_count()"),
+    Mutant("best-counts-two-mask-loses-bit-2", "matching.py",
+           "(packed & two)", "(packed & two - four)"),
+    Mutant("best-counts-four-read-through-high", "matching.py",
+           "(packed & four)", "(packed & high)"),
     Mutant("masks-take-lower-unsampled-lanes", "matching.py",
            "lane = sum(1 << LANE_BITS * k for k in lanes)",
            "lane = sum(1 << LANE_BITS * k for k in range(max(lanes) + 1))"),
