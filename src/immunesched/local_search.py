@@ -25,8 +25,13 @@ so one table serves every chain of one (universe, sample) and no other.
 refine_population takes one seed draw per member, in member order, so
 serial and parallel execution would agree. A member at the maximum fitness
 gets no generator and no chain, as its chain would return it without a
-draw; only a member the chain changed is scored again. Its chains share one
-score table, since they often start from the same antibody.
+draw. Under GD, neither does a member at a strict local peak, one that
+every neighbour under the move scores below: the boundary starts at its
+fitness and never falls, so no step can accept a candidate from it and
+the chain would return it. SA's Metropolis rule can leave a peak, so SA
+runs every chain below the maximum. Only a member the chain changed is
+scored again. The chains share one score table, made when the first of
+them runs, since they often start from the same antibody.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations, repeat
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
@@ -255,6 +260,26 @@ def refine(
     return Antibody.trusted(best_jobs) if best_fit > start_fit else ab
 
 
+def _strict_peak(
+    ab: Antibody, fit: int, universe: AntigenUniverse, sample: AntigenSample, move: NeighborOperator
+) -> bool:
+    """Whether every neighbour of `ab`, whose fitness is `fit`, scores below
+    it under the move: the 50 changes of one slot to one unused job, or the
+    10 swaps of two slots. Each is scored by its delta on the column table,
+    as the chain scores a move; the first that reaches `fit` ends the check."""
+    cols, masks, jobs = universe.columns, sample.masks, ab.jobs
+    packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
+    if move is NeighborOperator.CHANGE_ONE_JOB:
+        unused = [job for job in range(1, JOB_COUNT + 1) if job not in jobs]
+        moved = (packed - cols[p][a] + cols[p][b] for p, a in enumerate(jobs) for b in unused)
+    else:
+        moved = (
+            packed - cols[p][a] - cols[j][b] + cols[p][b] + cols[j][a]
+            for (p, a), (j, b) in combinations(enumerate(jobs), 2)
+        )
+    return not any(POSITION_SCORE * _best_counts(x, masks) >= fit for x in moved)
+
+
 def refine_population(
     pop: Population,
     universe: AntigenUniverse,
@@ -270,19 +295,36 @@ def refine_population(
     keeping results independent of evaluation order. A member below the
     maximum fitness refines on a generator of its seed; a member at the
     maximum is kept without one, since its untraced chain would stop before
-    its first draw. Only a member the chain returns changed is scored. The
-    chains share one score table, made for this call.
+    its first draw. Under GD, so is a member at a strict local peak, one
+    that every neighbour under `cfg.operator` scores below: the boundary
+    starts at its fitness and never falls, so until a move is accepted only
+    a candidate reaching it could be, and none does; the chain would reject
+    every step and return the member. Each distinct start is checked once
+    per call. SA's chain can leave a peak and always runs. Only a member
+    the chain returns changed is scored. The chains share one score table,
+    made for this call when its first chain runs.
     Other config types raise TypeError, as `refine` does.
     """
     fitnesses = pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     ceiling = max_fitness(sample.size)
-    table = bytearray(SCORE_TABLE_SIZE)
+    deluge = isinstance(cfg, GDConfig)
+    # Per distinct start, whether its chain can change nothing: it stops
+    # before its first draw (at the maximum) or rejects every step (GD at a
+    # strict peak).
+    kept: dict[tuple[int, ...], bool] = {}
+    table = None
     refined, scores = [], []
     for ab, fit in zip(pop.antibodies, fitnesses):
         seed = rng.getrandbits(64)
-        if fit < ceiling:
+        if (keep := kept.get(ab.jobs)) is None:
+            keep = kept[ab.jobs] = fit == ceiling or deluge and _strict_peak(
+                ab, fit, universe, sample, cfg.operator
+            )
+        if not keep:
+            if table is None:
+                table = bytearray(SCORE_TABLE_SIZE)
             new = refine(ab, universe, sample, cfg, random.Random(seed), scores=table)
             if new is not ab:
                 ab, fit = new, antibody_fitness(new, universe, sample)

@@ -137,6 +137,45 @@ def reference_refine_population(pop, universe, sample, cfg, rng):
     return refined, [antibody_fitness(ab, universe, sample) for ab in refined]
 
 
+def reference_neighbours(ab, operator):
+    """Every neighbour of `ab` under the move, as new Antibodies: each slot
+    changed to each unused job in slot-then-job order, or each pair of
+    slots swapped in `itertools.combinations` order."""
+    jobs = ab.jobs
+    if operator is NeighborOperator.CHANGE_ONE_JOB:
+        return [
+            Antibody(jobs[:slot] + (job,) + jobs[slot + 1 :])
+            for slot in range(ANTIBODY_LENGTH)
+            for job in sorted(set(JOB_IDS) - set(jobs))
+        ]
+    swapped = []
+    for i, j in itertools.combinations(range(ANTIBODY_LENGTH), 2):
+        moved = list(jobs)
+        moved[i], moved[j] = moved[j], moved[i]
+        swapped.append(Antibody(tuple(moved)))
+    return swapped
+
+
+def reference_kind(ab, universe, sample, operator):
+    """`ab`'s kind under the move: "peak" when every neighbour scores below
+    it, "plateau" when the best one ties it, "ordinary" when one beats it."""
+    fit = antibody_fitness(ab, universe, sample)
+    best = max(antibody_fitness(n, universe, sample) for n in reference_neighbours(ab, operator))
+    return "peak" if best < fit else "plateau" if best == fit else "ordinary"
+
+
+def reference_ascent(ab, universe, sample, operator):
+    """Steepest ascent: move to the first best neighbour while it scores
+    above the current antibody; the end is a strict peak or a plateau."""
+    fit = antibody_fitness(ab, universe, sample)
+    while True:
+        scored = [(antibody_fitness(n, universe, sample), n) for n in reference_neighbours(ab, operator)]
+        best = max(f for f, _ in scored)
+        if best <= fit:
+            return ab
+        fit, ab = best, next(n for f, n in scored if f == best)
+
+
 def nth_unused_job(jobs, n):
     """The n-th smallest job id (from 0) that `jobs` leaves out, found by
     counting past the sorted taken ids."""

@@ -4,7 +4,8 @@ score they feed, of coverage over the universe's lanes, of the operators
 whose output skips Antibody validation, of the draws the operators and the
 refinement chain use in place of randrange and rng.sample, of the score
 table that refinement chains share, of the chain's inline Metropolis
-probability, and of the great deluge's floor."""
+probability, of the great deluge's floor, and of the GD chains that
+refine_population skips at strict peaks."""
 
 import io
 import itertools
@@ -39,6 +40,7 @@ from immunesched import (
     max_fitness,
     order_crossover,
     refine,
+    refine_population,
 )
 from immunesched.evolution import draw_below
 from immunesched.local_search import SCORE_TABLE_SIZE
@@ -47,7 +49,9 @@ from reference import (
     JOB_IDS,
     reference_chain,
     reference_evolve,
+    reference_ascent,
     reference_mutation,
+    reference_refine_population,
     sliding_counts,
 )
 
@@ -401,6 +405,37 @@ def test_gd_never_falls_below_its_start(universe, sample, antibody, op, limit, s
     rows = trace.getvalue().splitlines()[1:]
     assert rows
     assert all(int(row.split(",")[2]) >= start for row in rows)
+
+
+@settings(max_examples=60)
+@given(
+    universes,
+    samples,
+    st.lists(antibodies, min_size=1, max_size=4),
+    st.sampled_from(list(NeighborOperator)),
+    st.integers(1, 150),
+    st.one_of(st.none(), st.integers(1, 40)),
+    seeds,
+)
+def test_gd_population_skipping_peaks_matches_the_reference(
+    universe, sample, starts, op, iterations, limit, seed
+):
+    """Under GD, refine_population skips the chain of a start that every
+    neighbour scores below. Its members, fitnesses and caller's generator
+    must equal the reference's, which runs every chain, on populations
+    that mix each drawn start with the end of steepest ascent from it, a
+    strict peak or a plateau, twice."""
+    cfg = GDConfig(iterations=iterations, stagnation_limit=limit, operator=op)
+    members = []
+    for ab in starts:
+        top = reference_ascent(ab, universe, sample, op)
+        members += [ab, top, top]
+    pop = Population(members).evaluate(universe, sample)
+    rng, reference = random.Random(seed), random.Random(seed)
+    refined = refine_population(pop, universe, sample, cfg, rng)
+    expected = reference_refine_population(pop, universe, sample, cfg, reference)
+    assert (refined.antibodies, refined.fitnesses) == expected
+    assert rng.getstate() == reference.getstate()
 
 
 @given(

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 
@@ -29,7 +30,13 @@ from immunesched import (
     refine_population,
     sample_initial,
 )
-from reference import reference_chain, reference_refine_population, sliding_counts
+from reference import (
+    reference_chain,
+    reference_kind,
+    reference_neighbours,
+    reference_refine_population,
+    sliding_counts,
+)
 
 CHANGE = NeighborOperator.CHANGE_ONE_JOB
 SWAP = NeighborOperator.SWAP_TWO_JOBS
@@ -41,6 +48,14 @@ def setup():
     pool = generate_pool(build_libraries(universe), "A")
     sample = AntigenSample.draw(1, random.Random("ls"))
     return universe, pool, sample
+
+
+@pytest.fixture(scope="module")
+def eight():
+    """An eight-antigen sample, against which some pool members below the
+    maximum are strict peaks under either move; against `setup`'s one
+    antigen, only the swap move has such peaks."""
+    return AntigenSample.draw(8, random.Random("ls/8"))
 
 
 def prefix_antibody(universe, sample):
@@ -65,6 +80,41 @@ def ceiling_mix(members, universe, sample):
     mixed[0::4] = [top] * len(mixed[0::4])
     mixed[2::4] = neighbours[: len(mixed[2::4])]
     return mixed
+
+
+def strict_peaks(members, universe, sample, op, count):
+    """The first `count` distinct members below the maximum that every
+    neighbour under `op` scores below, found by brute force."""
+    peaks = [
+        ab for ab in dict.fromkeys(members)
+        if antibody_fitness(ab, universe, sample) < max_fitness(sample.size)
+        and reference_kind(ab, universe, sample, op) == "peak"
+    ]
+    assert len(peaks) >= count
+    return peaks[:count]
+
+
+def expected_chains(members, universe, sample, cfg):
+    """The members whose chain runs, by brute force: those below the
+    maximum and, under GD, not at a strict peak."""
+    return [
+        ab for ab in members
+        if antibody_fitness(ab, universe, sample) < max_fitness(sample.size)
+        and (isinstance(cfg, SAConfig) or reference_kind(ab, universe, sample, cfg.operator) != "peak")
+    ]
+
+
+@pytest.fixture
+def chains(monkeypatch):
+    """The antibodies `refine_population` starts a chain from, in order."""
+    started = []
+
+    def counting_refine(ab, *args, **kwargs):
+        started.append(ab)
+        return refine(ab, *args, **kwargs)
+
+    monkeypatch.setattr(immunesched.local_search, "refine", counting_refine)
+    return started
 
 
 def test_acceptance_probability_boundary_and_formula():
@@ -280,36 +330,34 @@ def test_refine_population_matches_the_reference(setup, ag, mixed, cfg):
     assert rng.getstate() == reference.getstate()
 
 
-def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, monkeypatch):
-    """`refine` runs once per member below the maximum, in member order, and
-    `antibody_fitness` once per member that its chain changed. A population
-    all at the maximum runs no chain and comes back as it was. Either way
-    the caller's generator advances by one 64-bit draw per member."""
+def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, chains, monkeypatch):
+    """`refine` runs once per member below the maximum and, under GD, not at
+    a strict peak (here the swap move has some), in member order, and
+    `antibody_fitness` once per member that its chain changed. A
+    population all at the maximum runs no chain and comes back as it was.
+    Either way the caller's generator advances by one 64-bit draw per
+    member."""
     universe, pool, sample = setup
-    chains, scored = [], []
-
-    def counting_refine(ab, *args, **kwargs):
-        chains.append(ab)
-        return refine(ab, *args, **kwargs)
+    scored = []
 
     def counting_fitness(ab, *args):
         scored.append(ab)
         return antibody_fitness(ab, *args)
 
-    monkeypatch.setattr(immunesched.local_search, "refine", counting_refine)
     monkeypatch.setattr(immunesched.local_search, "antibody_fitness", counting_fitness)
-    ceiling = max_fitness(sample.size)
     top = prefix_antibody(universe, sample)
-    for members in (ceiling_mix(pool[:12], universe, sample), [top] * 10):
+    mixed = ceiling_mix(pool[:12], universe, sample)
+    for cfg, members in itertools.product((GDConfig(), GDConfig(operator=SWAP)), (mixed, [top] * 10)):
         pop = Population(members).evaluate(universe, sample)
+        expected_run = expected_chains(members, universe, sample, cfg)
         chains.clear()
         scored.clear()
         rng, expected = random.Random(5), random.Random(5)
-        refined = refine_population(pop, universe, sample, GDConfig(), rng)
+        refined = refine_population(pop, universe, sample, cfg, rng)
         for _ in members:
             expected.getrandbits(64)
         assert rng.getstate() == expected.getstate()
-        assert chains == [ab for ab, fit in zip(members, pop.fitnesses) if fit < ceiling]
+        assert chains == expected_run
         assert scored == [new for new, ab in zip(refined.antibodies, members) if new is not ab]
         assert bool(scored) == bool(chains)  # some chain changed its member
         assert refined.fitnesses == [antibody_fitness(ab, universe, sample) for ab in refined.antibodies]
@@ -317,6 +365,111 @@ def test_refine_population_runs_and_scores_only_what_a_chain_can_change(setup, m
     assert refined is not pop
     assert refined.antibodies == pop.antibodies
     assert refined.fitnesses == pop.fitnesses
+
+
+@pytest.mark.parametrize("op", [CHANGE, SWAP], ids=["change", "swap"])
+def test_refine_population_runs_no_gd_chain_from_a_strict_peak(setup, eight, chains, op):
+    """A strict peak's GD chain would reject every step, as the boundary
+    starts at its fitness and never falls. The member keeps its antibody
+    and fitness without a chain but still takes its seed draw; a call whose
+    starts are all peaks makes no `refine` call."""
+    universe, pool, _ = setup
+    sample = eight
+    cfg = GDConfig(operator=op)
+    peaks = strict_peaks(pool, universe, sample, op, 3)
+    others = expected_chains(pool[:200], universe, sample, cfg)[:4]
+    for members in (peaks + others + peaks, peaks * 3):
+        pop = Population(members).evaluate(universe, sample)
+        chains.clear()
+        rng, expected = random.Random(4), random.Random(4)
+        refined = refine_population(pop, universe, sample, cfg, rng)
+        for _ in members:
+            expected.getrandbits(64)
+        assert rng.getstate() == expected.getstate()
+        assert chains == expected_chains(members, universe, sample, cfg)
+        assert chains == [ab for ab in members if ab not in peaks]
+        for ab, fit, new, new_fit in zip(members, pop.fitnesses, refined.antibodies, refined.fitnesses):
+            if ab in peaks:
+                assert (new, new_fit) == (ab, fit)
+    assert chains == []
+
+
+def test_refine_population_checks_each_start_afresh_in_every_call(setup, eight, chains):
+    """Whether a start is a strict peak depends on the sample: a peak
+    against one sample runs its chain against another, and the check is
+    not carried from call to call."""
+    universe, pool, sample = setup
+    start = next(
+        ab for ab in strict_peaks(pool[:300], universe, eight, CHANGE, 1)
+        if expected_chains([ab], universe, sample, GDConfig()) == [ab]
+    )
+    for against in (eight, sample, eight):
+        pop = Population([start] * 2).evaluate(universe, against)
+        chains.clear()
+        refine_population(pop, universe, against, GDConfig(), random.Random(0))
+        assert chains == expected_chains([start] * 2, universe, against, GDConfig())
+    assert chains == []
+
+
+def test_refine_population_runs_a_gd_chain_from_a_plateau_start(setup, chains):
+    """A start whose best neighbour ties it is no strict peak: GD accepts
+    the tie and can climb from there, so its chain runs."""
+    universe, pool, sample = setup
+    start = next(ab for ab in pool if reference_kind(ab, universe, sample, CHANGE) == "plateau")
+    pop = Population([start] * 4).evaluate(universe, sample)
+    seed = next(
+        seed for seed in range(20)
+        if sum(reference_refine_population(pop, universe, sample, GDConfig(), random.Random(seed))[1])
+        > pop.total_fitness
+    )
+    refined = refine_population(pop, universe, sample, GDConfig(), random.Random(seed))
+    assert chains == [start] * 4
+    assert refined.total_fitness > pop.total_fitness
+
+
+@pytest.mark.parametrize("op", [CHANGE, SWAP], ids=["change", "swap"])
+def test_refine_population_runs_sa_chains_from_strict_peaks(setup, eight, chains, op):
+    """Metropolis acceptance can take a worse neighbour and leave a peak,
+    so SA runs the chain of every member below the maximum."""
+    universe, pool, _ = setup
+    sample = eight
+    members = strict_peaks(pool, universe, sample, op, 2) * 2
+    pop = Population(members).evaluate(universe, sample)
+    refine_population(pop, universe, sample, SAConfig(operator=op), random.Random(2))
+    assert chains == expected_chains(members, universe, sample, SAConfig()) == members
+
+
+def test_the_peak_check_reads_every_neighbour(setup, chains):
+    """A start is a strict peak only when all of its neighbours score below
+    it. Each start here has neighbours that reach it only at one edge of
+    its neighbourhood: only in the last slot, only with the last unused
+    job, or only by swapping one pair of slots, each of the ten pairs. None
+    is a peak, so every chain runs."""
+    universe, pool, sample = setup
+
+    def reaching(ab, against, op):
+        """Indices, in reference_neighbours' order, of the neighbours that
+        score at least `ab`: slot * 10 + the unused job's index for a
+        change, the pair's index among the ten for a swap."""
+        fit = antibody_fitness(ab, universe, against)
+        moved = reference_neighbours(ab, op)
+        return [i for i, n in enumerate(moved) if antibody_fitness(n, universe, against) >= fit]
+
+    last_slot = next(ab for ab in pool if (r := reaching(ab, sample, CHANGE)) and all(i >= 40 for i in r))
+    four = AntigenSample.draw(4, random.Random("ls/4"))
+    last_job = Antibody((2, 7, 15, 10, 11))
+    assert reaching(last_job, four, CHANGE) == [9]
+    pairs = [next(ab for ab in pool if reaching(ab, sample, SWAP) == [pair]) for pair in range(10)]
+    for members, against, op in (
+        ([last_slot] * 2, sample, CHANGE),
+        ([last_job] * 2, four, CHANGE),
+        (pairs, sample, SWAP),
+    ):
+        pop = Population(members).evaluate(universe, against)
+        cfg = GDConfig(operator=op)
+        chains.clear()
+        refine_population(pop, universe, against, cfg, random.Random(1))
+        assert chains == expected_chains(members, universe, against, cfg) == members
 
 
 @pytest.mark.parametrize("ag", [1, 4, 8])
@@ -370,7 +523,7 @@ def test_refine_population_chains_share_one_table_per_call(setup, monkeypatch):
 
     monkeypatch.setattr(immunesched.local_search, "refine", recording_refine)
     pop = sample_initial(pool, 12, random.Random(3)).evaluate(universe, sample)
-    chains = sum(fit < max_fitness(sample.size) for fit in pop.fitnesses)
+    chains = len(expected_chains(pop.antibodies, universe, sample, GDConfig()))
     for seed in (1, 2):
         refine_population(pop, universe, sample, GDConfig(), random.Random(seed))
     first, second = tables[:chains], tables[chains:]

@@ -182,11 +182,34 @@ CATALOGUE = (
            "ab, fit = new, antibody_fitness(new, universe, sample)", "ab = new"),
     Mutant("ceiling-skip-draws-no-seed", "local_search.py",
            "        seed = rng.getrandbits(64)\n"
-           "        if fit < ceiling:\n",
-           "        if fit < ceiling:\n"
+           "        if (keep := kept.get(ab.jobs)) is None:\n"
+           "            keep = kept[ab.jobs] = fit == ceiling or deluge and _strict_peak(\n"
+           "                ab, fit, universe, sample, cfg.operator\n"
+           "            )\n"
+           "        if not keep:\n",
+           "        if (keep := kept.get(ab.jobs)) is None:\n"
+           "            keep = kept[ab.jobs] = fit == ceiling or deluge and _strict_peak(\n"
+           "                ab, fit, universe, sample, cfg.operator\n"
+           "            )\n"
+           "        if not keep:\n"
            "            seed = rng.getrandbits(64)\n"),
     Mutant("ceiling-skip-below-maximum", "local_search.py",
-           "if fit < ceiling:", "if fit < ceiling - POSITION_SCORE:"),
+           "fit == ceiling or deluge", "fit >= ceiling - POSITION_SCORE or deluge"),
+    # No GD chain from a strict peak: the check reads every neighbour, a tie
+    # is no peak, SA always runs, and the memo holds for one call.
+    Mutant("peak-check-tie-counted-as-below", "local_search.py",
+           "_best_counts(x, masks) >= fit", "_best_counts(x, masks) > fit"),
+    Mutant("peak-skip-applied-to-sa", "local_search.py",
+           "deluge = isinstance(cfg, GDConfig)", "deluge = True"),
+    Mutant("peak-check-misses-last-slot", "local_search.py",
+           "for p, a in enumerate(jobs) for b in unused", "for p, a in enumerate(jobs[:-1]) for b in unused"),
+    Mutant("peak-check-misses-last-unused-job", "local_search.py",
+           "for b in unused)", "for b in unused[:-1])"),
+    Mutant("peak-check-misses-a-swap-pair", "local_search.py",
+           "combinations(enumerate(jobs), 2)", "list(combinations(enumerate(jobs), 2))[:-1]"),
+    Mutant("peak-memo-kept-across-calls", "local_search.py",
+           "kept: dict[tuple[int, ...], bool] = {}",
+           'kept = refine_population.__dict__.setdefault("kept", {})'),
     # Matching: the packed table, the lane masks and the best-count rule.
     Mutant("best-counts-two-lane-collapse-dropped", "matching.py",
            "+ (((packed & two) + below_top) & top).bit_count()",
