@@ -11,20 +11,21 @@ population.
 A mutation is drawn as a key before any child is built, since its draws
 do not depend on the tuple it mutates, and `_mutant` applies the key. A
 population of one tuple, the state that phase one collapses into, looks
-its children's fitnesses up by key and builds only children it has not
-scored.
+its children's fitnesses up by key, scores a new key on the tuple's packed
+lanes (`_key_fitness`), and builds a child only to admit it.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from bisect import insort
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
-from .matching import AntigenSample, antibody_fitness, max_fitness
+from .matching import POSITION_SCORE, AntigenSample, _best_counts, antibody_fitness, max_fitness
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
@@ -136,9 +137,10 @@ def evolve(
       with X is X, so a family takes its tournament draws without comparing
       fitnesses and draws two keys for X. A table of X's keys, started
       afresh whenever the population turns into one tuple, holds each key's
-      fitness, so a child is built only for a key new to the table, and
-      again for admission if it beats X. X is the elite, so a generation in
-      which no child beats it leaves the population as it is.
+      fitness. `_key_fitness` scores a key new to the table on X's packed
+      lanes, so a child is built only when its key beats X, to be admitted
+      (and memoised). X is the elite, so a generation in which no child
+      beats it leaves the population as it is.
     - Every member is at the maximum fitness: admission needs a strict gain
       over a parent, so a family takes its crossover draw and its keys and
       admits its two parents without crossing them or building a child.
@@ -185,6 +187,9 @@ def evolve(
             if one:  # the one tuple's key table, with key 0 for the tuple itself
                 keyed = {0: cur_fit[0]}
                 keyed_get = keyed.get
+                x = cur[0]
+                x_lanes = sum([col[j] for col, j in zip(universe.columns, x)])
+                x_free = tuple([j for j in _JOB_IDS if j not in x])
         # A one-tuple generation builds `new` at its first winning family.
         new: list[_Jobs] | None = None if one else []
         new_fit: list[int] = []
@@ -224,18 +229,20 @@ def evolve(
             if one:
                 fc1 = keyed_get(k1)
                 if fc1 is None:
-                    fc1 = keyed[k1] = score(_mutant(p1, k1, unused))
+                    fc1 = keyed[k1] = _key_fitness(x, x_free, x_lanes, k1, universe, sample)
                 fc2 = keyed_get(k2)
                 if fc2 is None:
-                    fc2 = keyed[k2] = score(_mutant(p1, k2, unused))
+                    fc2 = keyed[k2] = _key_fitness(x, x_free, x_lanes, k2, universe, sample)
                 if new is None:
                     if fc1 <= f1 and fc2 <= f1:
                         continue  # the family admits the one tuple twice
                     new, new_fit = [p1] * (2 * fam), [f1] * (2 * fam)
                 if fc1 > f1:
                     c1 = _mutant(p1, k1, unused)
+                    memo[c1] = fc1
                 if fc2 > f1:
                     c2 = _mutant(p1, k2, unused)
+                    memo[c2] = fc2
             else:
                 if k1:
                     c1 = _mutant(c1, k1, unused)
@@ -295,6 +302,37 @@ def _mutant(jobs: _Jobs, key: int, unused: dict[_Jobs, _Jobs]) -> _Jobs:
         key >>= _KEY_BITS
         posn += 1
     return jobs
+
+
+def _key_fitness(
+    jobs: _Jobs,
+    free: Sequence[int],
+    lanes: int,
+    key: int,
+    universe: AntigenUniverse,
+    sample: AntigenSample,
+) -> int:
+    """`antibody_fitness` of `_mutant(jobs, key, ...)`, without building it,
+    for `lanes` the sum of `jobs`' five column entries and `free` its
+    ascending unused jobs. A hit at position p swaps the entry of jobs[p]
+    for that of free[n - 1]. A later hit picks from the unused jobs of the
+    tuple as mutated so far: `free` without the new job and with the old
+    one put back in order, as `_mutant` recomputes them. No hit reads an
+    earlier position, so `jobs` itself needs no update."""
+    columns, posn = universe.columns, 0
+    while key:
+        n = key & _KEY_MASK
+        if n:
+            old, new = jobs[posn], free[n - 1]
+            column = columns[posn]
+            lanes += column[new] - column[old]
+            if key > _KEY_MASK:  # a later field may hit
+                free = list(free)
+                del free[n - 1]
+                insort(free, old)
+        key >>= _KEY_BITS
+        posn += 1
+    return POSITION_SCORE * _best_counts(lanes, sample.masks)
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

@@ -1,11 +1,14 @@
-"""tools/ab.py's parsing and summary, on canned bench/run.py output."""
+"""tools/ab.py's parsing and summary, on canned bench/run.py output, and
+its copy of the checkout, on a temporary git repository."""
 
 import argparse
 import json
+import shutil
+import subprocess
 
 import pytest
 
-from ab import parse_run, parse_seeds, quartiles, summarize
+from ab import copy_checkout, parse_run, parse_seeds, quartiles, summarize
 
 DIRECTIONS = {"replicates_per_s": "higher", "setup_s": "lower", "fitness_ratio": "higher"}
 
@@ -109,3 +112,34 @@ def test_summary_leaves_out_a_metric_some_run_lacks():
     del short["metrics"]["setup_s"]
     summary = summarize([{"parent": full, "change": short}], DIRECTIONS)
     assert set(summary["metrics"]) == {"replicates_per_s", "fitness_ratio"}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_change_side_is_the_checkout_on_disk_without_ignored_files(tmp_path):
+    """The copy holds an uncommitted edit and a new untracked file, leaves out
+    a tracked file deleted on disk, and holds no ignored `.bench_out/`."""
+    repo, copy = tmp_path / "repo", tmp_path / "copy"
+    (repo / "bench").mkdir(parents=True)
+    (repo / ".gitignore").write_text(".bench_out/\n")
+    (repo / "bench" / "run.py").write_text("committed\n")
+    (repo / "gone.txt").write_text("committed\n")
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    (repo / "bench" / "run.py").write_text("edited\n")
+    (repo / "new.py").write_text("untracked\n")
+    (repo / "gone.txt").unlink()
+    (repo / ".bench_out").mkdir()
+    (repo / ".bench_out" / "digests.json").write_text("{}\n")
+    copy_checkout(copy, root=repo)
+    files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert files == [".gitignore", "bench/run.py", "new.py"]
+    assert (copy / "bench" / "run.py").read_text() == "edited\n"
+    assert not (copy / ".bench_out").exists()

@@ -25,7 +25,7 @@ from immunesched import (
     order_crossover,
     sample_initial,
 )
-from immunesched.evolution import _tournament, draw_below
+from immunesched.evolution import _mutant, _tournament, draw_below
 from reference import reference_evolve, reference_mutation
 
 
@@ -193,9 +193,24 @@ def test_crossover_preserves_job_sets_and_shared_order():
         assert [j for j in c2 if j in shared] == [j for j in p1 if j in shared]
 
 
+def key_scored(monkeypatch):
+    """The one-tuple children that `evolve` scores from their keys, in
+    order, each built here from the tuple and the key by `_mutant`."""
+    keyed = []
+    key_fitness = immunesched.evolution._key_fitness
+
+    def counted(jobs, free, lanes, key, universe, sample):
+        keyed.append(_mutant(jobs, key, {}))
+        return key_fitness(jobs, free, lanes, key, universe, sample)
+
+    monkeypatch.setattr(immunesched.evolution, "_key_fitness", counted)
+    return keyed
+
+
 def scored_children(universe, sample, members, cfg, rng, monkeypatch):
-    """The job tuples `evolve` scores through the module seam, in order."""
-    scored = []
+    """The job tuples `evolve` scores, in order: through the module seam, or,
+    for a population of one tuple, from their keys; and the final population."""
+    scored = key_scored(monkeypatch)
 
     def counted(ab, universe, sample):
         scored.append(ab.jobs)
@@ -221,9 +236,9 @@ def test_evolve_at_mutation_rate_zero_scores_no_child(setup, monkeypatch):
 
 def test_evolve_at_mutation_rate_one_scores_children_new_in_every_slot(setup, monkeypatch):
     """A population of one tuple X, one generation, no crossover: every
-    child is X with every position replaced, so each scored child differs
-    from both its parents, X and X, in every slot and holds five distinct
-    in-range jobs."""
+    child is X with every position replaced, so each child scored from its
+    key differs from both its parents, X and X, in every slot and holds
+    five distinct in-range jobs."""
     universe, pool, sample = setup
     x = (4, 3, 9, 5, 12)
     assert antibody_fitness(Antibody(x), universe, sample) < max_fitness(sample.size)
@@ -246,8 +261,9 @@ def test_evolve_mutates_a_single_position_without_duplicating(setup, monkeypatch
     draws, the crossover draw, then child one's five mutation draws, of
     which only position 2 hits, with unused-job draw 0, and child two's
     five, none of which hits. Draw 0 picks the smallest job X leaves out,
-    from (1, 2, 6, 7, 8, 10, 11, 13, 14, 15), so the one scored child is X
-    with job 1 at position 2. The stub runs dry on any further draw."""
+    from (1, 2, 6, 7, 8, 10, 11, 13, 14, 15), so the one child scored, from
+    its key, is X with job 1 at position 2. The stub runs dry on any
+    further draw."""
     universe, _, sample = setup
     x = (4, 3, 9, 5, 12)
     rng = ScriptedRng(
@@ -487,13 +503,14 @@ def test_one_tuple_populations_match_the_reference_loop(
 
 
 def counted_builds(monkeypatch):
-    """The (tuple, child) of every `_mutant` call and the job tuples scored
-    through the module seam, in order, as `evolve` makes them."""
+    """The (tuple, child) of every `_mutant` call, the job tuples scored
+    through the module seam and the children scored from their keys (see
+    `key_scored`), in order, as `evolve` makes them."""
     builds, scored = [], []
-    mutant = immunesched.evolution._mutant
+    keyed = key_scored(monkeypatch)
 
     def counted_mutant(jobs, key, unused):
-        child = mutant(jobs, key, unused)
+        child = _mutant(jobs, key, unused)
         builds.append((jobs, child))
         return child
 
@@ -503,16 +520,17 @@ def counted_builds(monkeypatch):
 
     monkeypatch.setattr(immunesched.evolution, "_mutant", counted_mutant)
     monkeypatch.setattr(immunesched.evolution, "antibody_fitness", counted_fitness)
-    return builds, scored
+    return builds, scored, keyed
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_a_one_tuple_generation_builds_a_child_once_per_new_key(setup, monkeypatch, seed):
     """One generation of 100 copies of X: the reference loop shows every
     mutated child it makes, repeats included, and distinct keys give
-    distinct children. `evolve` builds each of them from X, and builds a
-    child a second time only for one that beats X, to admit it; it scores
-    each new tuple once."""
+    distinct children. `evolve` scores each new key once, from X's lanes,
+    and neither builds nor scores through the module seam any child whose
+    key does not beat X: it builds from X exactly the children that beat
+    X, once per occurrence, to admit them."""
     universe, pool, sample = setup
     x = next(ab for ab in pool if antibody_fitness(ab, universe, sample) < 20)
     fx = antibody_fitness(x, universe, sample)
@@ -529,14 +547,14 @@ def test_a_one_tuple_generation_builds_a_child_once_per_new_key(setup, monkeypat
     monkeypatch.setattr(reference, "reference_mutation", recorded)
     reference_evolve(pop, universe, sample, cfg, random.Random(seed))
     assert len(mutated) > len(set(mutated))  # some keys repeat
-    builds, scored = counted_builds(monkeypatch)
+    builds, scored, keyed = counted_builds(monkeypatch)
     evolve(pop, universe, sample, cfg, random.Random(seed))
+    assert len(keyed) == len(set(keyed)) == len(set(mutated))
+    assert set(keyed) == set(mutated)
+    assert scored == []
     assert all(jobs == x.jobs for jobs, _ in builds)
-    children = [child for _, child in builds]
-    assert set(children) == set(mutated)
-    repeats = {child for child in children if children.count(child) > 1}
-    assert all(antibody_fitness(Antibody(child), universe, sample) > fx for child in repeats)
-    assert len(scored) == len(set(scored)) == len(set(mutated))
+    winners = [c for c in mutated if antibody_fitness(Antibody(c), universe, sample) > fx]
+    assert [child for _, child in builds] == winners
 
 
 def test_an_all_at_maximum_generation_builds_no_child(setup, monkeypatch):
@@ -545,7 +563,7 @@ def test_an_all_at_maximum_generation_builds_no_child(setup, monkeypatch):
     universe, _, sample = setup
     sequence = universe.antigens[sample.indices[0]].sequence
     pop = Population([Antibody(sequence[d : d + 5]) for d in range(8)]).evaluate(universe, sample)
-    builds, scored = counted_builds(monkeypatch)
+    builds, scored, keyed = counted_builds(monkeypatch)
     crossed = []
 
     def counted_crossover(p1, p2):
@@ -555,7 +573,7 @@ def test_an_all_at_maximum_generation_builds_no_child(setup, monkeypatch):
     monkeypatch.setattr(immunesched.evolution, "order_crossover", counted_crossover)
     cfg = GAConfig(generations=3, crossover_rate=1.0, mutation_rate=0.5, population_size=8)
     evolve(pop, universe, sample, cfg, random.Random(1))
-    assert builds == scored == crossed == []
+    assert builds == scored == keyed == crossed == []
 
 
 def test_evolve_returns_a_frozen_population_without_drawing(setup):

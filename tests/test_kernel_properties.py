@@ -42,7 +42,7 @@ from immunesched import (
     refine,
     refine_population,
 )
-from immunesched.evolution import draw_below
+from immunesched.evolution import _key_fitness, _mutant, draw_below
 from immunesched.local_search import SCORE_TABLE_SIZE
 from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
 from reference import (
@@ -257,6 +257,56 @@ def test_reference_mutation_replacement_indexes_the_complement(jobs, posn, n):
     out = reference_mutation(jobs, 0.5, OneHitRng(posn, n))
     assert out[posn] == complement[n]
     assert out[:posn] + out[posn + 1 :] == jobs[:posn] + jobs[posn + 1 :]
+
+
+class KeyRng:
+    """Stub generator that replays a mutation key's draws: position p hits
+    when its 4-bit field holds n + 1, and then draws n."""
+
+    def __init__(self, key):
+        fields = [key >> 4 * p & 15 for p in range(5)]
+        self.randoms = [0.0 if field else 0.99 for field in fields]
+        self.draws = [field - 1 for field in fields if field]
+
+    def random(self):
+        return self.randoms.pop(0)
+
+    def randrange(self, stop):
+        n = self.draws.pop(0)
+        assert 0 <= n < stop
+        return n
+
+
+mutation_keys = st.lists(st.integers(0, 10), min_size=5, max_size=5).map(
+    lambda fields: sum(field << 4 * p for p, field in enumerate(fields))
+)
+ROTATED_UNIVERSE = AntigenUniverse(
+    tuple(Antigen(tuple(JOB_IDS[k:]) + tuple(JOB_IDS[:k])) for k in range(UNIVERSE_SIZE))
+)
+
+
+@example(ROTATED_UNIVERSE, AntigenSample((0, 1, 2)), Antibody((1, 2, 3, 4, 5)), 0x11)
+@example(ROTATED_UNIVERSE, AntigenSample((0, 5)), Antibody((1, 2, 3, 4, 5)), 0x11111)
+@example(ROTATED_UNIVERSE, AntigenSample((0,)), Antibody((6, 2, 3, 4, 5)), 0xAAAA1)
+@example(ROTATED_UNIVERSE, AntigenSample((1, 9)), Antibody((15, 14, 13, 12, 11)), 0xAAAAA)
+@given(universes, samples, antibodies, mutation_keys)
+def test_key_fitness_scores_the_child_that_the_key_builds(universe, sample, antibody, key):
+    """A one-tuple generation scores a key on X's lanes, with X's ascending
+    unused jobs: that must be the fitness of the child `_mutant` builds from
+    the key, and the child must be the one the plain mutation builds from
+    the key's draws. Keys range over every field value, so they include keys
+    that hit all five positions and later hits that take a job an earlier
+    hit freed (0x11 on (1, 2, 3, 4, 5) puts job 6 at position 0 and job 1,
+    freed, at position 1)."""
+    jobs = antibody.jobs
+    free = tuple(job for job in JOB_IDS if job not in jobs)
+    lanes = sum(column[job] for column, job in zip(universe.columns, jobs))
+    child = _mutant(jobs, key, {})
+    rng = KeyRng(key)
+    assert child == reference_mutation(jobs, 0.5, rng)
+    assert rng.randoms == rng.draws == []
+    fitness = _key_fitness(jobs, free, lanes, key, universe, sample)
+    assert fitness == antibody_fitness(Antibody(child), universe, sample)
 
 
 @settings(max_examples=60)

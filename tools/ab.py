@@ -4,9 +4,11 @@
         --seeds A..B --pr P
 
 It exports REV with `git archive` (local, no network) into a temporary
-directory and runs `bench/run.py --workload W --seed SEED --seconds S
---trace 0` on that tree and on this checkout, as it stands on disk, N
-times each. Pair i uses seed A + i modulo the range A..B, and the side
+directory, copies this checkout as it stands on disk (its tracked files and
+the untracked files git does not ignore) into another, and runs
+`bench/run.py --workload W --seed SEED --seconds S --trace 0` on each tree
+N times. Both trees start alike, without the checkout's ignored outputs
+such as its `.bench_out/` digest store. Pair i uses seed A + i modulo the range A..B, and the side
 that runs first alternates from pair to pair, parent first in pair 0, so
 a slow spell of the machine falls on both sides alike. Every run is a
 process of its own, and only one runs at a time.
@@ -35,6 +37,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -162,8 +165,21 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
-def git(*args: str) -> bytes:
-    return subprocess.run(("git", *args), cwd=ROOT, check=True, capture_output=True).stdout
+def copy_checkout(into: Path, root: Path = ROOT) -> None:
+    """Copy `root`'s tracked files and its untracked files that git does not
+    ignore, as they stand on disk, into `into`. A tracked file deleted on
+    disk is left out."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in filter(None, listed.decode().split("\0")):
+        source = root / name
+        if source.is_file():
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
+def git(*args: str, root: Path = ROOT) -> bytes:
+    return subprocess.run(("git", *args), cwd=root, check=True, capture_output=True).stdout
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -185,11 +201,11 @@ def main(argv: list[str] | None = None) -> int:
     workloads = json.loads(out.read_text())["workloads"] if out.exists() else {}
     ok = True
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        parent_tree = Path(tmp)
-        sha = export(args.parent, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: Path(tmp, side) for side in SIDES}
+        sha = export(args.parent, trees["parent"])
+        copy_checkout(trees["change"])
         change = git("rev-parse", "HEAD").decode().strip()
-        if git("status", "--porcelain", "--untracked-files=no"):
+        if git("status", "--porcelain"):
             change += " with uncommitted changes"
         for workload in args.workload:
             pairs = []

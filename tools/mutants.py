@@ -338,6 +338,20 @@ CATALOGUE = (
            "one = cur.count(cur[0]) == size", "one = cur.count(cur[0]) >= size - 1"),
     Mutant("any-at-maximum-is-all-at-maximum", "evolution.py",
            "full = min(cur_fit) == ceiling", "full = max(cur_fit) == ceiling"),
+    # A one-tuple generation scores a new key on the tuple's lanes.
+    Mutant("key-later-hit-reads-x-free-list", "evolution.py",
+           "if key > _KEY_MASK:  # a later field may hit", "if False:"),
+    Mutant("key-old-job-not-put-back", "evolution.py",
+           "                del free[n - 1]\n                insort(free, old)\n",
+           "                del free[n - 1]\n"),
+    Mutant("key-delta-sign-swapped", "evolution.py",
+           "lanes += column[new] - column[old]", "lanes += column[old] - column[new]"),
+    Mutant("key-slot-off-by-one", "evolution.py",
+           "column = columns[posn]", "column = columns[posn - 1]"),
+    Mutant("key-lanes-kept-across-one-tuples", "evolution.py",
+           "x_lanes = sum([col[j] for col, j in zip(universe.columns, x)])",
+           'x_lanes = locals().get("x_lanes") or '
+           "sum([col[j] for col, j in zip(universe.columns, x)])"),
     # Input files: the line a bad byte is blamed on.
     Mutant("non-utf8-byte-blamed-on-line-before", "scheduling.py",
            "err.object[: err.end]", "err.object[: err.start]"),
