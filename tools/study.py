@@ -1,12 +1,14 @@
-"""Rewrite README's phase-two table from `run_experiment`'s own outputs.
+"""Rewrite README's phase-two table from the pipeline's own stage functions.
 
 The grid is the paper's default protocol (type A pool, 250 generations,
-10 replicates, ag 1/4/8) for master seeds 0-4, run once with no
-refinement and once each with SA and GD under the change and the swap
-move, every run through `run_experiment` with the default configs. A cell
-is the mean over seeds of the value that fitness.csv (`improvement_pct`)
-or coverage.csv (mean unmatched antigens at thresholds 3-5) prints, to one
-decimal, followed by that value's min-max across seeds.
+10 replicates, ag 1/4/8) for master seeds 0-4, with no refinement and
+with SA and GD under the change and the swap move, all with the default
+configs. Each replicate evolves once, and every refining row refines that
+same population, seeded as `run_experiment` seeds it for that row's
+config. A cell is the mean over seeds of the value that fitness.csv
+(`improvement_pct`) or coverage.csv (mean unmatched antigens at thresholds
+3-5) would print for that row's run, to one decimal, followed by that
+value's min-max across seeds.
 
 The script takes no options. It replaces the lines between README's two
 marker comments with the table and leaves every other line alone, so a
@@ -17,9 +19,7 @@ table that no longer matches the code shows up as a diff:
 
 from __future__ import annotations
 
-import csv
 import sys
-import tempfile
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -27,15 +27,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))  # this checkout's package, installed or not
 
-from immunesched import ExperimentConfig, emit_reports, run_experiment  # noqa: E402
-from immunesched.experiment import COVERAGE_CSV, FITNESS_CSV  # noqa: E402
+from immunesched import (  # noqa: E402
+    ExperimentConfig,
+    build_libraries,
+    coverage,
+    fitness_improvement,
+    generate_pool,
+)
+from immunesched.experiment import (  # noqa: E402
+    draw_sample,
+    evolve_replicate,
+    refine_replicate,
+    resolve_universe,
+)
 
 README = ROOT / "README.md"
 BEGIN = "<!-- phase-two table: written by tools/study.py -->\n"
 END = "<!-- end of phase-two table -->\n"
 SEEDS = range(5)
 THRESHOLDS = (3, 4, 5)
-# Row label, phase2, operator. The `none` runs read the same with either operator.
+# Row label, phase2, operator. The `none` row reads the same with either operator.
 METHODS = (
     ("none", "none", "change"),
     ("SA, change", "sa", "change"),
@@ -49,19 +60,43 @@ HEADER = (
 )
 
 
-def printed_values(cfg: ExperimentConfig) -> dict[int, list[str]]:
-    """Per ag size, the run's `improvement_pct` and its unmatched counts at
-    THRESHOLDS, as fitness.csv and coverage.csv print them."""
-    with tempfile.TemporaryDirectory() as out:
-        emit_reports(*run_experiment(cfg), cfg, out)
-        with open(Path(out) / FITNESS_CSV, newline="") as f:
-            gains = {row["ag"]: row["improvement_pct"] for row in csv.DictReader(f)}
-        with open(Path(out) / COVERAGE_CSV, newline="") as f:
-            unmatched = {row["threshold"]: row for row in csv.DictReader(f)}
-    return {
-        ag: [gains[str(ag)], *(unmatched[str(t)][str(ag)] for t in THRESHOLDS)]
-        for ag in cfg.ag_sample_sizes
+def printed_values(base: ExperimentConfig, seed: int) -> dict[tuple[str, int], list[str]]:
+    """Per METHODS label and ag size, the `improvement_pct` and the unmatched
+    counts at THRESHOLDS that fitness.csv and coverage.csv print for that
+    row's run of `base` at master seed `seed`; the `none` row has no gain."""
+    cfg = replace(base, master_seed=seed)
+    universe = resolve_universe(cfg)
+    pool = generate_pool(build_libraries(universe), cfg.population_type)
+    rows = {
+        label: replace(
+            cfg, phase2=phase2,
+            sa=replace(cfg.sa, operator=operator), gd=replace(cfg.gd, operator=operator),
+        )
+        for label, phase2, operator in METHODS
     }
+    values = {}
+    for ag in cfg.ag_sample_sizes:
+        before: list[int] = []
+        finals = {label: [] for label in rows}
+        for rep in range(cfg.replicates):
+            sample = draw_sample(cfg, ag, rep)
+            evolved = evolve_replicate(cfg, universe, pool, sample, rep)
+            before.append(evolved.total_fitness)
+            for label, row in rows.items():
+                finals[label].append(
+                    evolved if row.phase2 == "none"
+                    else refine_replicate(row, universe, evolved, sample, rep)
+                )
+        for label, row in rows.items():
+            pops = finals[label]
+            gain = "" if row.phase2 == "none" else (
+                f"{fitness_improvement(before, [pop.total_fitness for pop in pops]):.1f}"
+            )
+            values[label, ag] = [gain, *(
+                f"{sum(coverage(pop, universe, t) for pop in pops) / cfg.replicates:.1f}"
+                for t in THRESHOLDS
+            )]
+    return values
 
 
 def cell(values: tuple[str, ...]) -> str:
@@ -74,17 +109,11 @@ def cell(values: tuple[str, ...]) -> str:
 
 def study_table(seeds: range = SEEDS, base: ExperimentConfig = ExperimentConfig()) -> str:
     """The markdown table for `base` run at each master seed in `seeds`."""
+    runs = [printed_values(base, seed) for seed in seeds]
     rows = [HEADER]
-    for label, phase2, operator in METHODS:
-        runs = [
-            printed_values(replace(
-                base, master_seed=seed, phase2=phase2,
-                sa=replace(base.sa, operator=operator), gd=replace(base.gd, operator=operator),
-            ))
-            for seed in seeds
-        ]
+    for label, _, _ in METHODS:
         for ag in base.ag_sample_sizes:
-            cells = " | ".join(cell(column) for column in zip(*(run[ag] for run in runs)))
+            cells = " | ".join(cell(column) for column in zip(*(run[label, ag] for run in runs)))
             rows.append(f"| {label} | {ag} | {cells} |\n")
     return "".join(rows)
 
