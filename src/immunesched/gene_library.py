@@ -7,7 +7,9 @@ from a lower-indexed library with one from a higher-indexed library and
 keeping every order-preserving five-job subsequence that contains no
 duplicate job. Components, libraries and pools are plain tuples, and an
 antibody is only its jobs: which components produced it is not kept,
-since neither phase reads it.
+since neither phase reads it. A pool is built once per distinct component
+pair and holds one antibody per distinct job tuple, shared by all its
+equal entries.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ POPULATION_TYPES = ("A", "B", "C")
 UNUSED_JOB_COUNT = JOB_COUNT - ANTIBODY_LENGTH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Antibody:
     """A partial schedule: five distinct job ids in order.
 
@@ -97,11 +99,23 @@ def generate_pool(
     policy is only a dedup scope, and a dedup keeps each antibody's first
     occurrence: A dedups nothing; B dedups the whole pool; C dedups within
     each library pair, so equal antibodies from different pairs survive.
+
+    Equal entries are one object: each distinct concatenation ci + cj is
+    combined once, and the pool holds one antibody per distinct job tuple.
     """
     if population_type not in POPULATION_TYPES:
         raise ValueError(f"population type must be one of {POPULATION_TYPES}")
+    combined: dict[tuple[int, ...], list[Antibody]] = {}
+    shared: dict[tuple[int, ...], Antibody] = {}
+
+    def combine(ci: tuple[int, ...], cj: tuple[int, ...]) -> list[Antibody]:
+        jobs = ci + cj
+        if jobs not in combined:
+            combined[jobs] = [shared.setdefault(ab.jobs, ab) for ab in combine_components(ci, cj)]
+        return combined[jobs]
+
     pairs = [
-        [ab for ci in libraries[i] for cj in libraries[j] for ab in combine_components(ci, cj)]
+        [ab for ci in libraries[i] for cj in libraries[j] for ab in combine(ci, cj)]
         for i, j in itertools.combinations(range(LIBRARY_COUNT), 2)
     ]
     if population_type == "C":

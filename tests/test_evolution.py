@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -97,10 +98,18 @@ def test_sample_initial_whole_pool_is_permutation(setup):
 
 
 def test_sample_initial_draws_distinct_members(setup):
+    """Distinct pool positions, without replacement. Equal pool entries are
+    one object, so identity cannot stand for a position: the members are
+    those of 100 distinct indices, and no job tuple occurs more often in
+    the population than in the pool."""
     _, pool, _ = setup
     pop = sample_initial(pool, 100, random.Random(4))
     assert pop.size == 100
-    assert len(set(id(ab) for ab in pop.antibodies)) == 100
+    indices = random.Random(4).sample(range(len(pool)), 100)
+    assert list(pop.antibodies) == [pool[i] for i in indices]
+    in_pool = Counter(ab.jobs for ab in pool)
+    in_pop = Counter(ab.jobs for ab in pop.antibodies)
+    assert all(count <= in_pool[jobs] for jobs, count in in_pop.items())
 
 
 def test_sample_initial_deterministic(setup):

@@ -5,6 +5,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from immunesched import (
     JOB_COUNT,
@@ -31,6 +33,12 @@ def libraries(universe):
     return build_libraries(universe)
 
 
+def rotation(k):
+    """The identity schedule rotated left by k."""
+    ids = list(range(1, JOB_COUNT + 1))
+    return tuple(ids[k:] + ids[:k])
+
+
 def rotated_universe():
     """Ten cyclic rotations of the identity schedule.
 
@@ -38,15 +46,20 @@ def rotated_universe():
     six-job concatenations (and hence equal antibodies) arise from
     different library pairs.
     """
-    ids = list(range(1, JOB_COUNT + 1))
-    antigens = tuple(Antigen(tuple(ids[k:] + ids[:k])) for k in range(10))
-    return AntigenUniverse(antigens)
+    return AntigenUniverse(tuple(Antigen(rotation(k)) for k in range(10)))
+
+
+# Rotations share components, so universes that mix them with arbitrary
+# permutations hold equal pool entries from different component pairs.
+antigen_sequences = st.one_of(
+    st.permutations(range(1, JOB_COUNT + 1)).map(tuple),
+    st.integers(0, JOB_COUNT - 1).map(rotation),
+)
 
 
 def test_library_slices_known_antigen():
     sequence = (1, 2, 7, 4, 3, 9, 6, 8, 14, 5, 13, 12, 10, 11, 15)
-    ids = list(range(1, JOB_COUNT + 1))
-    others = [Antigen(tuple(ids[k:] + ids[:k])) for k in range(9)]
+    others = [Antigen(rotation(k)) for k in range(9)]
     universe = AntigenUniverse(tuple([Antigen(sequence)] + others))
     libs = build_libraries(universe)
     assert libs[0][0] == (1, 2, 7)
@@ -191,3 +204,34 @@ def test_trusted_antibody_takes_no_more_memory_than_a_validated_one():
         tracemalloc.stop()
         gc.enable()
     assert middle - before <= after - middle
+
+
+@pytest.mark.parametrize("population_type", ["A", "B", "C"])
+@pytest.mark.parametrize("rotated", [False, True])
+def test_pool_holds_one_antibody_per_distinct_job_tuple(libraries, population_type, rotated):
+    libs = build_libraries(rotated_universe()) if rotated else libraries
+    pool = generate_pool(libs, population_type)
+    assert len({id(ab) for ab in pool}) == len({ab.jobs for ab in pool})
+
+
+@pytest.mark.parametrize("make", [Antibody.trusted, Antibody])
+def test_antibody_has_no_instance_dict(make):
+    ab = make((4, 3, 9, 5, 12))
+    assert not hasattr(ab, "__dict__")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(antigen_sequences, min_size=10, max_size=10))
+def test_pools_of_drawn_universes_are_the_reference_pools(sequences):
+    """A, B and C hold the reference candidates and their first
+    occurrences by jobs and by (pair, jobs), by value and in order."""
+    libs = build_libraries(AntigenUniverse(tuple(Antigen(seq) for seq in sequences)))
+    reference = reference_pool(libs)
+    expected = {
+        "A": reference,
+        "B": first_occurrences(reference, key=lambda c: c[1]),
+        "C": first_occurrences(reference, key=lambda c: c),
+    }
+    for population_type, candidates in expected.items():
+        pool = generate_pool(libs, population_type)
+        assert [ab.jobs for ab in pool] == [jobs for _, jobs in candidates]

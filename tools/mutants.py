@@ -246,6 +246,13 @@ CATALOGUE = (
            'if population_type == "B" else pool', 'if population_type != "C" else pool'),
     Mutant("trusted-antibody-gets-a-dict", "gene_library.py",
            'object.__setattr__(ab, "jobs", jobs)', 'ab.__dict__["jobs"] = jobs'),
+    Mutant("antibody-without-slots", "gene_library.py",
+           "@dataclass(frozen=True, slots=True)", "@dataclass(frozen=True)"),
+    Mutant("pool-memo-keyed-on-first-component", "gene_library.py",
+           "jobs = ci + cj", "jobs = ci"),
+    Mutant("pool-antibodies-not-shared", "gene_library.py",
+           "[shared.setdefault(ab.jobs, ab) for ab in combine_components(ci, cj)]",
+           "combine_components(ci, cj)"),
     Mutant("draw-below-bits-of-n-minus-1", "evolution.py",
            "k = n.bit_length()", "k = (n - 1).bit_length()"),
     Mutant("binary-tournament-ties-to-later-draw", "evolution.py",
