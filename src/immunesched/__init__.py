@@ -1,10 +1,9 @@
 """Immune-inspired partial schedules for job-shop rescheduling.
 
-Builds short partial schedules (antibodies) from gene libraries sliced out
-of a universe of disturbance schedules (antigens), evolves them with a
-genetic algorithm, and refines the result with simulated annealing or the
-great deluge algorithm. See the experiment module for the end-to-end
-protocol and the cli module for the command-line harness.
+Builds partial schedules (antibodies) from gene libraries cut out of a
+universe of disturbance schedules (antigens), evolves them with a genetic
+algorithm and refines them with simulated annealing or the great deluge.
+The experiment module runs the whole protocol; the cli module exposes it.
 """
 
 # Before the imports: the experiment module records it in run.json.

@@ -1,12 +1,11 @@
 """Command-line harness.
 
 Subcommands cover the pipeline stages (gen-universe, evolve, refine,
-evaluate) plus the full `experiment` protocol. The stage subcommands run
-replicate 0 of `experiment` for the same seed and ag sample size. Every
-flag can also be supplied through a plain-text key=value config file
-(`--config`); file values take precedence over flags, so a saved config
-fully pins a run. Flags shared by subcommands are declared once, in parent
-parsers; a run flag left unset keeps the default of its config class.
+evaluate), which run replicate 0 of `experiment` for the same seed and ag
+sample size, plus the full `experiment` protocol. A `--config` key=value
+file sets flags too and takes precedence over them. Shared flags are
+declared once, in parent parsers; a run flag left unset keeps the default
+of its config class.
 """
 
 from __future__ import annotations
@@ -128,12 +127,10 @@ def _add_config_flag(p: argparse.ArgumentParser, func) -> None:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Apply the --config entries in order over the flags.
-
-    An entry is blamed (file and line) when it cannot be read, or when the
-    configuration was valid before it and invalid after it; an error the
-    flags alone cause is left for the subcommand to report.
-    """
+    """Apply the --config entries in order over the flags. An entry is
+    blamed (file and line) when it cannot be read, or when the configuration
+    was valid before it and invalid after it; an error the flags alone cause
+    is left for the subcommand to report."""
     if not (path := args.config):
         return
     error = _config_error(args)
@@ -175,12 +172,9 @@ def _coerce_config_value(attr: str, raw: str, args: argparse.Namespace):
 
 
 def _config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment configuration that a subcommand's flags describe.
-
-    Only the flags that are set reach the config classes, which supply
-    every default; a stage subcommand's single --ag-sample becomes a
-    one-size list.
-    """
+    """The experiment configuration that a subcommand's flags describe: only
+    the flags that are set reach the config classes, which supply every
+    default, and a stage's single --ag-sample becomes a one-size tuple."""
     flags = {k: v for k, v in vars(args).items() if v is not None}
     fields = {field: flags[flag] for flag, field in _FIELDS.items() if flag in flags}
     ga = {k: flags[k] for k in ("generations", "crossover_rate", "mutation_rate") if k in flags}

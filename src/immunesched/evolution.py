@@ -1,18 +1,10 @@
 """Genetic evolution of an antibody population (phase one).
 
-Each generation fills a fresh population pairwise: two parents, each
-chosen by a binary tournament (the fitter of two uniform draws, ties to
-the lower index), either cross over or are copied, both offspring are
-mutated and evaluated, and the two fittest of the four family members are
-admitted. Children must therefore beat their parents to enter. A single
-global-elite slot guarantees the best fitness ever seen never leaves the
-population.
-
-A mutation is drawn as a key before any child is built, since its draws
-do not depend on the tuple it mutates, and `_mutant` applies the key. A
-population of one tuple, the state that phase one collapses into, looks
-its children's fitnesses up by key, scores a new key on the tuple's packed
-lanes (`_key_fitness`), and builds a child only to admit it.
+Each generation fills a fresh population family by family: two parents,
+each the winner of a binary tournament, either cross over or are copied,
+both children are mutated, and the two fittest of the four are admitted,
+so a child must beat a parent to enter. One global-elite slot keeps the
+best fitness ever seen in the population.
 """
 
 from __future__ import annotations
@@ -50,13 +42,9 @@ class GAConfig:
 
 def draw_below(n: int, rng: random.Random) -> Callable[[], int]:
     """A draw that returns what `rng.randrange(n)` would and leaves `rng` in
-    the same state, without randrange's argument handling per call.
-
-    This is CPython's own algorithm for it: draw `n.bit_length()` random
-    bits until the value is below `n`. The tournaments draw their members
-    with it; evolve's mutation and the refinement chain write the same
-    loop inline.
-    """
+    the same state: CPython's own loop, `n.bit_length()` random bits until
+    the value is below `n`, without randrange's argument handling per call.
+    Raises ValueError when `n` is below 1."""
     if n < 1:
         raise ValueError(f"cannot draw below {n}: the range is empty")
     getrandbits = rng.getrandbits
@@ -86,11 +74,11 @@ def _tournament(draw: Callable[[], int]) -> Callable[[list[int]], int]:
 def order_crossover(j1: _Jobs, j2: _Jobs) -> tuple[_Jobs, _Jobs]:
     """Reorder each parent's shared jobs to follow the other parent.
 
-    Child one keeps parent one's job set and positions; only the jobs both
-    parents share are rewritten, in the relative order they appear in
-    parent two. Child two mirrors this. Neither child can contain a
-    duplicate job, and no randomness is consumed. Identical parents, and
-    parents sharing fewer than two jobs, are returned themselves.
+    Child one keeps parent one's jobs and positions but rewrites the jobs
+    both share in their order in parent two, and child two mirrors it, so
+    neither can hold a duplicate job. No randomness is consumed. Identical
+    parents, and parents sharing fewer than two jobs, are returned as they
+    are.
     """
     if j1 == j2:
         return j1, j2
@@ -113,39 +101,29 @@ def evolve(
     rng: random.Random,
     stats_stream: TextIO | None = None,
 ) -> Population:
-    """Run the full generational loop and return the final population.
+    """Run `cfg.generations` generations from the evaluated `pop` and return
+    the final population, evaluated. `stats_stream`, when given, receives
+    CSV rows `generation,best,mean,worst`, generation zero included.
 
-    The per-generation statistics stream, when given, receives CSV rows
-    `generation,best,mean,worst` including a row for generation zero.
-
-    The loop holds members as job tuples and scores a child through a memo
-    of every job tuple seen in this call (seeded with the initial
-    population), calling `antibody_fitness` only for a new one; antibodies
-    are built only for the returned population.
-
-    Mutation takes two steps. A child's draws do not depend on its tuple,
-    so the family loop, written out once per child, only draws the child's
-    key: each position p in turn, with probability `mutation_rate`, draws n
-    below UNUSED_JOB_COUNT as `rng.randrange` would and adds `n + 1 << 4p`.
-    `_mutant` then applies a nonzero key to the tuple; a child whose key is
-    0 is its parent's tuple itself.
+    Members are job tuples, scored through a memo of every tuple seen in
+    this call. A child's mutation draws do not depend on its tuple, so the
+    family loop only draws each child's key; `_mutant` applies a nonzero
+    one, and a child whose key is 0 is its parent's tuple.
 
     In two states a generation skips work whose result its draws cannot
     change; it still takes every draw of the full loop, in order, so the
     outputs and `rng` are the full loop's.
     - Every member is one tuple X: each tournament returns X and X crossed
-      with X is X, so a family takes its tournament draws without comparing
-      fitnesses and draws two keys for X. A table of X's keys, started
-      afresh whenever the population turns into one tuple, holds each key's
-      fitness. `_key_fitness` scores a key new to the table on X's packed
-      lanes, so a child is built only when its key beats X, to be admitted
-      (and memoised). X is the elite, so a generation in which no child
-      beats it leaves the population as it is.
+      with X is X, so a family draws without comparing or crossing. A new
+      key is scored on X's lanes (`_key_fitness`) into a table of X's keys,
+      started afresh whenever the population turns into one tuple, so a
+      child is built only when it beats X, to be admitted. X is the elite,
+      so a generation in which no child beats it changes nothing.
     - Every member is at the maximum fitness: admission needs a strict gain
-      over a parent, so a family takes its crossover draw and its keys and
-      admits its two parents without crossing them or building a child.
+      over a parent, so a family admits its two parents without crossing
+      them or building a child.
     Both at once is the fixed point: no later generation can change the
-    population, so the loop stops there and writes the remaining `--stats`
+    population, so the loop stops there and writes the remaining stats
     rows as they stand, leaving `rng` where the loop stopped.
     """
     fitnesses = pop.require_evaluated()
@@ -285,11 +263,11 @@ def evolve(
 
 
 def _mutant(jobs: _Jobs, key: int, unused: dict[_Jobs, _Jobs]) -> _Jobs:
-    """`jobs` mutated as `key` says. Position p, whose 4-bit field of the key
-    holds n + 1, takes the n-th smallest job (from 0) that the tuple, as
-    mutated so far, leaves out; a field of 0 leaves its position alone.
-    `unused` keeps each tuple's ascending unused job ids, as a converging
-    population mutates the same few tuples over and over."""
+    """`jobs` mutated as `key` says: position p, whose field holds n + 1,
+    takes the n-th smallest job (from 0) that the tuple, as mutated so far,
+    leaves out; a field of 0 leaves its position alone. `unused` memoises
+    each tuple's ascending unused jobs, as a converging population mutates
+    the same few tuples over and over."""
     out, posn = list(jobs), 0
     while key:
         n = key & _KEY_MASK
@@ -315,10 +293,9 @@ def _key_fitness(
     """`antibody_fitness` of `_mutant(jobs, key, ...)`, without building it,
     for `lanes` the sum of `jobs`' five column entries and `free` its
     ascending unused jobs. A hit at position p swaps the entry of jobs[p]
-    for that of free[n - 1]. A later hit picks from the unused jobs of the
-    tuple as mutated so far: `free` without the new job and with the old
-    one put back in order, as `_mutant` recomputes them. No hit reads an
-    earlier position, so `jobs` itself needs no update."""
+    for that of free[n - 1]; a later hit picks from `free` without the new
+    job and with the old one put back in order, as `_mutant` does. No hit
+    reads an earlier position, so `jobs` itself needs no update."""
     columns, posn = universe.columns, 0
     while key:
         n = key & _KEY_MASK

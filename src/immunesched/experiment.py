@@ -3,13 +3,11 @@
 One experiment builds (or loads) the antigen universe and the typed
 antibody pool, then for every antigen-sample size runs the replicate
 protocol: draw a fresh antigen sample, sample an initial population,
-evolve it, optionally refine it, and score the resulting population's
-coverage of all ten antigens at every matching threshold. Replicate seeds
-derive deterministically from the master seed, so the whole pipeline is a
-pure function of its configuration. resolve_universe derives the
-"universe" path and the per-stage functions (draw_sample, evolve_replicate,
-refine_replicate) derive the rest; the CLI's stage subcommands call them as
-replicate 0.
+evolve it, optionally refine it, and score the population's coverage of
+all ten antigens at every threshold. Every generator derives from the
+master seed and a stage path (`derived_rng`), so the pipeline is a pure
+function of its configuration. The per-stage functions serve the CLI's
+stage subcommands too.
 """
 
 from __future__ import annotations
@@ -105,13 +103,10 @@ class CoverageTable:
 
 @dataclass
 class RunReport:
-    """Per-replicate fitness totals, improvement percentages and timings.
-
-    `after_totals` and `improvements` are empty when no phase-two method
-    ran. Timings are wall-clock seconds per pipeline stage.
-    `distinct_members` counts the distinct antibodies of each replicate's
-    evolved population.
-    """
+    """Per-replicate fitness totals, improvement percentages and wall-clock
+    seconds per stage; `after_totals` and `improvements` stay empty when no
+    phase-two method ran. `distinct_members` counts the distinct antibodies
+    of each replicate's evolved population."""
 
     before_totals: dict[int, list[int]]
     after_totals: dict[int, list[int]]
@@ -182,9 +177,8 @@ def refine_replicate(
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[CoverageTable, RunReport]:
-    """Run the full replicate protocol and aggregate coverage and fitness.
-    Each replicate adds its totals, distinct members and stage seconds to
-    the report as it finishes."""
+    """Run the replicate protocol; each replicate adds its totals, distinct
+    members and stage seconds to the report as it finishes."""
     run_start = time.perf_counter()
     universe = resolve_universe(cfg)
     t0 = time.perf_counter()
@@ -235,12 +229,9 @@ def emit_reports(
     cfg: ExperimentConfig,
     out_dir: str | Path,
 ) -> None:
-    """Write coverage.csv, fitness.csv and the run.json manifest.
-
-    The CSVs are deterministic for a fixed configuration and master seed;
-    wall-clock timings, and the package and Python versions that wrote the
-    run, live only in the manifest.
-    """
+    """Write coverage.csv, fitness.csv and the run.json manifest. The CSVs
+    depend only on the configuration; timings and the package and Python
+    versions live only in the manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -1,15 +1,11 @@
 """Gene libraries and the combinatorial antibody pools built from them.
 
-Each antigen is cut into five contiguous three-job components; component k
-of slot s across all ten antigens forms library s. Antibodies (partial
-schedules of five distinct jobs) are produced by concatenating a component
-from a lower-indexed library with one from a higher-indexed library and
-keeping every order-preserving five-job subsequence that contains no
-duplicate job. Components, libraries and pools are plain tuples, and an
+Each antigen is cut into five contiguous three-job components, and slot
+s's components of all ten antigens form library s. A pool combines
+components of two libraries into antibodies, partial schedules of five
+distinct jobs. Components, libraries and pools are plain tuples, and an
 antibody is only its jobs: which components produced it is not kept,
-since neither phase reads it. A pool is built once per distinct component
-pair and holds one antibody per distinct job tuple, shared by all its
-equal entries.
+since neither phase reads it.
 """
 
 from __future__ import annotations
@@ -29,11 +25,8 @@ UNUSED_JOB_COUNT = JOB_COUNT - ANTIBODY_LENGTH
 
 @dataclass(frozen=True, slots=True)
 class Antibody:
-    """A partial schedule: five distinct job ids in order.
-
-    The jobs are the whole antibody: equal jobs make equal antibodies,
-    whether they came from the pool or from an operator.
-    """
+    """A partial schedule: five distinct job ids in order. Equal jobs make
+    equal antibodies, whether they came from the pool or an operator."""
 
     jobs: tuple[int, ...]
 
@@ -45,22 +38,18 @@ class Antibody:
 
     @classmethod
     def trusted(cls, jobs: tuple[int, ...]) -> "Antibody":
-        """An antibody whose jobs skip validation.
-
-        For operators that build five distinct in-range jobs by
-        construction (crossover, mutation, neighborhood moves); input from
-        files and callers goes through the validating constructor.
-        """
+        """An antibody whose jobs skip validation, for operators that build
+        five distinct in-range jobs by construction (crossover, mutation,
+        neighbourhood moves); input from files and callers goes through the
+        validating constructor."""
         ab = object.__new__(cls)
         object.__setattr__(ab, "jobs", jobs)  # frozen: bypass __setattr__, as __init__ does
         return ab
 
 
 def build_libraries(universe: AntigenUniverse) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Slice every antigen into five slots of three jobs each.
-
-    Library s holds slot s's three-job slice of each antigen, in antigen order.
-    """
+    """Slice every antigen into five slots of three jobs each: library s
+    holds slot s's slice of each antigen, in antigen order."""
     return tuple(
         tuple(
             antigen.sequence[COMPONENT_SIZE * slot : COMPONENT_SIZE * (slot + 1)]
@@ -71,14 +60,10 @@ def build_libraries(universe: AntigenUniverse) -> tuple[tuple[tuple[int, ...], .
 
 
 def combine_components(c1: tuple[int, ...], c2: tuple[int, ...]) -> list[Antibody]:
-    """Enumerate the duplicate-free five-job subsequences of c1 + c2.
-
-    The six concatenated jobs admit C(6,5) = 6 order-preserving
-    subsequences, listed from the one that drops the last job to the one
-    that drops the first; candidates containing a repeated job are
-    discarded. The job ids are range-checked once, so the candidates, five
-    distinct in-range jobs each, skip the per-antibody validation.
-    """
+    """The duplicate-free five-job subsequences of c1 + c2, of the six that
+    keep the jobs' order, from the one that drops the last job to the one
+    that drops the first. The job ids are range-checked once (ValueError),
+    so the antibodies skip their own validation."""
     jobs = c1 + c2
     if any(not 1 <= j <= JOB_COUNT for j in jobs):
         raise ValueError("antibody job id out of range")
@@ -94,14 +79,12 @@ def generate_pool(
 ) -> tuple[Antibody, ...]:
     """Combine every component pair across every library pair into a typed pool.
 
-    Enumeration order is deterministic: library pair (i, j) with i < j,
-    then component indices, then combine_components' order. The duplicate
-    policy is only a dedup scope, and a dedup keeps each antibody's first
-    occurrence: A dedups nothing; B dedups the whole pool; C dedups within
-    each library pair, so equal antibodies from different pairs survive.
-
-    Equal entries are one object: each distinct concatenation ci + cj is
-    combined once, and the pool holds one antibody per distinct job tuple.
+    The order is library pair (i, j) with i < j, then component indices,
+    then combine_components' order. The type is only a dedup scope, and a
+    dedup keeps each antibody's first occurrence: A dedups nothing, B the
+    whole pool, C each library pair. Equal entries are one object: each
+    distinct concatenation ci + cj is combined once, and the pool holds one
+    antibody per distinct job tuple.
     """
     if population_type not in POPULATION_TYPES:
         raise ValueError(f"population type must be one of {POPULATION_TYPES}")

@@ -1,37 +1,12 @@
 """Phase-two refinement: simulated annealing and the great deluge.
 
-Both methods are one chain (`refine`) over the neighborhood of a single
-antibody (change one job, or swap two). The configs hold settings only;
-one type branch in `refine` picks the level schedule (SA's cached
-temperatures, GD's boundaries), the trace's level column, GD's stagnation
-stop and the rule for a worse candidate, which the chain writes inline.
-The chain walks only the level before each step, SA's temperatures but
-the last or GD's `iterations` boundaries; a traced step alone works out
-the level after it. A missing stagnation stop is a limit no count reaches.
-
-The chain scores a move by its delta on one int, the current antibody's
-lanes against every antigen in the universe's column table: changing slot
-p from job a to job b gives `packed - col[p][a] + col[p][b]`, and a swap
-subtracts two entries and adds two; the sample's masks score its own lanes.
-The lane layout, the column table and the bit-count score are defined in
-the matching module. No antibody is built for a candidate.
-
-Before scoring, the chain reads the candidate's entry in a score table, a
-bytearray indexed by the antibody's code `Σ job << 4·slot` (job ids 1..15
-fit 4 bits). An entry holds fitness + 1, so 0 means not scored yet; the
-largest fitness, 250, fits a byte. An entry depends only on the antibody,
-so one table serves every chain of one (universe, sample) and no other.
-
-refine_population takes one seed draw per member, in member order, so
-serial and parallel execution would agree. A member at the maximum fitness
-gets no generator and no chain, as its chain would return it without a
-draw. Under GD, neither does a member at a strict local peak, one that
-every neighbour under the move scores below: the boundary starts at its
-fitness and never falls, so no step can accept a candidate from it and
-the chain would return it. SA's Metropolis rule can leave a peak, so SA
-runs every chain below the maximum. Only a member the chain changed is
-scored again. The chains share one score table, made when the first of
-them runs, since they often start from the same antibody.
+Both methods are one chain, `refine`, over the neighbourhood of a single
+antibody: change one job, or swap two. The configs hold settings only; one
+branch on the config's type in `refine` picks the level schedule, the
+trace's level column, the stagnation stop and the rule for a worse
+candidate. The chain scores a move by its delta on the current antibody's
+packed lanes (see the matching module) and keeps each score in a table
+that the chains of one `refine_population` call share.
 """
 
 from __future__ import annotations
@@ -107,12 +82,9 @@ def acceptance_probability(delta: float, temperature: float) -> float:
 
 
 def decay_rate(initial_fitness: float, target_fitness: float, iterations: int) -> float:
-    """Per-iteration change of the great-deluge boundary.
-
-    Negative while the start is below the target, so subtracting it raises
-    the boundary from the initial fitness up to the target across the
-    full iteration budget.
-    """
+    """Per-iteration change of the great-deluge boundary: negative below the
+    target, so subtracting it `iterations` times raises the boundary from
+    the initial fitness to the target."""
     return (initial_fitness - target_fitness) / iterations
 
 
@@ -127,39 +99,29 @@ def refine(
     scores: bytearray | None = None,
 ) -> Antibody:
     """Refine `ab` by simulated annealing (SAConfig) or the great deluge
-    (GDConfig); return the best antibody visited if it strictly beats the
-    original, else the original.
+    (GDConfig); return the best antibody visited if it strictly beats `ab`,
+    else `ab`. Other config types raise TypeError.
 
-    Each step draws one neighbor and accepts it when it is no worse, or when
-    the config type's rule, written inline, passes it at the current level.
-    SA cools geometrically from initial to final temperature (570 steps by
-    default) and passes a worse candidate when one `rng.random()` is below
-    exp(-delta/T). GD raises a boundary linearly from the start fitness to
-    the maximum fitness over `iterations` steps, passes a worse candidate at
-    or above it without a draw, and stops after `stagnation_limit` steps
-    without a new best. Other config types raise TypeError.
+    Each step draws one neighbour under `cfg.operator` and accepts it when
+    it is no worse, or when the config's rule passes it. SA cools through
+    `cfg.temperatures` (570 steps by default) and passes a worse candidate
+    when one `rng.random()` is below exp(-delta/T). GD raises a boundary
+    linearly from the start fitness to the maximum over `iterations` steps,
+    passes a candidate at or above it without a draw, and stops after
+    `stagnation_limit` steps without a new best.
 
-    `scores`, a bytearray of SCORE_TABLE_SIZE bytes, is a score table for
-    this (universe, sample) that other chains on the same pair may share;
-    without one the chain makes its own. The chain keeps the current
-    antibody's code, so a candidate's key is the code plus the move's job
-    differences at their slots. A nonzero entry (a hit) is the candidate's
-    fitness + 1. On a miss the candidate is scored by its delta on the
-    current antibody's lanes in the universe's column table (see the
-    matching module), to the value `antibody_fitness` gives the moved
-    antibody, and its entry is stored; a hit that is accepted builds the
-    accepted move's lanes then. The table changes no draw, acceptance,
-    trace row or result; only the returned antibody is built.
+    `scores` is a score table: SCORE_TABLE_SIZE bytes, indexed by an
+    antibody's code and holding its fitness + 1 (at most 251), 0 meaning
+    not scored yet. An entry depends only on the antibody, the universe and
+    the sample, so only chains on one (universe, sample) may share a table;
+    without one the chain makes its own. The table changes no draw,
+    acceptance, trace row or result.
 
-    The loop walks each step's level before the step: SA's temperatures but
-    the last, GD's boundaries from the start fitness, `iterations` of them.
-    Trace rows are `step,<level>,current_fitness,best_fitness,accepted`,
-    <level> being `temperature` or `boundary` after the step, which only a
-    traced step works out: `temperatures[step]`, or the level less the
-    decay. Untraced, the chain stops once the best reaches the maximum
-    fitness: only a strict improvement replaces the best and the generator
-    is the chain's own, so the result is the same. A traced chain runs
-    until its schedule ends or it stagnates.
+    `trace` receives rows `step,<level>,current_fitness,best_fitness,accepted`,
+    <level> being `temperature` or `boundary` after the step. Untraced, the
+    chain stops once the best reaches the maximum fitness: only a strict
+    improvement replaces the best and the generator is the chain's own, so
+    the result is the same.
     """
     cols, masks = universe.columns, sample.masks
     jobs = list(ab.jobs)
@@ -171,9 +133,8 @@ def refine(
     below_top, top, high, two, three, four, five = masks
     start_fit = current_fit = best_fit = POSITION_SCORE * _best_counts(packed, masks)
     target = max_fitness(sample.size)
-    # The one SA/GD branch: each step's level, before the step. GD's lazy
-    # boundary goes from start_fit towards target. A count never reaches a
-    # stagnation limit of -1: SA has no stagnation stop, nor GD without one.
+    # The one SA/GD branch: each step's level, before the step. A count never
+    # reaches a stagnation limit of -1: SA has no stagnation stop, nor GD without one.
     if metropolis := isinstance(cfg, SAConfig):
         temperatures = cfg.temperatures
         levels, level_name, stagnation_limit = temperatures[:-1], "temperature", -1
@@ -263,10 +224,9 @@ def refine(
 def _strict_peak(
     ab: Antibody, fit: int, universe: AntigenUniverse, sample: AntigenSample, move: NeighborOperator
 ) -> bool:
-    """Whether every neighbour of `ab`, whose fitness is `fit`, scores below
-    it under the move: the 50 changes of one slot to one unused job, or the
-    10 swaps of two slots. Each is scored by its delta on the column table,
-    as the chain scores a move; the first that reaches `fit` ends the check."""
+    """Whether all of `ab`'s neighbours under the move, its 50 one-job changes
+    or its 10 swaps, score below `fit`, its fitness. Each is scored by its
+    delta on `ab`'s lanes, as the chain scores a move, until one reaches `fit`."""
     cols, masks, jobs = universe.columns, sample.masks, ab.jobs
     packed = sum(cols[slot][job] for slot, job in enumerate(jobs))
     if move is NeighborOperator.CHANGE_ONE_JOB:
@@ -287,32 +247,27 @@ def refine_population(
     cfg: SAConfig | GDConfig,
     rng: random.Random,
 ) -> Population:
-    """Refine every antibody independently; members are replaced only on
-    strict improvement, so total fitness cannot decrease. `pop` must be
-    evaluated against `sample`: its fitnesses are kept where nothing changed.
+    """Refine every member with `refine`, replacing it only on strict
+    improvement, so total fitness cannot fall. `pop` must be evaluated
+    against `sample`; only a member its chain changed is scored again.
+    Other config types raise TypeError.
 
     Every member takes one 64-bit seed draw from `rng`, in member order,
-    keeping results independent of evaluation order. A member below the
-    maximum fitness refines on a generator of its seed; a member at the
-    maximum is kept without one, since its untraced chain would stop before
-    its first draw. Under GD, so is a member at a strict local peak, one
-    that every neighbour under `cfg.operator` scores below: the boundary
-    starts at its fitness and never falls, so until a move is accepted only
-    a candidate reaching it could be, and none does; the chain would reject
-    every step and return the member. Each distinct start is checked once
-    per call. SA's chain can leave a peak and always runs. Only a member
-    the chain returns changed is scored. The chains share one score table,
-    made for this call when its first chain runs.
-    Other config types raise TypeError, as `refine` does.
+    and a member below the maximum fitness refines on a generator of its
+    seed. A member at the maximum gets no generator and no chain: its
+    untraced chain would stop before its first draw. Under GD, neither does
+    a strict local peak, a start that every neighbour under `cfg.operator`
+    scores below: the boundary starts at its fitness and never falls, so
+    until a move is accepted only a candidate reaching it could be, and
+    none does. SA's Metropolis rule can leave a peak. Each distinct start
+    is checked once per call, and the chains share one score table.
     """
     fitnesses = pop.require_evaluated()
     if not isinstance(cfg, (SAConfig, GDConfig)):
         raise TypeError(f"expected SAConfig or GDConfig, got {type(cfg).__name__}")
     ceiling = max_fitness(sample.size)
     deluge = isinstance(cfg, GDConfig)
-    # Per distinct start, whether its chain can change nothing: it stops
-    # before its first draw (at the maximum) or rejects every step (GD at a
-    # strict peak).
+    # Per distinct start, whether its chain would return it unchanged.
     kept: dict[tuple[int, ...], bool] = {}
     table = None
     refined, scores = [], []

@@ -5,27 +5,18 @@ every position where the two agree contributes five points. The best
 offset's score is the antibody's match against that antigen, and fitness
 over a sample of antigens is the sum of best scores.
 
-Every fitness and coverage score is read from one packed format, defined
-and built here. Antigens are permutations, so antibody slot j agrees at
-offset d exactly when its job sits at antigen position j + d. `pack_columns`
-builds a universe's column table straight from antigen positions: per slot
-and job id, one int with a 1 in the 4-bit field of that offset in antigen
-k's lane, at bit LANE_BITS * k. There is no per-antigen table. The sum of an
-antibody's five column entries is all 11 offset counts against every
-antigen at once, one lane each. A field counts at most five slots, so none
-spills into the next, and the fields fill 44 of a lane's LANE_BITS = 45: no
-lane carries into or borrows from its neighbour, so the refinement chain
-scores a move by subtracting and adding entries. The universe builds its
-table once (`AntigenUniverse.columns`), and it serves every sample.
-
-A sample is a choice of lanes, and `AntigenSample.masks` score its lanes
-and no other. A lane's best count is its largest field, so it is the number
-of c in 1..5 that some field reaches. `_best_counts` sums it over the masked
-lanes with ten additions and ANDs and five bit counts, whatever their
-number. Coverage packs each distinct member's lanes once and scores a
-threshold with one OR over the members of one masked add each, and one bit
-count. `best_match`, which also reports the best offset, counts on the
-antigen's sequence.
+Every fitness and coverage score reads one packed format, defined here.
+Antigens are permutations, so antibody slot j agrees at offset d exactly
+when its job sits at antigen position j + d, and a slot agrees at one
+offset at most. The universe's column table (`pack_columns`, built once as
+`AntigenUniverse.columns`) holds, per slot and job id, one int with
+antigen k in lane k: eleven 4-bit offset counts and a top bit, LANE_BITS
+in all. The sum of an antibody's five entries is its 11 counts against
+every antigen at once. A count never exceeds 5, and a move subtracts
+only entries the sum holds, so no field carries into or borrows from the
+next: a move is scored by subtracting and adding entries. A sample is a
+choice of lanes, which its masks (`AntigenSample.masks`) score and no
+other.
 """
 
 from __future__ import annotations
@@ -101,10 +92,9 @@ class AntigenSample:
 
 
 def pack_columns(antigens: Sequence[Antigen]) -> tuple[tuple[int, ...], ...]:
-    """The column table of the antigens, antigen k in lane k: per antibody
-    slot, one int per job id (index 0 is no job). The job at position p of
-    antigen k sets the field of offset p - slot in lane k, for each slot
-    at which that offset exists."""
+    """The column table of the antigens: per antibody slot, one int per job
+    id (index 0 is no job), where the job at position p of antigen k sets
+    the field of offset p - slot in lane k wherever that offset exists."""
     columns = [[0] * (JOB_COUNT + 1) for _ in range(ANTIBODY_LENGTH)]
     for k, antigen in enumerate(antigens):
         for p, job in enumerate(antigen.sequence):
@@ -131,18 +121,17 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     """The sum of the masked lanes' best counts, for lanes packed as in
     `AntigenUniverse.columns`; a lane outside the masks adds nothing.
 
-    Adding 2**44 - 1 to a lane sets its bit 44 exactly when the lane is
-    non-zero: that is c = 1. For c = 3 and 5, adding 8 - c to every field
-    sets the field's bit 3 exactly when it is >= c, and no field passes
-    15, since the fields sum to at most 5. No field exceeds 5 either, so a
-    field is >= 4 exactly when its bit 2 is set: c = 4 is one AND with
-    that bit of every field. A field is >= 2 exactly when bit 1 or bit 2
-    is set: c = 2 keeps those two bits of every field and, as two fields
-    of a lane can pass, collapses them onto bit 44 as c = 1 does. For
+    A lane's best count is its largest field, so it is the number of c in
+    1..5 that some field reaches. Adding 2**44 - 1 to a lane sets its bit
+    44 exactly when the lane is non-zero: that is c = 1. For c = 3 and 5,
+    adding 8 - c to every field sets the field's bit 3 exactly when it is
+    >= c, and no field passes 15, since the fields sum to at most 5. No
+    field exceeds 5 either, so a field is >= 4 exactly when its bit 2 is
+    set, and >= 2 exactly when bit 1 or bit 2 is; as two fields of a lane
+    can reach 2, c = 2 collapses those bits onto bit 44 as c = 1 does. For
     c >= 3 at most one field per lane passes (two would hold six slots),
-    so the set bits count lanes. That is ten operations on the packed int
-    and five bit counts. An unmasked lane has nothing added and every bit
-    of it is masked off. `local_search.refine` inlines this expression.
+    so the set bits count lanes. An unmasked lane has nothing added and
+    every bit of it is masked off. `local_search.refine` inlines this.
     """
     below_top, top, high, two, three, four, five = masks
     return (
@@ -173,12 +162,12 @@ def antibody_fitness(
 
 
 def coverage(pop: Population, universe: AntigenUniverse, threshold: int) -> int:
-    """Number of universe antigens matched by no antibody at the threshold t,
-    always all ten, whatever sample the population was trained on. Adding
-    8 - t to a field sets its bit 3 exactly when the field reaches t; the
-    flags are OR'd over the distinct members and, as two can flag one lane,
-    collapsed onto bit 44 of each lane. A t below 0 scores as 0, which every
-    member reaches on every lane, one above ANTIBODY_LENGTH as ANTIBODY_LENGTH + 1."""
+    """Number of the universe's ten antigens matched by no antibody at the
+    threshold t, whatever sample the population was trained on. Adding
+    8 - t flags a field that reaches t in its bit 3, as in `_best_counts`;
+    the flags are OR'd over the distinct members and collapsed onto bit 44
+    of each lane. A t below 0 scores as 0, which every member reaches, and
+    one above ANTIBODY_LENGTH as ANTIBODY_LENGTH + 1, which none does."""
     below_top, top, high = _ALL_LANES[:3]
     t = min(max(threshold, 0), ANTIBODY_LENGTH + 1)
     add = (8 - t) * (high >> 3)

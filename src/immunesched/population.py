@@ -13,12 +13,9 @@ from .scheduling import AntigenUniverse, at_line, read_lines
 
 @dataclass
 class Population:
-    """A fixed-size collection of antibodies with cached fitness values.
-
-    `fitnesses` is filled by evaluate(), one value per antibody in order;
-    operations that need it raise if the population has not been
-    evaluated against a sample yet.
-    """
+    """A fixed-size collection of antibodies with cached fitness values:
+    `fitnesses`, one per antibody in order, which `evaluate` fills and
+    which the operations that need it require (ValueError)."""
 
     antibodies: list[Antibody]
     fitnesses: list[int] | None = None

@@ -107,13 +107,9 @@ class AntigenUniverse:
 def mutate_scenario(
     base: BaseProblem, probability: float, rng: random.Random
 ) -> BaseProblem:
-    """Disturb a scenario by re-drawing job arrival dates.
-
-    Each job independently, with the given probability, receives a new
-    arrival date drawn uniformly from 0..300; a draw later than
-    due_date - processing_time is clamped down to that bound so the
-    instance stays valid. All other job fields are unchanged.
-    """
+    """Disturb a scenario: each job, with the given probability, gets a new
+    arrival date drawn uniformly from 0..300 and clamped down to
+    due_date - processing_time, so the instance stays valid."""
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability {probability} not in [0, 1]")
     jobs = []
@@ -128,12 +124,10 @@ def mutate_scenario(
 
 
 def schedule_scenario(scenario: BaseProblem) -> Antigen:
-    """Sequence the scenario on one machine by earliest-due-date dispatch.
-
-    Simulates time from 0: among arrived unscheduled jobs, pick the one
-    with the smallest due date (ties to the smallest id); if none has
-    arrived, jump to the next arrival. Deterministic.
-    """
+    """Sequence the scenario on one machine by earliest-due-date dispatch:
+    from time 0, of the arrived unscheduled jobs pick the one with the
+    smallest due date (ties to the smallest id); if none has arrived, jump
+    to the next arrival."""
     remaining = list(scenario.jobs)
     sequence: list[int] = []
     now = 0
@@ -158,11 +152,8 @@ def generate_universe(base: BaseProblem, rng: random.Random) -> AntigenUniverse:
 
 
 def default_base_problem() -> BaseProblem:
-    """A synthetic instance shipped with the package, the same on every call.
-
-    Processing times fall in 1..20, due dates spread over 30..300, and
-    arrivals are drawn to satisfy arrival <= due - processing.
-    """
+    """A synthetic instance, the same on every call: processing times in
+    1..20, due dates in 30..300, arrivals no later than due - processing."""
     rng = random.Random(28)
     jobs = []
     for job_id in range(1, JOB_COUNT + 1):
@@ -180,13 +171,10 @@ def save_universe(universe: AntigenUniverse, path: str | Path) -> None:
 
 
 def read_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
-    """The content lines of a text input file, and the file's line count.
-
-    The file is UTF-8, with or without a byte-order mark; a byte that is not
-    fails with the number of its line. Each content line comes stripped,
-    with its line number counted from 1; blank lines and `#`-prefixed
-    comment lines are skipped.
-    """
+    """The content lines of a UTF-8 text file, each stripped and with its
+    line number from 1, and the file's line count. A byte-order mark is
+    ignored, blank and `#` comment lines are skipped, and a byte that is
+    not UTF-8 fails with the number of its line."""
     try:
         file_lines = Path(path).read_bytes().decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as err:  # err.object: the bytes after any mark
