@@ -13,11 +13,19 @@ import random
 from bisect import insort
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from heapq import heappop, heappush
+from operator import add, itemgetter
 from typing import TextIO
 
 from .gene_library import ANTIBODY_LENGTH, UNUSED_JOB_COUNT, Antibody
-from .matching import POSITION_SCORE, AntigenSample, _best_counts, antibody_fitness, max_fitness
+from .matching import (
+    POSITION_SCORE,
+    AntigenSample,
+    _best_counts,
+    _lane_maxima,
+    antibody_fitness,
+    max_fitness,
+)
 from .population import Population
 from .scheduling import JOB_COUNT, AntigenUniverse, check_fields
 
@@ -28,6 +36,11 @@ _TOURNAMENT_DRAWS = range(4)  # a family's two tournaments, two member draws eac
 _KEY_BITS = UNUSED_JOB_COUNT.bit_length()
 _KEY_MASK = (1 << _KEY_BITS) - 1
 _KEY_SHIFTS = range(0, _KEY_BITS * ANTIBODY_LENGTH, _KEY_BITS)
+# A child that `_unbeatable` visits costs about as much as a family of a
+# one-tuple generation (1.1-1.8 against 1.8 us on a 2-core x86-64), and a
+# proof that holds visits up to a few thousand, so `evolve` tries one only
+# when at least this many families are left, and lets it visit a quarter.
+_PROOF_FAMILIES = 5000
 
 
 @dataclass(frozen=True)
@@ -122,9 +135,13 @@ def evolve(
     - Every member is at the maximum fitness: admission needs a strict gain
       over a parent, so a family admits its two parents without crossing
       them or building a child.
-    Both at once is the fixed point: no later generation can change the
-    population, so the loop stops there and writes the remaining stats
-    rows as they stand, leaving `rng` where the loop stopped.
+    Both at once is a fixed point, and so is one tuple X below the maximum
+    that no mutation key beats: every family admits X twice and X stays the
+    elite. No later generation can change the population, so the loop stops
+    there and writes the remaining stats rows as they stand, leaving `rng`
+    where the loop stopped. `_unbeatable` proves the second kind once per
+    one-tuple state, when at least `_PROOF_FAMILIES` families are left, and
+    gives up after a quarter of them; the loop runs on when it fails.
     """
     fitnesses = pop.require_evaluated()
     size = pop.size
@@ -157,7 +174,12 @@ def evolve(
         if changed:
             one = cur.count(cur[0]) == size
             full = min(cur_fit) == ceiling
-            if one and full:
+            families_left = (cfg.generations + 1 - gen) * len(families)
+            if one and (
+                full
+                or families_left >= _PROOF_FAMILIES
+                and _unbeatable(cur[0], cur_fit[0], universe, sample, families_left // 4)
+            ):
                 if stats_stream is not None:
                     for frozen_gen in range(gen, cfg.generations + 1):
                         _write_stats(stats_stream, frozen_gen, cur_fit)
@@ -310,6 +332,56 @@ def _key_fitness(
         key >>= _KEY_BITS
         posn += 1
     return POSITION_SCORE * _best_counts(lanes, sample.masks)
+
+
+def _unbeatable(
+    x: _Jobs, fit: int, universe: AntigenUniverse, sample: AntigenSample, budget: int
+) -> bool:
+    """True when no mutation key makes a child of `x` that scores above
+    `fit`, `x`'s fitness; False when one does, or when the search visits
+    more than `budget` children first.
+
+    A key's child holds, at each position p, x[p] or a job that is neither
+    in x[p+1:] nor at an earlier position. The search is best-first over
+    such prefixes. A prefix's bound is `_lane_maxima` of its entries plus,
+    for each later slot q, the entries of every job q may still take: all
+    but x[q+1:] and the prefix's. A slot sets each field of a lane for one
+    job alone, so the sum holds at most one entry per slot in each field,
+    and no field of a child the prefix leads to exceeds it. So the first
+    bound popped at or below `fit`'s count proves the claim, and a child
+    scored above it refutes it."""
+    columns, masks = universe.columns, sample.masks
+    target = fit // POSITION_SCORE
+    # after[p][j]: job j's entries in slots p and later; reach[p]: the
+    # entries, in slots p and later, of every job each slot q may take
+    # before the prefix holds any, that is all but x[q + 1:].
+    after = [[0] * (JOB_COUNT + 1)] * (ANTIBODY_LENGTH + 1)
+    reach = [0] * (ANTIBODY_LENGTH + 1)
+    for p in reversed(range(ANTIBODY_LENGTH)):
+        column = columns[p]
+        after[p] = list(map(add, after[p + 1], column))
+        reach[p] = reach[p + 1] + sum([column[j] for j in _JOB_IDS if j not in x[p + 1 :]])
+    # Entries (-bound, -length, prefix, its lanes): highest bound, then longest, first.
+    heap = [(-_lane_maxima(reach[0], masks), 0, (), 0)]
+    while heap:
+        bound, _, prefix, lanes = heappop(heap)
+        if -bound <= target:
+            return True
+        p = len(prefix)
+        column, later = columns[p], x[p + 1 :]
+        options = [j for j in _JOB_IDS if j not in prefix and j not in later]
+        budget -= len(options)
+        tail = after[p + 1]
+        open_lanes = lanes + reach[p + 1] - sum([tail[j] for j in prefix])
+        for j in options:
+            child_bound = _lane_maxima(open_lanes + column[j] - tail[j], masks)
+            if child_bound > target:
+                if p == ANTIBODY_LENGTH - 1:  # a whole child: its bound is its count
+                    return False
+                heappush(heap, (-child_bound, -p - 1, prefix + (j,), lanes + column[j]))
+        if budget < 0:
+            return False
+    return True
 
 
 def _write_stats(stream: TextIO, generation: int, fitnesses: list[int]) -> None:

@@ -143,6 +143,22 @@ def _best_counts(packed: int, masks: _Masks) -> int:
     )
 
 
+def _lane_maxima(packed: int, masks: _Masks) -> int:
+    """The sum of the masked lanes' largest fields, for any lanes whose
+    fields are at most 5, unlike `_best_counts`, which needs lanes an
+    antibody makes: here two fields of a lane may reach 3. For each c in
+    1..5, adding 8 - c flags the fields >= c in their bit 3, and adding
+    2**44 - 1 to the flags sets a lane's bit 44 exactly when one is set."""
+    below_top, top, high, two, three, four, five = masks
+    return (
+        ((packed + below_top) & top).bit_count()
+        + ((((packed + two) & high) + below_top) & top).bit_count()
+        + ((((packed + three) & high) + below_top) & top).bit_count()
+        + ((((packed + four) & high) + below_top) & top).bit_count()
+        + ((((packed + five) & high) + below_top) & top).bit_count()
+    )
+
+
 def best_match(antigen: Antigen, antibody: Antibody) -> MatchResult:
     """Best alignment over all offsets, counted directly on the antigen's
     sequence; ties go to the smallest offset."""

@@ -1,10 +1,17 @@
 """Plain reference implementations that tests compare the package with:
 each written the obvious way, without the packed lanes, inline draws,
-memos and dedup scopes of the code under test."""
+memos and dedup scopes of the code under test; and the rule by which the
+tests compare `evolve`'s generator with the reference loop's."""
 
+import contextlib
+import dataclasses
+import functools
 import itertools
+import math
 import random
+from unittest import mock
 
+import immunesched.evolution
 from immunesched import (
     ANTIBODY_LENGTH,
     JOB_COUNT,
@@ -197,14 +204,37 @@ def reference_mutation(jobs, rate, rng):
     return jobs
 
 
+@functools.lru_cache(maxsize=64)
+def reference_unbeatable(jobs, universe, sample):
+    """True when none of the 11**5 mutation keys makes a child of `jobs`
+    that scores above it. Position by position, a key's field keeps the job
+    there or, holding n + 1, puts there the n-th smallest job that the
+    tuple, as mutated so far, leaves out, so every child is valid; each is
+    scored by antibody_fitness. The answers are cached, as `evolve_stopped`
+    replays reference runs and a full search scores 161051 children."""
+    fit = antibody_fitness(Antibody(jobs), universe, sample)
+
+    def beaten(child, posn):
+        """Whether some choice of the fields from `posn` on beats `jobs`."""
+        unused = [job for job in JOB_IDS if job not in child]
+        variants = [child] + [child[:posn] + (job,) + child[posn + 1 :] for job in unused]
+        if posn == ANTIBODY_LENGTH - 1:
+            scores = (antibody_fitness(Antibody.trusted(v), universe, sample) for v in variants)
+            return any(score > fit for score in scores)
+        return any(beaten(v, posn + 1) for v in variants)
+
+    return not beaten(tuple(jobs), 0)
+
+
 def reference_evolve(pop, universe, sample, cfg, rng):
     """The GA loop as it read before the unused-job memo and the hand-written
     admission, with each operator written out: a binary tournament by two
     randrange draws, mutation by `reference_mutation`, and admission by a
     stable sort of the four family members. Returns the final job tuples,
-    their fitnesses, the `--stats` text and the first generation after which
-    the population was one job tuple at the maximum fitness (None if it
-    never was)."""
+    their fitnesses, the `--stats` text and `frozen_at`: the first generation
+    after which the population was one job tuple that no mutation can beat,
+    as it is at the maximum fitness or by `reference_unbeatable` (None if it
+    never was). From there on no generation changes the population."""
     size = pop.size
     cur = [ab.jobs for ab in pop.antibodies]
     cur_fit = list(pop.fitnesses)
@@ -214,14 +244,19 @@ def reference_evolve(pop, universe, sample, cfg, rng):
             best_jobs, best_fit = jobs, fit
     stats = ["generation,best,mean,worst"]
     frozen_at = None
+    unbeatable = {}  # one brute force per one-tuple state
 
     def record(gen):
         nonlocal frozen_at
         mean = sum(cur_fit) / size
         stats.append(f"{gen},{max(cur_fit)},{mean:.4f},{min(cur_fit)}")
-        frozen = len(set(cur)) == 1 and min(cur_fit) == max_fitness(sample.size)
-        if frozen and frozen_at is None:
-            frozen_at = gen
+        if frozen_at is None and len(set(cur)) == 1:
+            x = cur[0]
+            if x not in unbeatable:
+                full = min(cur_fit) == max_fitness(sample.size)
+                unbeatable[x] = full or reference_unbeatable(x, universe, sample)
+            if unbeatable[x]:
+                frozen_at = gen
 
     def select():
         i, j = rng.randrange(size), rng.randrange(size)
@@ -258,6 +293,42 @@ def reference_evolve(pop, universe, sample, cfg, rng):
         cur_fit = [fit for _, fit in new]
         record(gen)
     return cur, cur_fit, "\n".join(stats) + "\n", frozen_at
+
+
+def evolve_stopped(state, end_state, pop, universe, sample, cfg, seed, frozen_at):
+    """Whether `evolve`, whose generator seeded with `seed` ended in `state`,
+    stopped before its last generation, checked against `reference_evolve`,
+    whose generator ended in `end_state` and which marked `frozen_at`.
+
+    `evolve` may stop only at the mark, where its generator holds the state
+    the reference's held there; it must stop there when the frozen tuple is
+    at the maximum fitness, and may run on past an unbeatable one, whose
+    proof is gated and capped. Anywhere else both end in one state."""
+    if frozen_at is None or frozen_at == cfg.generations:
+        assert state == end_state
+        return False
+    at_mark = random.Random(seed)
+    frozen = dataclasses.replace(cfg, generations=frozen_at)
+    _, fitnesses, _, _ = reference_evolve(pop, universe, sample, frozen, at_mark)
+    if min(fitnesses) == max_fitness(sample.size):
+        assert state == at_mark.getstate()
+    else:
+        assert state in (at_mark.getstate(), end_state)
+    return state == at_mark.getstate()
+
+
+@contextlib.contextmanager
+def proof_at_every_one_tuple_state():
+    """Within the block, `evolve` tries `_unbeatable` at every one-tuple
+    state below the maximum, however few generations are left, and without
+    a cap on the children it visits."""
+    unbeatable = immunesched.evolution._unbeatable
+
+    def uncapped(x, fit, universe, sample, budget):
+        return unbeatable(x, fit, universe, sample, math.inf)
+
+    with mock.patch.multiple(immunesched.evolution, _PROOF_FAMILIES=0, _unbeatable=uncapped):
+        yield
 
 
 def reference_experiment(cfg):

@@ -1,6 +1,8 @@
 import io
+import math
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,7 +29,12 @@ from immunesched import (
     sample_initial,
 )
 from immunesched.evolution import _mutant, _tournament, draw_below
-from reference import reference_evolve, reference_mutation
+from reference import (
+    evolve_stopped,
+    proof_at_every_one_tuple_state,
+    reference_evolve,
+    reference_mutation,
+)
 
 
 class ScriptedRng:
@@ -400,17 +407,19 @@ rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
     st.integers(0, 15),
     st.integers(0, 2**32),
     st.one_of(st.just(0), st.integers(1, 12)),
+    st.booleans(),
 )
 def test_evolve_matches_the_reference_loop(
-    sequences, indices, members, crossover, mutation, generations, seed, planted
+    sequences, indices, members, crossover, mutation, generations, seed, planted, proved
 ):
     """Same members, fitnesses and statistics as the loop written out without
-    the unused-job memo, the top-two admission and the stop at the fixed
-    point; the same generator state too, unless that stop cut the run short.
+    the unused-job memo, the top-two admission and the stops at fixed
+    points; the same generator state too, unless a stop cut the run short.
 
     A `planted` example starts every sampled antigen with the first one's
     five-job prefix and makes the first `planted` members that prefix, so
-    the maximum fitness is reachable and the fixed point can occur."""
+    the maximum fitness is reachable and the fixed point can occur. A
+    `proved` example tries the proof at every one-tuple state."""
     if planted:
         prefix = tuple(sequences[indices[0]][:5])
         for k in indices:
@@ -425,14 +434,16 @@ def test_evolve_matches_the_reference_loop(
         population_size=len(members),
     )
     pop = Population([Antibody(jobs) for jobs in members]).evaluate(universe, sample)
-    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed)
+    check = assert_stops_where_the_reference_freezes if proved else assert_evolves_like_the_reference
+    check(pop, universe, sample, cfg, seed)
 
 
 def assert_evolves_like_the_reference(pop, universe, sample, cfg, seed):
     """`evolve` and the reference loop, from generators of equal seed, give
     the same members, fitnesses and statistics, and leave the generators in
-    the same state unless the stop at the fixed point cut the run short.
-    Returns the generation after which the reference reached that point."""
+    the same state unless `evolve` stopped where the reference marks its
+    population frozen (`evolve_stopped`). Returns the generation after which
+    the reference froze (None if it never did) and whether `evolve` stopped."""
     rng, reference_rng = random.Random(seed), random.Random(seed)
     stream = io.StringIO()
     final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
@@ -442,9 +453,20 @@ def assert_evolves_like_the_reference(pop, universe, sample, cfg, seed):
     assert [ab.jobs for ab in final.antibodies] == jobs
     assert final.fitnesses == fitnesses
     assert stream.getvalue() == stats
-    stopped_early = frozen_at is not None and frozen_at < cfg.generations
-    assert (rng.getstate() == reference_rng.getstate()) != stopped_early
-    return frozen_at
+    end_state = reference_rng.getstate()
+    stopped = evolve_stopped(
+        rng.getstate(), end_state, pop, universe, sample, cfg, seed, frozen_at
+    )
+    return frozen_at, stopped
+
+
+def assert_stops_where_the_reference_freezes(pop, universe, sample, cfg, seed):
+    """As `assert_evolves_like_the_reference`, with the proof tried, uncapped,
+    at every one-tuple state: `evolve` then stops exactly where the
+    reference marks its population frozen."""
+    with proof_at_every_one_tuple_state():
+        frozen_at, stopped = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed)
+    assert stopped == (frozen_at is not None and frozen_at < cfg.generations)
 
 
 shortcut_configs = pytest.mark.parametrize(
@@ -478,7 +500,7 @@ def test_all_at_maximum_generations_match_the_reference(setup, size, crossover, 
     pop = Population(windows).evaluate(universe, sample)
     assert pop.fitnesses == [max_fitness(sample.size)] * size
     cfg = GAConfig(generations=generations, crossover_rate=crossover, population_size=size)
-    frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size)
+    frozen_at, _ = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=size)
     if generations == 3:
         assert frozen_at is None
 
@@ -492,15 +514,17 @@ def test_all_at_maximum_generations_match_the_reference(setup, size, crossover, 
     rates,
     st.integers(1, 25),
     st.integers(0, 2**32),
+    st.booleans(),
 )
 def test_one_tuple_populations_match_the_reference_loop(
-    sequences, indices, x, size, crossover, generations, seed
+    sequences, indices, x, size, crossover, generations, seed, proved
 ):
     """Every member starts as one tuple X below the maximum, so the first
     generation already looks its children up in X's key table. A child that
     beats X, in any family, ends the one-tuple state; a later collapse to
     another tuple must start a table of its own. Members, fitnesses,
-    statistics and generator state must be the plain loop's."""
+    statistics and generator state must be the plain loop's; a `proved`
+    example tries the proof at every one-tuple state."""
     universe = AntigenUniverse(tuple(Antigen(tuple(seq)) for seq in sequences))
     sample = AntigenSample(tuple(indices))
     pop = Population([Antibody(x)] * size).evaluate(universe, sample)
@@ -508,7 +532,8 @@ def test_one_tuple_populations_match_the_reference_loop(
     cfg = GAConfig(
         generations=generations, crossover_rate=crossover, mutation_rate=0.2, population_size=size
     )
-    assert_evolves_like_the_reference(pop, universe, sample, cfg, seed)
+    check = assert_stops_where_the_reference_freezes if proved else assert_evolves_like_the_reference
+    check(pop, universe, sample, cfg, seed)
 
 
 def counted_builds(monkeypatch):
@@ -612,5 +637,112 @@ def test_evolve_stops_at_the_fixed_point_with_the_reference_result(setup):
     universe, pool, sample = setup
     pop = sample_initial(pool, 100, random.Random(0)).evaluate(universe, sample)
     cfg = GAConfig()
-    frozen_at = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=0)
+    frozen_at, stopped = assert_evolves_like_the_reference(pop, universe, sample, cfg, seed=0)
     assert frozen_at is not None and frozen_at < cfg.generations
+    assert stopped
+
+
+# Tuples of the `setup` universe below the maximum, each with the sample it
+# is scored on: no mutation key beats the first two, whose proofs visit 1386
+# and 88 children, and only keys that hit all five positions beat the third.
+UNBEATABLE = AntigenSample((9, 8, 0, 2)), (5, 2, 6, 8, 4)
+QUICKLY_PROVED = AntigenSample((7, 1, 3, 8)), (12, 5, 9, 2, 8)
+BEATEN_BY_FIVE_HITS = AntigenSample((9, 2, 7, 1)), (4, 7, 15, 10, 3)
+
+
+def copies(universe, case):
+    """The case's sample and 100 copies of its tuple, evaluated."""
+    sample, x = case
+    return sample, Population([Antibody(x)] * 100).evaluate(universe, sample)
+
+
+def proofs(monkeypatch):
+    """The (tuple, result) of every `_unbeatable` call `evolve` makes, in order."""
+    calls = []
+    unbeatable = immunesched.evolution._unbeatable
+
+    def counted(x, fit, universe, sample, budget):
+        result = unbeatable(x, fit, universe, sample, budget)
+        calls.append((x, result))
+        return result
+
+    monkeypatch.setattr(immunesched.evolution, "_unbeatable", counted)
+    return calls
+
+
+def test_evolve_stops_where_no_mutation_beats_the_one_tuple_without_drawing(setup, monkeypatch):
+    """100 copies of a tuple at 70, below the maximum of 100, that no key
+    beats: the loop proves it before the first generation, stops there and
+    writes all 250 remaining stats rows, without a draw."""
+    universe = setup[0]
+    sample, pop = copies(universe, UNBEATABLE)
+    calls = proofs(monkeypatch)
+    rng = random.Random(6)
+    state = rng.getstate()
+    stream = io.StringIO()
+    cfg = GAConfig()
+    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
+    assert final.antibodies == pop.antibodies
+    assert final.fitnesses == pop.fitnesses == [70] * 100
+    rows = stream.getvalue().splitlines()
+    assert rows[0] == "generation,best,mean,worst"
+    assert rows[1:] == [f"{gen},70,70.0000,70" for gen in range(cfg.generations + 1)]
+    assert rng.getstate() == state
+    assert calls == [(UNBEATABLE[1], True)]
+
+
+def evolved(pop, universe, sample, cfg, seed):
+    """`evolve`'s members, fitnesses and stats text, and its generator's
+    state, from a generator seeded with `seed`."""
+    rng, stream = random.Random(seed), io.StringIO()
+    final = evolve(pop, universe, sample, cfg, rng, stats_stream=stream)
+    return [ab.jobs for ab in final.antibodies], final.fitnesses, stream.getvalue(), rng.getstate()
+
+
+def assert_stops_or_runs_on(pop, universe, sample, cfg, seed, stops):
+    """`evolve` gives what it gives when it never tries the proof. If
+    `stops`, it stopped before the first generation, with its generator
+    untouched; if not, it ran every generation, as that loop does."""
+    outputs = evolved(pop, universe, sample, cfg, seed)
+    with mock.patch.object(immunesched.evolution, "_PROOF_FAMILIES", math.inf):
+        unproved = evolved(pop, universe, sample, cfg, seed)
+    assert outputs[:3] == unproved[:3]
+    assert outputs[3] == (random.Random(seed).getstate() if stops else unproved[3])
+
+
+def test_a_tuple_that_only_five_hits_beat_is_proved_once_and_runs_on(setup, monkeypatch):
+    """A one-tuple population whose only beaters need a key that hits every
+    position: the proof finds one and fails, and is not tried again in the
+    250 generations that the population stays that one tuple."""
+    universe = setup[0]
+    sample, pop = copies(universe, BEATEN_BY_FIVE_HITS)
+    calls = proofs(monkeypatch)
+    assert_stops_or_runs_on(pop, universe, sample, GAConfig(), 0, stops=False)
+    assert calls == [(BEATEN_BY_FIVE_HITS[1], False)]
+
+
+@pytest.mark.parametrize("generations, stops", [(99, False), (100, True)])
+def test_the_proof_runs_only_when_enough_families_are_left(setup, monkeypatch, generations, stops):
+    """100 members make 50 families a generation. 99 generations leave 4950
+    families, below the gate: no proof runs, and the loop runs them all. 100
+    leave 5000: the proof runs before the first generation and, needing 88
+    of its 1250 children, stops the loop."""
+    universe = setup[0]
+    sample, pop = copies(universe, QUICKLY_PROVED)
+    calls = proofs(monkeypatch)
+    assert_stops_or_runs_on(pop, universe, sample, GAConfig(generations=generations), 1, stops)
+    assert calls == ([(QUICKLY_PROVED[1], True)] if stops else [])
+
+
+@pytest.mark.parametrize("generations, stops", [(100, False), (250, True)])
+def test_a_proof_that_exhausts_its_cap_does_not_stop_the_loop(
+    setup, monkeypatch, generations, stops
+):
+    """The proof of UNBEATABLE visits 1386 children, and may visit a quarter
+    of the families left: 1250 of 5000 at 100 generations, so it gives up
+    and the loop runs them all, and 3125 of 12500 at 250, so it stops."""
+    universe = setup[0]
+    sample, pop = copies(universe, UNBEATABLE)
+    calls = proofs(monkeypatch)
+    assert_stops_or_runs_on(pop, universe, sample, GAConfig(generations=generations), 2, stops)
+    assert calls == [(UNBEATABLE[1], stops)]

@@ -4,9 +4,11 @@ score they feed, of coverage over the universe's lanes, of the operators
 whose output skips Antibody validation, of the draws the operators and the
 refinement chain use in place of randrange and rng.sample, of the score
 table that refinement chains share, of the chain's inline Metropolis
-probability, of the great deluge's floor, and of the GD chains that
-refine_population skips at strict peaks."""
+probability, of the great deluge's floor, of the GD chains that
+refine_population skips at strict peaks, and of the proof that no mutation
+beats a one-tuple population, with its lane-maxima bound."""
 
+import contextlib
 import io
 import itertools
 import math
@@ -36,22 +38,27 @@ from immunesched import (
     antibody_fitness,
     best_match,
     coverage,
+    default_base_problem,
     evolve,
+    generate_universe,
     max_fitness,
     order_crossover,
     refine,
     refine_population,
 )
-from immunesched.evolution import _key_fitness, _mutant, draw_below
+from immunesched.evolution import _key_fitness, _mutant, _unbeatable, draw_below
 from immunesched.local_search import SCORE_TABLE_SIZE
-from immunesched.matching import LANE_BITS, _best_counts, _lane_masks
+from immunesched.matching import LANE_BITS, _best_counts, _lane_masks, _lane_maxima
 from reference import (
     JOB_IDS,
+    evolve_stopped,
+    proof_at_every_one_tuple_state,
     reference_chain,
     reference_evolve,
     reference_ascent,
     reference_mutation,
     reference_refine_population,
+    reference_unbeatable,
     sliding_counts,
 )
 
@@ -229,6 +236,29 @@ def test_only_the_sampled_lanes_score(keys, indices):
     assert _best_counts(packed, sample.masks) == sum(LANE_BEST[keys[i]] for i in indices)
 
 
+@example([[5] + [0] * (OFFSET_COUNT - 1)] * UNIVERSE_SIZE, [0])
+@example([[3, 2] + [0] * (OFFSET_COUNT - 2)] * UNIVERSE_SIZE, list(range(UNIVERSE_SIZE)))
+@given(
+    st.lists(
+        st.lists(st.integers(0, 5), min_size=OFFSET_COUNT, max_size=OFFSET_COUNT),
+        min_size=UNIVERSE_SIZE,
+        max_size=UNIVERSE_SIZE,
+    ),
+    st.lists(st.integers(0, UNIVERSE_SIZE - 1), min_size=1, max_size=UNIVERSE_SIZE, unique=True),
+)
+def test_lane_maxima_sums_the_largest_field_of_each_sampled_lane(lanes, indices):
+    """Any fields of 0 to 5 in every lane, several of them 3 or more: the
+    sum over the sample's lanes of each lane's largest field. `_best_counts`
+    is exact only for lanes an antibody makes."""
+    packed = sum(
+        field << LANE_BITS * k + 4 * d
+        for k, fields in enumerate(lanes)
+        for d, field in enumerate(fields)
+    )
+    sample = AntigenSample(tuple(indices))
+    assert _lane_maxima(packed, sample.masks) == sum(max(lanes[k]) for k in indices)
+
+
 class OneHitRng:
     """Stub generator: mutates only position `posn`, with replacement draw `n`."""
 
@@ -309,6 +339,28 @@ def test_key_fitness_scores_the_child_that_the_key_builds(universe, sample, anti
     assert fitness == antibody_fitness(Antibody(child), universe, sample)
 
 
+# The universe of test_evolution's `setup` fixture, with a tuple below the
+# maximum that no key beats and one that only keys hitting all five
+# positions beat, each with the sample it is scored on.
+SETUP_UNIVERSE = generate_universe(default_base_problem(), random.Random(3))
+
+
+@example(SETUP_UNIVERSE, AntigenSample((9, 8, 0, 2)), Antibody((5, 2, 6, 8, 4)), False)
+@example(SETUP_UNIVERSE, AntigenSample((9, 2, 7, 1)), Antibody((4, 7, 15, 10, 3)), False)
+@settings(max_examples=12, deadline=None)
+@given(universes, samples, antibodies, st.booleans())
+def test_unbeatable_agrees_with_the_brute_force_over_every_key(universe, sample, antibody, climb):
+    """The uncapped proof says what trying all 11**5 keys says. A `climb`
+    example first plants a near-optimal tuple: the end of a steepest ascent
+    over one-job changes, which no single hit beats, so that many examples
+    have no beater at all and the search must prune every prefix."""
+    if climb:
+        antibody = reference_ascent(antibody, universe, sample, NeighborOperator.CHANGE_ONE_JOB)
+    fit = antibody_fitness(antibody, universe, sample)
+    proved = _unbeatable(antibody.jobs, fit, universe, sample, math.inf)
+    assert proved == reference_unbeatable(antibody.jobs, universe, sample)
+
+
 @settings(max_examples=60)
 @given(
     universes,
@@ -317,15 +369,17 @@ def test_key_fitness_scores_the_child_that_the_key_builds(universe, sample, anti
     st.sampled_from([0.0, 0.7, 1.0]),
     st.integers(0, 4),
     seeds,
+    st.booleans(),
 )
 def test_evolve_mutation_draws_match_the_reference(
-    universe, sample, members, crossover, generations, seed
+    universe, sample, members, crossover, generations, seed, proved
 ):
     """evolve draws each unused-job index inline. At mutation rate 1 every
     slot of every child draws one, so the draws' values show in the final
     members: they must be the reference loop's, whose indices come from
-    randrange, and both generators must end in the same state unless the
-    stop at the fixed point cut evolve short."""
+    randrange, and both generators must end in the same state unless evolve
+    stopped where the reference marks its population frozen. A `proved`
+    example tries the proof at every one-tuple state, and must stop there."""
     cfg = GAConfig(
         generations=generations,
         crossover_rate=crossover,
@@ -334,12 +388,16 @@ def test_evolve_mutation_draws_match_the_reference(
     )
     pop = Population(members).evaluate(universe, sample)
     rng, reference = random.Random(seed), random.Random(seed)
-    final = evolve(pop, universe, sample, cfg, rng)
+    with proof_at_every_one_tuple_state() if proved else contextlib.nullcontext():
+        final = evolve(pop, universe, sample, cfg, rng)
     jobs, fitnesses, _, frozen_at = reference_evolve(pop, universe, sample, cfg, reference)
     assert [ab.jobs for ab in final.antibodies] == jobs
     assert final.fitnesses == fitnesses
-    stopped_early = frozen_at is not None and frozen_at < generations
-    assert (rng.getstate() == reference.getstate()) != stopped_early
+    stopped = evolve_stopped(
+        rng.getstate(), reference.getstate(), pop, universe, sample, cfg, seed, frozen_at
+    )
+    if proved:
+        assert stopped == (frozen_at is not None and frozen_at < generations)
 
 
 @given(

@@ -83,7 +83,7 @@ COMMAND = (
     "--ignore=tests/test_acceptance.py",
 )
 ENV = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONDONTWRITEBYTECODE": "1"}
-# The unmutated suite takes about 15 s on a 2-core machine.
+# The unmutated suite takes about 24 s on a 2-core machine.
 TIMEOUT_S = 180
 # One at a time, the catalogue took 4.5-6.6 min on a 2-core machine.
 WORKERS = 2
@@ -359,6 +359,27 @@ CATALOGUE = (
            "x_lanes = sum([col[j] for col, j in zip(universe.columns, x)])",
            'x_lanes = locals().get("x_lanes") or '
            "sum([col[j] for col, j in zip(universe.columns, x)])"),
+    # The proof that no key beats a one-tuple population, and its gate and cap.
+    Mutant("proof-counts-a-tie-as-a-beat", "evolution.py",
+           "if child_bound > target:", "if child_bound >= target:"),
+    Mutant("proof-lets-a-later-job-in-early", "evolution.py",
+           "options = [j for j in _JOB_IDS if j not in prefix and j not in later]",
+           "options = [j for j in _JOB_IDS if j not in prefix]"),
+    Mutant("proof-reach-leaves-out-the-slot-s-own-job", "evolution.py",
+           "if j not in x[p + 1 :]])", "if j not in x[p:]])"),
+    Mutant("lane-maxima-reads-c-5-for-c-4", "matching.py",
+           "+ ((((packed + four) & high) + below_top) & top).bit_count()",
+           "+ ((((packed + five) & high) + below_top) & top).bit_count()"),
+    Mutant("proof-gate-strict", "evolution.py",
+           "or families_left >= _PROOF_FAMILIES", "or families_left > _PROOF_FAMILIES"),
+    Mutant("proof-cap-ignored", "evolution.py",
+           "        if budget < 0:\n            return False\n",
+           "        if False:\n            return False\n"),
+    Mutant("proof-cap-all-families-left", "evolution.py",
+           "sample, families_left // 4)", "sample, families_left)"),
+    Mutant("frozen-stop-writes-no-remaining-rows", "evolution.py",
+           "                        _write_stats(stats_stream, frozen_gen, cur_fit)\n",
+           "                        pass\n"),
     # Input files: the line a bad byte is blamed on.
     Mutant("non-utf8-byte-blamed-on-line-before", "scheduling.py",
            "err.object[: err.end]", "err.object[: err.start]"),
